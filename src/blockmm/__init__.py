@@ -56,7 +56,6 @@ from .estimators import (
     sketch_columns,
 )
 from .analysis import (
-    AnalyticsRow,
     BoundInputs,
     BoundPair,
     CancellationStats,
@@ -74,7 +73,6 @@ from .analysis import (
     minimum_expected_sq_error,
     normality_diagnostic,
     relative_error,
-    write_analytics_csv,
 )
 from .datagen import (
     CovarianceSpec,
@@ -95,7 +93,6 @@ from .bench import (
     summarize,
     write_raw_csv,
     write_results,
-    write_summary_csv,
 )
 
 __version__ = "0.1.0"

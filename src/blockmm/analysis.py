@@ -20,10 +20,9 @@ degenerate to infinity on instances containing a variance-free block.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,13 +44,41 @@ from .plan import (
 DEGENERATE_TOL = 1e-12
 
 
-def _block_budgets(plan: SamplingPlan, budgets) -> np.ndarray:
-    if budgets is None:
-        return plan.budgets.astype(np.float64)
-    b = np.asarray(budgets, dtype=np.float64)
-    if b.shape != (plan.partition.num_blocks,) or (b < 0).any():
+def _variance_terms(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets, terms):
+    """Yield (numerator, budget) per block with a positive budget, where
+    ``terms(Mk, Nk, p, pos, contrib)`` gives the block's (term1, numerator) as
+    scalars or m x p arrays.  Rejects a zero probability at a contributing
+    column and a zero budget on a block with sampling variance."""
+    part = plan.partition
+    _check_instance(M, N, part)
+    b = plan.budgets.astype(np.float64) if budgets is None else np.asarray(budgets, dtype=np.float64)
+    if b.shape != (part.num_blocks,) or (b < 0).any():
         raise ValueError("budget override must be one nonnegative value per block")
-    return b
+    for k in range(part.num_blocks):
+        Mk = block_view(M, part, k)
+        Nk = block_view(N, part, k, "rows")
+        p = plan.probs[k]
+        contrib = column_norms(Mk) * row_norms(Nk)
+        pos = p > 0
+        if (contrib[~pos] > 0).any():
+            raise ValueError(f"block {k}: zero probability at a contributing column")
+        term1, numerator = terms(Mk, Nk, p, pos, contrib)
+        if b[k] == 0:
+            scale = max(1.0, float(np.max(term1, initial=0.0)))
+            if np.max(np.abs(numerator), initial=0.0) > 1e-12 * scale:
+                raise ValueError(f"block {k}: zero budget on a block with sampling variance")
+            continue
+        yield numerator, b[k]
+
+
+def _entry_terms(Mk, Nk, p, pos, contrib):
+    term1 = (Mk[:, pos] ** 2 / p[pos]) @ (Nk[pos, :] ** 2)
+    return term1, term1 - (Mk @ Nk) ** 2
+
+
+def _frobenius_terms(Mk, Nk, p, pos, contrib):
+    term1 = float((contrib[pos] ** 2 / p[pos]).sum())
+    return term1, term1 - float(((Mk @ Nk) ** 2).sum())
 
 
 def elementwise_variance(
@@ -66,53 +93,18 @@ def elementwise_variance(
     values (the pre-integerization optimum).  Entries are exact up to
     rounding and may dip to -1e-12 * scale below zero.
     """
-    part = plan.partition
-    _check_instance(M, N, part)
-    b = _block_budgets(plan, budgets)
     var = np.zeros((M.shape[0], N.shape[1]))
-    for k in range(part.num_blocks):
-        Mk = block_view(M, part, k)
-        Nk = block_view(N, part, k, "rows")
-        p = plan.probs[k]
-        contrib = column_norms(Mk) * row_norms(Nk)
-        pos = p > 0
-        if (contrib[~pos] > 0).any():
-            raise ValueError(f"block {k}: zero probability at a contributing column")
-        exact_sq = (Mk @ Nk) ** 2
-        term1 = (Mk[:, pos] ** 2 / p[pos]) @ (Nk[pos, :] ** 2)
-        numerator = term1 - exact_sq
-        if b[k] == 0:
-            scale = max(1.0, float(term1.max(initial=0.0)))
-            if np.abs(numerator).max(initial=0.0) > 1e-12 * scale:
-                raise ValueError(f"block {k}: zero budget on a block with sampling variance")
-            continue
-        var += numerator / b[k]
+    for numerator, bk in _variance_terms(M, N, plan, budgets, _entry_terms):
+        var += numerator / bk
     return var
 
 
 def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> float:
     """E || exact product - estimate ||_F^2 under ``plan`` (the estimator is
     unbiased, so this is the summed entry variance), in closed form."""
-    part = plan.partition
-    _check_instance(M, N, part)
-    b = _block_budgets(plan, budgets)
     total = 0.0
-    for k in range(part.num_blocks):
-        Mk = block_view(M, part, k)
-        Nk = block_view(N, part, k, "rows")
-        p = plan.probs[k]
-        contrib = column_norms(Mk) * row_norms(Nk)
-        pos = p > 0
-        if (contrib[~pos] > 0).any():
-            raise ValueError(f"block {k}: zero probability at a contributing column")
-        term1 = float((contrib[pos] ** 2 / p[pos]).sum())
-        g_sq = float(((Mk @ Nk) ** 2).sum())
-        numerator = term1 - g_sq
-        if b[k] == 0:
-            if abs(numerator) > 1e-12 * max(1.0, term1):
-                raise ValueError(f"block {k}: zero budget on a block with sampling variance")
-            continue
-        total += numerator / b[k]
+    for numerator, bk in _variance_terms(M, N, plan, budgets, _frobenius_terms):
+        total += numerator / bk
     return total
 
 
@@ -234,23 +226,29 @@ class BoundPair(NamedTuple):
     sq_error_bound: float  # bounds ||exact - estimate||_F^2 w.p. >= 1 - fail_prob
 
 
-def _bound_base(inp: BoundInputs) -> float:
-    return inp.frob_m**2 * inp.frob_n**2 / (inp.prob_floor * inp.c)
+def _bound_pair(inp: BoundInputs, radicand: float, hi: float = 1.0, lo: float = 1.0) -> BoundPair:
+    """The bound formula: phi = sqrt(radicand) / (hi * lo)^(1/4) and
+    eta = phi + sqrt(hi / lo) * sqrt(8 log(1 / fail_prob) / floor), each
+    squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c)."""
+    phi = math.sqrt(radicand) / (hi * lo) ** 0.25
+    eta = phi + math.sqrt(hi / lo) * math.sqrt((8.0 / inp.prob_floor) * math.log(1.0 / inp.fail_prob))
+    base = inp.frob_m**2 * inp.frob_n**2 / (inp.prob_floor * inp.c)
+    return BoundPair(phi**2 * base, eta**2 * base)
 
 
-def bounds_optimal_allocation(inp: BoundInputs) -> BoundPair:
-    """Bound pair for the variance-minimizing allocation.
-
-    Infinite when the probability floor or the low cancellation statistic
-    vanishes (the bound's premises fail, e.g. a variance-free block).
-    """
+def _cancellation_bounds(inp: BoundInputs, hi_exact: float) -> BoundPair:
+    """Bounds from the cancellation statistics, ``hi_exact`` entering the
+    numerator.  Infinite when the probability floor or the low statistic
+    vanishes (the premises fail, e.g. a variance-free block)."""
     lo, hi, floor = inp.cancel_lo, inp.cancel_hi, inp.prob_floor
     if floor <= 0.0 or lo <= 0.0:
         return BoundPair(math.inf, math.inf)
-    phi = math.sqrt(hi - lo * floor + hi * lo * floor) / (hi * lo) ** 0.25
-    eta = phi + math.sqrt(hi / lo) * math.sqrt((8.0 / floor) * math.log(1.0 / inp.fail_prob))
-    base = _bound_base(inp)
-    return BoundPair(phi**2 * base, eta**2 * base)
+    return _bound_pair(inp, hi - lo * floor + hi_exact * lo * floor, hi, lo)
+
+
+def bounds_optimal_allocation(inp: BoundInputs) -> BoundPair:
+    """Bound pair for the variance-minimizing allocation."""
+    return _cancellation_bounds(inp, inp.cancel_hi)
 
 
 def bounds_score_allocation(inp: BoundInputs) -> BoundPair:
@@ -261,10 +259,7 @@ def bounds_score_allocation(inp: BoundInputs) -> BoundPair:
         raise ValueError("score-allocation bound needs an exact high statistic in [0, 1]")
     if floor <= 0.0:
         return BoundPair(math.inf, math.inf)
-    phi = math.sqrt(max(1.0 - floor * (1.0 - hi), 0.0))
-    eta = phi + math.sqrt((8.0 / floor) * math.log(1.0 / inp.fail_prob))
-    base = _bound_base(inp)
-    return BoundPair(phi**2 * base, eta**2 * base)
+    return _bound_pair(inp, max(1.0 - floor * (1.0 - hi), 0.0))
 
 
 def bounds_pilot_allocation(inp: BoundInputs) -> BoundPair:
@@ -272,13 +267,7 @@ def bounds_pilot_allocation(inp: BoundInputs) -> BoundPair:
     statistics, with the exact high statistic entering the numerator."""
     if inp.cancel_hi_exact is None:
         raise ValueError("pilot bound needs cancel_hi_exact")
-    lo, hi, hi_exact, floor = inp.cancel_lo, inp.cancel_hi, inp.cancel_hi_exact, inp.prob_floor
-    if floor <= 0.0 or lo <= 0.0:
-        return BoundPair(math.inf, math.inf)
-    phi = math.sqrt(hi - lo * floor + hi_exact * lo * floor) / (hi * lo) ** 0.25
-    eta = phi + math.sqrt(hi / lo) * math.sqrt((8.0 / floor) * math.log(1.0 / inp.fail_prob))
-    base = _bound_base(inp)
-    return BoundPair(phi**2 * base, eta**2 * base)
+    return _cancellation_bounds(inp, inp.cancel_hi_exact)
 
 
 def bound_inputs_for_plan(
@@ -414,54 +403,3 @@ def normality_diagnostic(
     grid = np.arange(1, reps + 1) / reps
     ks = float(max((grid - cdf).max(), (cdf - (grid - 1.0 / reps)).max()))
     return NormalityResult(samples, float(samples.mean()), float(samples.var(ddof=1)), ks)
-
-
-@dataclass(frozen=True)
-class AnalyticsRow:
-    """One analytics CSV line: closed-form quantities next to observed ones."""
-
-    instance: str
-    method: str
-    c: int
-    num_blocks: int
-    objective: float
-    sq_bound_optimal: float
-    sq_bound_score: float
-    sq_bound_pilot: float
-    empirical_mse: float
-    coverage: float
-
-
-ANALYTICS_HEADER = [
-    "instance",
-    "method",
-    "c",
-    "num_blocks",
-    "objective",
-    "sq_bound_optimal",
-    "sq_bound_score",
-    "sq_bound_pilot",
-    "empirical_mse",
-    "coverage",
-]
-
-
-def write_analytics_csv(path, rows: Sequence[AnalyticsRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(ANALYTICS_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r.instance,
-                    r.method,
-                    r.c,
-                    r.num_blocks,
-                    f"{r.objective:.17g}",
-                    f"{r.sq_bound_optimal:.17g}",
-                    f"{r.sq_bound_score:.17g}",
-                    f"{r.sq_bound_pilot:.17g}",
-                    f"{r.empirical_mse:.17g}",
-                    f"{r.coverage:.17g}",
-                ]
-            )

@@ -15,11 +15,10 @@ written as 0.0, making the raw CSV byte-reproducible from (config, seed).
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .estimators import (
     estimate_product,
     estimate_product_block_sampling,
 )
-from .matrix import BlockPartition, multiply_exact
+from .matrix import BlockPartition, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
     allocate_by_score_sums,
@@ -37,8 +36,7 @@ from .plan import (
     allocate_two_step,
     allocate_uniform,
     block_norm_probabilities,
-    optimal_probabilities,
-    uniform_probabilities,
+    pilot_probabilities,
 )
 
 SWEEPABLE = ("K", "c", "c0")
@@ -206,6 +204,45 @@ def replication_rng(seed: int, sweep_index: int, method: str, rep: int) -> np.ra
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _plan_then_sample(allocate: Callable) -> Callable:
+    def prepare(M, N, part, c, c0, rng):
+        plan = allocate(M, N, part, c)
+        return lambda: estimate_product(M, N, plan, rng)[1]
+
+    return prepare
+
+
+def _two_step(pilot: str) -> Callable:
+    """``estimate_product_two_step`` split into its plan and sample phases."""
+
+    def prepare(M, N, part, c, c0, rng):
+        pilot_rng, main_rng = rng.spawn(2)
+        plan = allocate_two_step(M, N, part, c, c0, pilot_probabilities(M, N, part, pilot), pilot_rng)
+        return lambda: estimate_product(M, N, plan, main_rng)[1]
+
+    return prepare
+
+
+def _whole_blocks(M, N, part, c, c0, rng):
+    q = block_norm_probabilities(M, N, part)
+    # Budget parity with the column samplers: b blocks of n/K columns
+    # each cost about as much as c column draws.
+    draws = max(1, round(c * part.num_blocks / part.total))
+    return lambda: estimate_product_block_sampling(M, N, part, draws, rng, probs=q)[1]
+
+
+# Tag -> prepare(M, N, part, c, c0, rng), which builds the plan and returns the
+# zero-argument sampling step.  In METHOD_TAGS order, which keys the streams.
+METHODS: dict[str, Callable] = {
+    "OPL": _plan_then_sample(allocate_optimal),
+    "ONC": _plan_then_sample(allocate_by_score_sums),
+    "ONU": _two_step("uniform"),
+    "ONMCNR": _two_step("norm"),
+    "UU": _plan_then_sample(lambda M, N, part, c: allocate_uniform(part, c)),
+    "SSM": _whole_blocks,
+}
+
+
 def run_method_once(
     M: np.ndarray,
     N: np.ndarray,
@@ -215,33 +252,12 @@ def run_method_once(
     c0: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float, float]:
-    """One replication of one method: (estimate, plan seconds, sample seconds)."""
+    """One replication of one method: (estimate, plan seconds, sample seconds).
+    ``method`` is a tag validated by ``ExperimentConfig``."""
     t0 = time.process_time()
-    if method == "OPL":
-        plan = allocate_optimal(M, N, part, c)
-    elif method == "ONC":
-        plan = allocate_by_score_sums(M, N, part, c)
-    elif method == "UU":
-        plan = allocate_uniform(part, c)
-    elif method in ("ONU", "ONMCNR"):
-        p0 = uniform_probabilities(part) if method == "ONU" else optimal_probabilities(M, N, part)
-        pilot_rng, main_rng = rng.spawn(2)
-        plan = allocate_two_step(M, N, part, c, c0, p0, pilot_rng)
-        t1 = time.process_time()
-        estimate = estimate_product(M, N, plan, main_rng)[1]
-        return estimate, t1 - t0, time.process_time() - t1
-    elif method == "SSM":
-        q = block_norm_probabilities(M, N, part)
-        t1 = time.process_time()
-        # Budget parity with the column samplers: b blocks of n/K columns
-        # each cost about as much as c column draws.
-        draws = max(1, round(c * part.num_blocks / part.total))
-        _, estimate, _ = estimate_product_block_sampling(M, N, part, draws, rng, probs=q)
-        return estimate, t1 - t0, time.process_time() - t1
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    sample = METHODS[method](M, N, part, c, c0, rng)
     t1 = time.process_time()
-    estimate = estimate_product(M, N, plan, rng)[1]
+    estimate = sample()
     return estimate, t1 - t0, time.process_time() - t1
 
 
@@ -306,69 +322,19 @@ def summarize(raw: Sequence[RawRecord]) -> list[SummaryRecord]:
     return out
 
 
-RAW_HEADER = [
-    "case",
-    "method",
-    "sweep_var",
-    "sweep_value",
-    "rep",
-    "rel_error",
-    "plan_time_s",
-    "sample_time_s",
-]
-
-SUMMARY_HEADER = [
-    "case",
-    "method",
-    "sweep_var",
-    "sweep_value",
-    "reps",
-    "rel_error_mean",
-    "rel_error_median",
-    "rel_error_std",
-    "plan_time_mean_s",
-    "sample_time_mean_s",
-]
+RAW_HEADER = [f.name for f in fields(RawRecord)]
+SUMMARY_HEADER = [f.name for f in fields(SummaryRecord)]
 
 
-def write_raw_csv(path, records: Sequence[RawRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RAW_HEADER)
-        for r in records:
-            w.writerow(
-                [
-                    r.case,
-                    r.method,
-                    r.sweep_var,
-                    r.sweep_value,
-                    r.rep,
-                    f"{r.rel_error:.17g}",
-                    f"{r.plan_time_s:.17g}",
-                    f"{r.sample_time_s:.17g}",
-                ]
-            )
+def write_records(path, records: Sequence) -> None:
+    """CSV of dataclass records: the field names, then one row per record."""
+    if not records:
+        raise ValueError("no records to write")
+    names = [f.name for f in fields(records[0])]
+    write_csv(path, names, ([getattr(r, name) for name in names] for r in records))
 
 
-def write_summary_csv(path, records: Sequence[SummaryRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SUMMARY_HEADER)
-        for r in records:
-            w.writerow(
-                [
-                    r.case,
-                    r.method,
-                    r.sweep_var,
-                    r.sweep_value,
-                    r.reps,
-                    f"{r.rel_error_mean:.17g}",
-                    f"{r.rel_error_median:.17g}",
-                    f"{r.rel_error_std:.17g}",
-                    f"{r.plan_time_mean_s:.17g}",
-                    f"{r.sample_time_mean_s:.17g}",
-                ]
-            )
+write_raw_csv = write_records
 
 
 def write_results(out_dir, raw: Sequence[RawRecord], summary: Sequence[SummaryRecord]) -> tuple[Path, Path]:
@@ -376,6 +342,6 @@ def write_results(out_dir, raw: Sequence[RawRecord], summary: Sequence[SummaryRe
     out.mkdir(parents=True, exist_ok=True)
     raw_path = out / "raw.csv"
     summary_path = out / "summary.csv"
-    write_raw_csv(raw_path, raw)
-    write_summary_csv(summary_path, summary)
+    write_records(raw_path, raw)
+    write_records(summary_path, summary)
     return raw_path, summary_path

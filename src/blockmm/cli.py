@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .bench import ResourceCapError, config_from_dict, run, write_results
+from .plan import METHOD_TAGS
 
 
 def _int_or_sweep(text: str):
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="methods",
         metavar="TAG",
-        help="method tag (repeatable or comma-separated): OPL, ONC, ONU, ONMCNR, UU, SSM",
+        help="method tag (repeatable or comma-separated): " + ", ".join(METHOD_TAGS),
     )
     parser.add_argument("--m", type=int, help="rows of the left factor")
     parser.add_argument("--n", type=int, help="inner dimension")

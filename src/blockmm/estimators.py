@@ -13,21 +13,19 @@ single seed and invariant to the order blocks are processed in.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, block_view
+from .matrix import BlockPartition, block_view, write_csv
 from .plan import (
-    BlockProbabilities,
+    PROB_SUM_TOL,
     SamplingPlan,
     _check_instance,
     allocate_two_step,
     block_norm_probabilities,
-    optimal_probabilities,
-    uniform_probabilities,
+    pilot_probabilities,
 )
 
 
@@ -72,7 +70,7 @@ def sketch_columns(
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (Mb.shape[1],):
         raise ValueError("need one probability per column")
-    if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+    if (probs < 0).any() or abs(probs.sum() - 1.0) > PROB_SUM_TOL:
         raise ValueError("probabilities must be >= 0 and sum to 1")
     idx = _draw_indices(probs, count, rng)
     scales = 1.0 / np.sqrt(count * probs[idx])
@@ -109,11 +107,9 @@ class SampleLog:
         return self.block.size
 
     def write_csv(self, path, rep: int = 0) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["rep", "block", "draw", "column_index", "probability", "scale"])
-            for b, d, i, p, s in zip(self.block, self.draw, self.column, self.prob, self.scale):
-                w.writerow([rep, int(b), int(d), int(i), f"{p:.17g}", f"{s:.17g}"])
+        header = ["rep", "block", "draw", "column_index", "probability", "scale"]
+        columns = (self.block, self.draw, self.column, self.prob, self.scale)
+        write_csv(path, header, ([rep, *row] for row in zip(*(a.tolist() for a in columns))))
 
 
 def _empty_log() -> SampleLog:
@@ -198,12 +194,7 @@ def estimate_product_two_step(
     for the norm-product probabilities (tag ONMCNR).  The pilot and the
     main pass use independent child streams of ``rng``.
     """
-    if pilot == "uniform":
-        p0 = uniform_probabilities(part)
-    elif pilot == "norm":
-        p0 = optimal_probabilities(M, N, part)
-    else:
-        raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
+    p0 = pilot_probabilities(M, N, part, pilot)
     pilot_rng, main_rng = rng.spawn(2)
     plan = allocate_two_step(M, N, part, c, c0, p0, pilot_rng, cap=cap)
     pair, product, log = estimate_product(M, N, plan, main_rng)
@@ -234,7 +225,7 @@ def estimate_product_block_sampling(
         q = block_norm_probabilities(M, N, part)
     else:
         q = np.asarray(probs, dtype=np.float64)
-        if q.shape != (part.num_blocks,) or (q < 0).any() or abs(q.sum() - 1.0) > 1e-9:
+        if q.shape != (part.num_blocks,) or (q < 0).any() or abs(q.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError("block probabilities must be >= 0 and sum to 1")
     draws = int(draws)
     if draws < 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,13 @@ class BlockPartition:
     def total(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
-        """Prefix sums: offsets[k] is where block k starts, offsets[K] == n."""
-        return np.concatenate(([0], np.cumsum(self.sizes)))
+        """Prefix sums: offsets[k] is where block k starts, offsets[K] == n.
+        Computed once and read-only, since every caller shares the array."""
+        off = np.concatenate(([0], np.cumsum(self.sizes)))
+        off.flags.writeable = False
+        return off
 
     def block_slice(self, k: int) -> slice:
         if not 0 <= k < self.num_blocks:
@@ -140,13 +144,20 @@ def load_matrix(path) -> np.ndarray:
     return as_matrix(payload.reshape(rows, cols))
 
 
+def write_csv(path, header, rows) -> None:
+    """The package's CSV writer: an optional header line, then one line per
+    row, "\\n" line ends, floats at repr precision ("%.17g") and anything
+    else via ``str``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            w.writerow(header)
+        w.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows)
+
+
 def save_matrix_csv(path, M: np.ndarray) -> None:
     """CSV writer for small fixtures; one row per line, repr-precision floats."""
-    a = as_matrix(M)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        for row in a:
-            writer.writerow(f"{x:.17g}" for x in row)
+    write_csv(path, None, as_matrix(M).tolist())
 
 
 def load_matrix_csv(path) -> np.ndarray:

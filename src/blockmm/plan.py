@@ -212,6 +212,16 @@ def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
     )
 
 
+def pilot_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition, pilot: str) -> BlockProbabilities:
+    """Pilot probabilities of the two-step plans: "uniform" (tag ONU) or
+    "norm", the norm-product probabilities (tag ONMCNR)."""
+    if pilot == "uniform":
+        return uniform_probabilities(part)
+    if pilot == "norm":
+        return optimal_probabilities(M, N, part)
+    raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
+
+
 class FloorRatio(NamedTuple):
     ratio: float
     support_mismatch: bool
@@ -270,6 +280,9 @@ def integerize(
     if c < 0:
         raise ValueError("budget must be >= 0")
     K = w.size
+    if c * (K + 2) > 2**53:
+        # Beyond this the float shares' rounding error can add up to a draw.
+        raise ValueError(f"budget c={c} is too large to split over {K} blocks in float64")
     if floor is None:
         floor = w > 0
     floor = np.asarray(floor, dtype=bool)
@@ -292,7 +305,9 @@ def integerize(
     # Two-level fixpoint.  Pinning a block at its cap frees budget and can
     # only raise the others' proportional shares, so cap pins are permanent;
     # pinning at a floor takes budget and lowers the others' shares, so floor
-    # pins are recomputed from scratch whenever a new cap pin appears.
+    # pins are recomputed from scratch whenever a new cap pin appears.  Caps
+    # are judged only once the floors are pinned: before that the shares are
+    # inflated by the budget the floors have yet to take.
     out = np.full(K, -1, dtype=np.int64)
     capped = np.zeros(K, dtype=bool)
     for _ in range(K + 1):
@@ -309,26 +324,28 @@ def integerize(
                 return out
             wa = w[idxs]
             if wa.sum() == 0.0:
-                # Zero-weight leftovers (their floors pinned already, so mins
-                # here are 0); hand out any remaining budget in index order.
+                # Zero-weight leftovers: each takes its floor, then any
+                # remaining budget is handed out in index order.
                 out[capped] = maxs[capped]
                 out[floored] = mins[floored]
+                out[idxs] = mins[idxs]
+                budget -= int(mins[idxs].sum())
                 for i in idxs:
-                    take = min(budget, int(maxs[i]))
-                    out[i] = take
+                    take = min(budget, int(maxs[i] - mins[i]))
+                    out[i] += take
                     budget -= take
                 if budget != 0:
                     raise AssertionError("apportionment did not converge")
                 return out
             r = budget * wa / wa.sum()
-            above = r > maxs[idxs] + 1e-12
-            if above.any():
-                capped[idxs[above]] = True
-                break  # restart the floor pass under the new cap set
             below = r < mins[idxs]
             if below.any():
                 floored[idxs[below]] = True
                 continue
+            above = r > maxs[idxs] + 1e-12
+            if above.any():
+                capped[idxs[above]] = True
+                break  # restart the floor pass under the new cap set
             base = np.floor(r).astype(np.int64)
             deficit = budget - int(base.sum())
             order = np.argsort(-(r - base), kind="stable")

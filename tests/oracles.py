@@ -168,3 +168,22 @@ def largest_remainder_reference(weights, c):
     for i in order[:deficit]:
         base[i] += 1
     return base
+
+
+def clipped_proportional_split(weights, c, floor, caps):
+    """Real split clip(t * w, floor, cap) summing to c, with t found by
+    bisection; None when the positive weights cannot take c even at their
+    caps (the zero-weight blocks then absorb the rest, in no proportion)."""
+    w = np.asarray(weights, dtype=float)
+    lo = np.asarray(floor, dtype=float)
+    hi = np.asarray(caps, dtype=float)
+    if np.where(w > 0, hi, lo).sum() < c:
+        return None
+    t_lo, t_hi = 0.0, (hi.max() + 1.0) / w[w > 0].min()
+    for _ in range(200):
+        t = 0.5 * (t_lo + t_hi)
+        if np.clip(t * w, lo, hi).sum() < c:
+            t_lo = t
+        else:
+            t_hi = t
+    return np.clip(t_hi * w, lo, hi)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from blockmm import (
-    AnalyticsRow,
     BlockPartition,
     BoundInputs,
     SamplingPlan,
@@ -31,9 +30,8 @@ from blockmm import (
     normality_diagnostic,
     optimal_probabilities,
     relative_error,
-    write_analytics_csv,
 )
-from blockmm.analysis import ANALYTICS_HEADER, _clopper_pearson
+from blockmm.analysis import _clopper_pearson
 from blockmm.plan import optimal_size_weights, real_optimal_budgets, score_sums
 from oracles import blockwise_mean_var, loop_expected_sq_error
 
@@ -481,25 +479,3 @@ def test_normality_improves_with_block_budget():
     assert abs(res_many.mean) < 0.1
     assert 0.85 <= res_many.variance <= 1.15
     assert res_many.samples.shape == (1500,)
-
-
-# ---------------------------------------------------------------------------
-# analytics CSV
-
-
-def test_analytics_csv_roundtrip(tmp_path):
-    rows = [
-        AnalyticsRow("case_ii", "OPL", 2000, 10, 1.25, 3.5, 4.5, math.inf, 1.3, 0.02),
-        AnalyticsRow("case_i", "ONC", 4000, 10, 0.5, 1.5, 2.5, 3.5, 0.6, 0.0),
-    ]
-    path = tmp_path / "analytics.csv"
-    write_analytics_csv(path, rows)
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ANALYTICS_HEADER
-    assert len(got) == 3
-    assert got[1][0] == "case_ii" and got[1][1] == "OPL"
-    assert int(got[1][2]) == 2000 and int(got[1][3]) == 10
-    assert float(got[1][4]) == 1.25
-    assert float(got[1][7]) == math.inf
-    assert float(got[2][9]) == 0.0

@@ -7,8 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from blockmm import ExperimentConfig, ResourceCapError, run
+from blockmm import (
+    METHOD_TAGS,
+    BlockPartition,
+    ExperimentConfig,
+    ResourceCapError,
+    estimate_product_two_step,
+    run,
+)
+from blockmm import cli
 from blockmm.bench import (
+    METHODS,
     RAW_HEADER,
     SUMMARY_HEADER,
     RawRecord,
@@ -17,6 +26,7 @@ from blockmm.bench import (
     make_instance,
     summarize,
     write_raw_csv,
+    write_records,
     write_results,
 )
 from blockmm.cli import main
@@ -105,6 +115,31 @@ def test_resource_cap():
 
 
 # ---------------------------------------------------------------------------
+# method table
+
+
+def test_method_table_follows_method_tags():
+    # replication streams are keyed on the METHOD_TAGS index
+    assert tuple(METHODS) == METHOD_TAGS
+
+
+@pytest.mark.parametrize("tag, pilot", [("ONU", "uniform"), ("ONMCNR", "norm")])
+def test_method_table_two_step_matches_library(tag, pilot):
+    M, N = make_instance(small_config())
+    part = BlockPartition.equal(24, 3)
+    rng = lambda: np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1, 2)))
+    estimate = METHODS[tag](M, N, part, 12, 6, rng())()
+    ref = estimate_product_two_step(M, N, part, 12, 6, rng(), pilot=pilot).product
+    assert estimate.tobytes() == ref.tobytes()
+
+
+def test_cli_method_help_lists_the_table(monkeypatch):
+    monkeypatch.setattr(cli, "METHOD_TAGS", ("AAA", "BBB"))
+    text = " ".join(cli.build_parser().format_help().split())
+    assert "comma-separated): AAA, BBB" in text
+
+
+# ---------------------------------------------------------------------------
 # runs
 
 
@@ -189,6 +224,20 @@ def test_summarize_recomputes_aggregates():
         summarize([])
     lone = RawRecord("II", "UU", "c", 6, 0, 0.5, 0.0, 0.0)
     assert summarize([lone])[0].rel_error_std == 0.0
+
+
+def test_write_records_round_trips_floats(tmp_path):
+    values = [1 / 3, 0.1 + 0.2, 5e-324, 1.7976931348623157e308]
+    raw = [RawRecord("II", "ONC", "c", 6, i, x, x / 7, 0.0) for i, x in enumerate(values)]
+    path = tmp_path / "raw.csv"
+    write_records(path, raw)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == RAW_HEADER
+    back = [RawRecord(r[0], r[1], r[2], int(r[3]), int(r[4]), *map(float, r[5:])) for r in rows[1:]]
+    assert back == raw
+    with pytest.raises(ValueError):
+        write_records(path, [])
 
 
 def test_write_results_files(tmp_path):

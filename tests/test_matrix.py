@@ -34,6 +34,9 @@ def test_partition_basics():
     assert part.num_blocks == 3
     assert part.total == 6
     assert list(part.offsets) == [0, 2, 5, 6]
+    assert part.offsets is part.offsets  # computed once
+    with pytest.raises(ValueError):
+        part.offsets[0] = 1  # shared, so read-only
     assert part.block_slice(1) == slice(2, 5)
     with pytest.raises(IndexError):
         part.block_slice(3)

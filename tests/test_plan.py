@@ -29,6 +29,7 @@ from blockmm.plan import (
 )
 
 from oracles import (
+    clipped_proportional_split,
     grid_best_split,
     hand_optimal_probs,
     largest_remainder_reference,
@@ -200,6 +201,34 @@ def test_integerize_errors():
         integerize(np.ones(4), 3)  # four floors, budget 3
     with pytest.raises(ValueError):
         integerize(np.ones(2), 10, caps=np.array([4, 4]))
+    with pytest.raises(ValueError):
+        integerize([1, 2], 10**18)  # float shares cannot hold the budget
+
+
+def test_integerize_pins_floors_before_caps():
+    # judged before the floors took their budget, block 1 looked over its cap
+    assert list(integerize([0, 9, 1], 3, caps=[3, 2, 1], floor=[True] * 3)) == [1, 1, 1]
+    # zero-weight leftovers still receive their floors
+    assert list(integerize([0, 0, 3], 3, caps=[1, 1, 2], floor=[True] * 3)) == [1, 1, 1]
+
+
+def test_integerize_near_clipped_proportional_split():
+    rng = np.random.default_rng(53)
+    for _ in range(2000):
+        K = int(rng.integers(1, 12))
+        w = rng.random(K) ** 3
+        w[rng.random(K) < 0.25] = 0.0
+        if w.sum() == 0:
+            w[0] = 1.0
+        floor = (w > 0) | (rng.random(K) < 0.5)
+        caps = np.maximum(rng.integers(0, 8, K), floor)
+        c = int(rng.integers(floor.sum(), caps.sum() + 1))
+        out = integerize(w, c, caps=caps, floor=floor)
+        assert out.sum() == c
+        assert (out >= floor).all() and (out <= caps).all()
+        share = clipped_proportional_split(w, c, floor, caps)
+        if share is not None:
+            assert (np.abs(out - share) <= 1.0 + 1e-9).all()
 
 
 def test_integerize_matches_reference_largest_remainder():
