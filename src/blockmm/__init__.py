@@ -13,12 +13,8 @@ from .matrix import (
     block_view,
     column_norms,
     frobenius_norm,
-    load_matrix,
-    load_matrix_csv,
     multiply_exact,
     row_norms,
-    save_matrix,
-    save_matrix_csv,
 )
 from .plan import (
     METHOD_TAGS,
@@ -35,10 +31,6 @@ from .plan import (
     integerize,
     optimal_probabilities,
     optimal_size_weights,
-    plan_from_dict,
-    plan_from_json,
-    plan_to_dict,
-    plan_to_json,
     prob_floor_ratio,
     real_optimal_budgets,
     score_sums,
@@ -67,7 +59,6 @@ from .analysis import (
     bounds_score_allocation,
     cancellation_stats,
     coverage_check,
-    coverage_check_plan,
     elementwise_variance,
     expected_sq_error,
     minimum_expected_sq_error,
@@ -79,8 +70,6 @@ from .datagen import (
     ar_covariance,
     gen_heavy_tail_instance,
     gen_normal_instance,
-    load_instance,
-    save_instance,
 )
 from .bench import (
     ExperimentConfig,

@@ -29,16 +29,14 @@ from scipy.special import ndtr
 from scipy.stats import beta as _beta_dist
 
 from .estimators import estimate_product
-from .matrix import BlockPartition, block_view, column_norms, frobenius_norm, multiply_exact, row_norms
+from .matrix import BlockPartition, block_view, frobenius_norm, multiply_exact
 from .plan import (
-    BlockProbabilities,
     SamplingPlan,
-    _check_instance,
-    block_scores,
-    optimal_probabilities,
+    _block_scores,
+    _optimal_probabilities,
+    _score,
     optimal_size_weights,
     prob_floor_ratio,
-    score_sums,
 )
 
 DEGENERATE_TOL = 1e-12
@@ -50,7 +48,7 @@ def _variance_terms(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets, t
     scalars or m x p arrays.  Rejects a zero probability at a contributing
     column and a zero budget on a block with sampling variance."""
     part = plan.partition
-    _check_instance(M, N, part)
+    scores = _score(M, N, part).index
     b = plan.budgets.astype(np.float64) if budgets is None else np.asarray(budgets, dtype=np.float64)
     if b.shape != (part.num_blocks,) or (b < 0).any():
         raise ValueError("budget override must be one nonnegative value per block")
@@ -58,7 +56,7 @@ def _variance_terms(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets, t
         Mk = block_view(M, part, k)
         Nk = block_view(N, part, k, "rows")
         p = plan.probs[k]
-        contrib = column_norms(Mk) * row_norms(Nk)
+        contrib = scores[part.block_slice(k)]
         pos = p > 0
         if (contrib[~pos] > 0).any():
             raise ValueError(f"block {k}: zero probability at a contributing column")
@@ -141,7 +139,6 @@ def cancellation_stats(
     N: np.ndarray,
     part: BlockPartition,
     pilot_norms: Optional[np.ndarray] = None,
-    degenerate_tol: float = DEGENERATE_TOL,
 ) -> CancellationStats:
     """Ratios g_k / s_k and the low/high cancellation statistics.
 
@@ -149,27 +146,29 @@ def cancellation_stats(
     the exact ones; those may exceed 1, so the cancellation takes an
     absolute value there.
     """
-    s = score_sums(M, N, part)
+    s = _score(M, N, part).sums
+    if pilot_norms is not None:
+        return _cancellation(s, pilot_norms, exact=False)
+    return _cancellation(s, _block_scores(M, N, part, s).product_norms, exact=True)
+
+
+def _cancellation(s: np.ndarray, g, exact: bool) -> CancellationStats:
+    """Cancellation statistics from score sums s and product norms g, exact
+    or pilot estimates."""
     if (s == 0).all():
         raise ValueError("all blocks have zero score")
-    if pilot_norms is not None:
-        g = np.asarray(pilot_norms, dtype=np.float64)
-        if g.shape != s.shape:
-            raise ValueError("need one pilot norm per block")
-        exact = False
-    else:
-        g = block_scores(M, N, part).product_norms
-        exact = True
-    ratios = np.full(part.num_blocks, np.nan)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != s.shape:
+        raise ValueError("need one pilot norm per block")
+    ratios = np.full(s.size, np.nan)
     included = s > 0
     ratios[included] = g[included] / s[included]
     cancel = 1.0 - ratios**2
-    if not exact:
-        cancel = np.abs(cancel)
     if exact:
-        degenerate = included & (ratios >= 1.0 - degenerate_tol)
+        degenerate = included & (ratios >= 1.0 - DEGENERATE_TOL)
     else:
-        degenerate = included & (cancel <= degenerate_tol)
+        cancel = np.abs(cancel)
+        degenerate = included & (cancel <= DEGENERATE_TOL)
     usable = included & ~degenerate
     hi = float(np.nanmax(cancel[included])) if included.any() else 0.0
     if usable.any():
@@ -275,18 +274,16 @@ def bound_inputs_for_plan(
     N: np.ndarray,
     plan: SamplingPlan,
     fail_prob: float,
-    degenerate_tol: float = DEGENERATE_TOL,
 ) -> BoundInputs:
     """Assemble ``BoundInputs`` for a plan: probability floor against the
     variance-minimizing probabilities plus cancellation statistics (pilot
     statistics when the plan carries pilot norms)."""
     part = plan.partition
-    exact_stats = cancellation_stats(M, N, part, degenerate_tol=degenerate_tol)
-    floor = prob_floor_ratio(plan.probs, optimal_probabilities(M, N, part))
+    sc = _score(M, N, part)
+    exact_stats = _cancellation(sc.sums, _block_scores(M, N, part, sc.sums).product_norms, exact=True)
+    floor = prob_floor_ratio(plan.probs, _optimal_probabilities(sc.index, part))
     if plan.pilot_norms is not None:
-        stats = cancellation_stats(
-            M, N, part, pilot_norms=plan.pilot_norms, degenerate_tol=degenerate_tol
-        )
+        stats = _cancellation(sc.sums, plan.pilot_norms, exact=False)
         hi_exact = exact_stats.cancel_hi
     else:
         stats = exact_stats
@@ -353,20 +350,6 @@ def coverage_check(
             violations += 1
     lo, hi = _clopper_pearson(violations, reps)
     return CoverageResult(reps, violations, violations / reps, lo, hi)
-
-
-def coverage_check_plan(
-    M: np.ndarray,
-    N: np.ndarray,
-    plan: SamplingPlan,
-    sq_error_bound: float,
-    reps: int,
-    rng: np.random.Generator,
-) -> CoverageResult:
-    def runner(stream):
-        return estimate_product(M, N, plan, stream)[1], sq_error_bound
-
-    return coverage_check(M, N, reps, rng, runner)
 
 
 class NormalityResult(NamedTuple):

@@ -31,12 +31,11 @@ from .estimators import (
 from .matrix import BlockPartition, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
+    _two_step_plan,
     allocate_by_score_sums,
     allocate_optimal,
-    allocate_two_step,
     allocate_uniform,
     block_norm_probabilities,
-    pilot_probabilities,
 )
 
 SWEEPABLE = ("K", "c", "c0")
@@ -102,12 +101,24 @@ class ExperimentConfig:
             )
         if self.location not in ("ones", "zero"):
             raise ValueError("location must be 'ones' or 'zero'")
+        if not isinstance(self.record_timing, bool):
+            raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
+        if isinstance(self.max_bytes, bool) or not isinstance(self.max_bytes, int) or self.max_bytes < 1:
+            raise ValueError(f"max_bytes must be an integer >= 1, got {self.max_bytes!r}")
         for K in self._values("K"):
             if K < 1 or self.n % K != 0:
                 raise ValueError(f"n={self.n} must be divisible by K={K} (equal blocks)")
         for c in self._values("c"):
             if not 1 <= c <= self.n:
                 raise ValueError(f"c={c} must lie in [1, n={self.n}]")
+        column_samplers = [tag for tag in self.methods if tag != "SSM"]
+        if column_samplers:
+            for value in self.sweep_values:
+                K, c, _ = self.resolved(value)
+                if c < K:
+                    raise ValueError(
+                        f"c={c} below K={K}: {column_samplers} draw at least once per block"
+                    )
         two_step = {"ONU", "ONMCNR"} & set(self.methods)
         if two_step:
             for c0 in self._values("c0"):
@@ -216,8 +227,7 @@ def _two_step(pilot: str) -> Callable:
     """``estimate_product_two_step`` split into its plan and sample phases."""
 
     def prepare(M, N, part, c, c0, rng):
-        pilot_rng, main_rng = rng.spawn(2)
-        plan = allocate_two_step(M, N, part, c, c0, pilot_probabilities(M, N, part, pilot), pilot_rng)
+        plan, main_rng = _two_step_plan(M, N, part, c, c0, pilot, rng)
         return lambda: estimate_product(M, N, plan, main_rng)[1]
 
     return prepare

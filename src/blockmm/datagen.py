@@ -5,19 +5,16 @@ i.i.d. from a distribution with a banded-decay covariance (entry ij equal
 to scale * rho^|i-j|).  The heavy-tailed variant divides each normal draw
 by an independent chi-square(1) square root, giving one-degree-of-freedom
 multivariate t columns whose norms vary over orders of magnitude — the
-regime where norm-aware sampling plans pay off.
+regime where norm-aware sampling plans pay off.  An instance is a pure
+function of its dimensions and the generator state, so a seed reproduces it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
-
-from .matrix import load_matrix, save_matrix
 
 
 @dataclass(frozen=True)
@@ -108,32 +105,3 @@ def gen_heavy_tail_instance(
     M = loc + (L_left @ rng.standard_normal((m, n))) / np.sqrt(_chi_square_1(rng, n))
     N_cols = loc + (L_right @ rng.standard_normal((p, n))) / np.sqrt(_chi_square_1(rng, n))
     return M, np.ascontiguousarray(N_cols.T)
-
-
-def save_instance(prefix, M: np.ndarray, N: np.ndarray, metadata: dict) -> dict:
-    """Persist a generated pair as two binary matrices plus a JSON sidecar
-    describing how they arose (case, dims, seed, covariance parameters)."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    left = prefix.with_name(prefix.name + "_left.bin")
-    right = prefix.with_name(prefix.name + "_right.bin")
-    save_matrix(left, M)
-    save_matrix(right, N)
-    doc = dict(metadata)
-    doc["left_file"] = left.name
-    doc["right_file"] = right.name
-    doc["left_shape"] = list(M.shape)
-    doc["right_shape"] = list(N.shape)
-    sidecar = prefix.with_name(prefix.name + ".json")
-    sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
-
-
-def load_instance(prefix) -> tuple[np.ndarray, np.ndarray, dict]:
-    prefix = Path(prefix)
-    doc = json.loads(prefix.with_name(prefix.name + ".json").read_text())
-    M = load_matrix(prefix.with_name(doc["left_file"]))
-    N = load_matrix(prefix.with_name(doc["right_file"]))
-    if list(M.shape) != doc["left_shape"] or list(N.shape) != doc["right_shape"]:
-        raise ValueError("stored shapes disagree with the sidecar")
-    return M, N, doc

@@ -14,18 +14,18 @@ single seed and invariant to the order blocks are processed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, block_view, write_csv
+from .matrix import BlockPartition, block_view
 from .plan import (
     PROB_SUM_TOL,
+    BlockProbabilities,
     SamplingPlan,
     _check_instance,
-    allocate_two_step,
+    _two_step_plan,
     block_norm_probabilities,
-    pilot_probabilities,
 )
 
 
@@ -88,10 +88,6 @@ class SketchPair:
     D: np.ndarray
     offsets: np.ndarray
 
-    def block_product(self, k: int) -> np.ndarray:
-        sl = slice(self.offsets[k], self.offsets[k + 1])
-        return self.C[:, sl] @ self.D[sl, :]
-
 
 @dataclass(frozen=True, eq=False)
 class SampleLog:
@@ -106,16 +102,35 @@ class SampleLog:
     def __len__(self) -> int:
         return self.block.size
 
-    def write_csv(self, path, rep: int = 0) -> None:
-        header = ["rep", "block", "draw", "column_index", "probability", "scale"]
-        columns = (self.block, self.draw, self.column, self.prob, self.scale)
-        write_csv(path, header, ([rep, *row] for row in zip(*(a.tolist() for a in columns))))
-
 
 def _empty_log() -> SampleLog:
     z = np.empty(0, dtype=np.int64)
     f = np.empty(0, dtype=np.float64)
     return SampleLog(z, z.copy(), z.copy(), f, f.copy())
+
+
+def _block_sketches(
+    M: np.ndarray,
+    N: np.ndarray,
+    part: BlockPartition,
+    counts: np.ndarray,
+    probs: BlockProbabilities,
+    rng: np.random.Generator,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, DrawRecord]]:
+    """``sketch_columns`` on every block with a positive count, each on its
+    own child stream of ``rng``; yields (k, C_k, D_k, record)."""
+    streams = rng.spawn(part.num_blocks)
+    for k, count in enumerate(counts.tolist()):
+        if count == 0:
+            continue
+        Ck, Dk, rec = sketch_columns(
+            block_view(M, part, k),
+            block_view(N, part, k, "rows"),
+            count,
+            probs[k],
+            streams[k],
+        )
+        yield k, Ck, Dk, rec
 
 
 def estimate_product(
@@ -133,24 +148,13 @@ def estimate_product(
     """
     part = plan.partition
     _check_instance(M, N, part)
-    K = part.num_blocks
-    streams = rng.spawn(K)
     width = plan.total
     C = np.empty((M.shape[0], width))
     D = np.empty((width, N.shape[1]))
     col_off = np.concatenate(([0], np.cumsum(plan.budgets))).astype(np.int64)
     blocks, draws, cols, probs, scales = [], [], [], [], []
-    for k in range(K):
+    for k, Ck, Dk, rec in _block_sketches(M, N, part, plan.budgets, plan.probs, rng):
         ck = int(plan.budgets[k])
-        if ck == 0:
-            continue
-        Ck, Dk, rec = sketch_columns(
-            block_view(M, part, k),
-            block_view(N, part, k, "rows"),
-            ck,
-            plan.probs[k],
-            streams[k],
-        )
         C[:, col_off[k] : col_off[k + 1]] = Ck
         D[col_off[k] : col_off[k + 1], :] = Dk
         blocks.append(np.full(ck, k, dtype=np.int64))
@@ -186,7 +190,6 @@ def estimate_product_two_step(
     c0: int,
     rng: np.random.Generator,
     pilot: str = "uniform",
-    cap: bool = True,
 ) -> TwoStepResult:
     """Pilot-sample block sizes, then estimate with the resulting plan.
 
@@ -194,9 +197,7 @@ def estimate_product_two_step(
     for the norm-product probabilities (tag ONMCNR).  The pilot and the
     main pass use independent child streams of ``rng``.
     """
-    p0 = pilot_probabilities(M, N, part, pilot)
-    pilot_rng, main_rng = rng.spawn(2)
-    plan = allocate_two_step(M, N, part, c, c0, p0, pilot_rng, cap=cap)
+    plan, main_rng = _two_step_plan(M, N, part, c, c0, pilot, rng)
     pair, product, log = estimate_product(M, N, plan, main_rng)
     return TwoStepResult(pair, product, log, plan)
 

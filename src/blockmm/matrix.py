@@ -1,22 +1,19 @@
-"""Dense matrices, block partitions of the inner dimension, norms, and I/O.
+"""Dense matrices, block partitions of the inner dimension, norms, and the
+package's CSV writer.
 
-Matrices are plain float64 NumPy arrays in row-major (C) order, validated
-once at construction time by :func:`as_matrix`.  Block views are NumPy
-slices, i.e. (offset, stride) windows into the parent buffer -- building a
-sampling plan never copies the factor matrices.
+Matrices are plain float64 NumPy arrays in row-major (C) order;
+:func:`as_matrix` validates one.  Block views are NumPy slices, i.e.
+(offset, stride) windows into the parent buffer -- building a sampling plan
+never copies the factor matrices.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
-
-_BINARY_HEADER = struct.Struct("<QQ")  # rows, cols as little-endian uint64
 
 
 def as_matrix(values) -> np.ndarray:
@@ -122,47 +119,11 @@ def frobenius_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def save_matrix(path, M: np.ndarray) -> None:
-    """Write a matrix in the binary layout: uint64-LE rows, cols, then
-    row-major float64-LE payload."""
-    a = as_matrix(M)
-    with open(path, "wb") as f:
-        f.write(_BINARY_HEADER.pack(a.shape[0], a.shape[1]))
-        f.write(a.astype("<f8", copy=False).tobytes(order="C"))
-
-
-def load_matrix(path) -> np.ndarray:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _BINARY_HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    rows, cols = _BINARY_HEADER.unpack_from(raw)
-    expected = _BINARY_HEADER.size + rows * cols * 8
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_BINARY_HEADER.size)
-    return as_matrix(payload.reshape(rows, cols))
-
-
 def write_csv(path, header, rows) -> None:
-    """The package's CSV writer: an optional header line, then one line per
-    row, "\\n" line ends, floats at repr precision ("%.17g") and anything
-    else via ``str``."""
+    """The package's CSV writer: a header line, then one line per row, "\\n"
+    line ends, floats at repr precision ("%.17g") and anything else via
+    ``str``."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            w.writerow(header)
+        w.writerow(header)
         w.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows)
-
-
-def save_matrix_csv(path, M: np.ndarray) -> None:
-    """CSV writer for small fixtures; one row per line, repr-precision floats."""
-    write_csv(path, None, as_matrix(M).tolist())
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        rows = [[float(x) for x in line] for line in csv.reader(f) if line]
-    if not rows:
-        raise ValueError(f"{path}: empty CSV matrix")
-    return as_matrix(np.array(rows))

@@ -17,10 +17,8 @@ rules implemented here:
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +51,8 @@ class BlockProbabilities:
     Each vector sums to 1 (within ``PROB_SUM_TOL``) except for flagged
     zero-score blocks, which carry an all-zero vector to signal that no
     column there produces a nonzero outer product.  ``rule`` records how the
-    vectors arose ("optimal", "uniform", or "explicit") so serialized plans
-    can omit regenerable arrays.
+    vectors arose ("optimal", "uniform", or "explicit"); a two-step plan
+    takes its tag from its pilot's rule.
     """
 
     per_block: tuple[np.ndarray, ...]
@@ -101,13 +99,11 @@ class BlockProbabilities:
 
 @dataclass(frozen=True, eq=False)
 class BlockScores:
-    """Per-block score sums s_k = sum_i ||col_i|| * ||row_i|| and block
-    product Frobenius norms g_k (exact, or pilot estimates when
-    ``exact=False``; estimated norms may exceed the score sum)."""
+    """Per-block score sums s_k = sum_i ||col_i|| * ||row_i|| and exact block
+    product Frobenius norms g_k."""
 
     score_sums: np.ndarray
     product_norms: np.ndarray
-    exact: bool = True
 
     def __post_init__(self):
         s = np.asarray(self.score_sums, dtype=np.float64)
@@ -116,7 +112,7 @@ class BlockScores:
             raise ValueError("score_sums and product_norms must be matching vectors")
         if (s < 0).any() or (g < 0).any():
             raise ValueError("scores must be nonnegative")
-        if self.exact and (g > s * (1 + RADICAND_SLACK) + 1e-300).any():
+        if (g > s * (1 + RADICAND_SLACK) + 1e-300).any():
             raise ValueError("exact product norm exceeds score sum (Cauchy-Schwarz violated)")
         object.__setattr__(self, "score_sums", s)
         object.__setattr__(self, "product_norms", g)
@@ -162,15 +158,34 @@ class SamplingPlan:
         return int(self.budgets.sum())
 
 
-def _index_scores(M: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Per-index products ||M column|| * ||N row|| over the inner dimension."""
-    return column_norms(M) * row_norms(N)
+class _Scores(NamedTuple):
+    """One scoring pass over an instance: the per-index scores
+    ||M column i|| * ||N row i|| and their block sums s_k."""
+
+    index: np.ndarray
+    sums: np.ndarray
+
+
+def _score(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Scores:
+    """The scoring pass; every public entry point makes it exactly once and
+    passes the result down."""
+    _check_instance(M, N, part)
+    index = column_norms(M) * row_norms(N)
+    return _Scores(index, np.add.reduceat(index, part.offsets[:-1]))
 
 
 def score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
-    _check_instance(M, N, part)
-    scores = _index_scores(M, N)
-    return np.add.reduceat(scores, part.offsets[:-1])
+    return _score(M, N, part).sums
+
+
+def _block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition, s: np.ndarray) -> BlockScores:
+    g = np.array(
+        [
+            frobenius_norm(block_view(M, part, k) @ block_view(N, part, k, "rows"))
+            for k in range(part.num_blocks)
+        ]
+    )
+    return BlockScores(s, g)
 
 
 def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockScores:
@@ -179,21 +194,10 @@ def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockSco
     Computing g_k multiplies out every block, so this is as expensive as the
     exact product itself; it backs the optimal allocator only.
     """
-    s = score_sums(M, N, part)
-    g = np.array(
-        [
-            frobenius_norm(block_view(M, part, k) @ block_view(N, part, k, "rows"))
-            for k in range(part.num_blocks)
-        ]
-    )
-    return BlockScores(s, g, exact=True)
+    return _block_scores(M, N, part, _score(M, N, part).sums)
 
 
-def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockProbabilities:
-    """Variance-minimizing within-block probabilities: p_i proportional to
-    ||M column i|| * ||N row i||, normalized per block."""
-    _check_instance(M, N, part)
-    scores = _index_scores(M, N)
+def _optimal_probabilities(scores: np.ndarray, part: BlockPartition) -> BlockProbabilities:
     per_block = []
     for k in range(part.num_blocks):
         sk = scores[part.block_slice(k)]
@@ -206,20 +210,16 @@ def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) ->
     return BlockProbabilities(tuple(per_block), rule="optimal")
 
 
+def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockProbabilities:
+    """Variance-minimizing within-block probabilities: p_i proportional to
+    ||M column i|| * ||N row i||, normalized per block."""
+    return _optimal_probabilities(_score(M, N, part).index, part)
+
+
 def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
     return BlockProbabilities(
         tuple(np.full(n_k, 1.0 / n_k) for n_k in part.sizes), rule="uniform"
     )
-
-
-def pilot_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition, pilot: str) -> BlockProbabilities:
-    """Pilot probabilities of the two-step plans: "uniform" (tag ONU) or
-    "norm", the norm-product probabilities (tag ONMCNR)."""
-    if pilot == "uniform":
-        return uniform_probabilities(part)
-    if pilot == "norm":
-        return optimal_probabilities(M, N, part)
-    raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
 
 
 class FloorRatio(NamedTuple):
@@ -364,18 +364,21 @@ def integerize(
     raise AssertionError("apportionment did not converge")
 
 
-def optimal_size_weights(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
-    """Real-valued optimal-size weights sqrt(s_k^2 - g_k^2) with exact g_k.
-
-    The radicand is nonnegative by Cauchy-Schwarz; tiny negatives from
-    rounding are clamped, anything beyond the slack is a corrupted input.
-    """
-    sc = block_scores(M, N, part)
-    rad = sc.score_sums**2 - sc.product_norms**2
-    bad = rad < -RADICAND_SLACK * sc.score_sums**2
+def _optimal_weights(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sqrt(s_k^2 - g_k^2) for exact g_k.  The radicand is nonnegative by
+    Cauchy-Schwarz; tiny negatives from rounding are clamped, anything beyond
+    the slack is a corrupted input."""
+    rad = s**2 - g**2
+    bad = rad < -RADICAND_SLACK * s**2
     if bad.any():
         raise ValueError(f"radicand negative beyond rounding slack in blocks {np.where(bad)[0]}")
     return np.sqrt(np.maximum(rad, 0.0))
+
+
+def optimal_size_weights(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """Real-valued optimal-size weights sqrt(s_k^2 - g_k^2) with exact g_k."""
+    sc = block_scores(M, N, part)
+    return _optimal_weights(sc.score_sums, sc.product_norms)
 
 
 def real_optimal_budgets(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> np.ndarray:
@@ -387,54 +390,65 @@ def real_optimal_budgets(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: 
     return c * w / total
 
 
-def _cap_array(part: BlockPartition, cap: bool, c: int, scores=None):
-    """Budget caps: the block sizes when ``cap`` is set, otherwise just the
-    trivial bound c.  Blocks with zero score always cap at zero draws — their
-    sampling probabilities have no support."""
-    caps = np.array(part.sizes, dtype=np.int64) if cap else np.full(part.num_blocks, int(c), dtype=np.int64)
-    if scores is not None:
-        caps = np.where(scores > 0, caps, 0).astype(np.int64)
-    return caps
-
-
-def allocate_optimal(
-    M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int, cap: bool = True
+def _allocate(
+    part: BlockPartition,
+    c: int,
+    sc: _Scores,
+    method: str,
+    exact_norms: Optional[np.ndarray] = None,
+    pilot_norms: Optional[np.ndarray] = None,
 ) -> SamplingPlan:
-    """Variance-minimizing plan (tag OPL): optimal probabilities, sizes
-    proportional to sqrt(s_k^2 - g_k^2).  Forms every exact block product."""
-    probs = optimal_probabilities(M, N, part)
-    s = score_sums(M, N, part)
+    """The allocation shared by OPL, ONC and the two-step plans, all with the
+    optimal probabilities.  Sizes are proportional to the score sums s (ONC),
+    to sqrt(s^2 - g^2) with the exact block product norms g (OPL), or to
+    sqrt(|s^2 - g^2|) with pilot norms g, which may overshoot s (ONU/ONMCNR).
+    Zero-score blocks get no draws; every other block gets at least one and
+    at most its column count."""
+    s = sc.sums
     if s.sum() == 0.0:
         raise ValueError("all blocks have zero score: nothing to sample")
-    w = optimal_size_weights(M, N, part)
+    if exact_norms is not None:
+        w, rule = _optimal_weights(s, exact_norms), "optimal"
+    elif pilot_norms is not None:
+        w, rule = np.sqrt(np.abs(s**2 - pilot_norms**2)), "pilot"
+    else:
+        w, rule = s, "score"
     notes = ()
     if w.sum() == 0.0:
-        # Every block is variance-free at the optimal probabilities (e.g. all
-        # single-column); sizes then do not matter, use the score split.
+        # Every block is variance-free (e.g. all single-column); sizes then
+        # do not matter, use the score split.
         w = s
-        notes = ("optimal size weights all zero; fell back to score-sum sizes",)
-    budgets = integerize(w, c, caps=_cap_array(part, cap, c, s), floor=s > 0)
-    return SamplingPlan(part, probs, budgets, method="OPL", notes=notes)
+        notes = (f"{rule} size weights all zero; fell back to score-sum sizes",)
+    caps = np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0)
+    budgets = integerize(w, c, caps=caps, floor=s > 0)
+    return SamplingPlan(
+        part,
+        _optimal_probabilities(sc.index, part),
+        budgets,
+        method=method,
+        notes=notes,
+        pilot_norms=pilot_norms,
+    )
 
 
-def allocate_by_score_sums(
-    M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int, cap: bool = True
-) -> SamplingPlan:
+def allocate_optimal(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
+    """Variance-minimizing plan (tag OPL): optimal probabilities, sizes
+    proportional to sqrt(s_k^2 - g_k^2).  Forms every exact block product."""
+    sc = _score(M, N, part)
+    g = _block_scores(M, N, part, sc.sums).product_norms
+    return _allocate(part, c, sc, "OPL", exact_norms=g)
+
+
+def allocate_by_score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
     """Cheap plan (tag ONC): optimal probabilities, sizes proportional to the
     block score sums.  Never multiplies out a block."""
-    probs = optimal_probabilities(M, N, part)
-    s = score_sums(M, N, part)
-    if s.sum() == 0.0:
-        raise ValueError("all blocks have zero score: nothing to sample")
-    budgets = integerize(s, c, caps=_cap_array(part, cap, c, s), floor=s > 0)
-    return SamplingPlan(part, probs, budgets, method="ONC")
+    return _allocate(part, c, _score(M, N, part), "ONC")
 
 
-def allocate_uniform(part: BlockPartition, c: int, cap: bool = True) -> SamplingPlan:
+def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
     """Fully uniform plan (tag UU): 1/n_k probabilities, c/K sizes."""
-    budgets = integerize(
-        np.ones(part.num_blocks), c, caps=_cap_array(part, cap, c), floor=np.ones(part.num_blocks, bool)
-    )
+    K = part.num_blocks
+    budgets = integerize(np.ones(K), c, caps=np.array(part.sizes, dtype=np.int64), floor=np.ones(K, bool))
     return SamplingPlan(part, uniform_probabilities(part), budgets, method="UU")
 
 
@@ -446,8 +460,6 @@ def allocate_two_step(
     c0: int,
     p0: BlockProbabilities,
     rng: np.random.Generator,
-    cap: bool = True,
-    method: Optional[str] = None,
 ) -> SamplingPlan:
     """Pilot-then-allocate plan (tags ONU/ONMCNR).
 
@@ -456,45 +468,60 @@ def allocate_two_step(
     stands in for the exact block product norm in the optimal-size weights,
     under an absolute value since the estimate may overshoot the score sum.
     The pilot consumes one spawned substream per block, so the plan is a
-    pure function of the rng state regardless of evaluation order.
+    pure function of the rng state regardless of evaluation order.  The tag
+    is ONU for a uniform ``p0`` and ONMCNR otherwise.
     """
-    _check_instance(M, N, part)
+    return _allocate_two_step(M, N, part, c, c0, p0, rng, _score(M, N, part))
+
+
+def _allocate_two_step(
+    M: np.ndarray,
+    N: np.ndarray,
+    part: BlockPartition,
+    c: int,
+    c0: int,
+    p0: BlockProbabilities,
+    rng: np.random.Generator,
+    sc: _Scores,
+) -> SamplingPlan:
     p0.check_partition(part)
     K = part.num_blocks
     pilot_count = c0 // K
     if pilot_count < 1:
         raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
-    from .estimators import sketch_columns  # deferred: estimators builds on plans
+    from .estimators import _block_sketches  # deferred: estimators builds on plans
 
-    s = score_sums(M, N, part)
-    if s.sum() == 0.0:
-        raise ValueError("all blocks have zero score: nothing to sample")
+    counts = np.full(K, pilot_count)
+    counts[list(p0.zero_blocks)] = 0  # zero-score block: pilot norm stays 0
     pilot_norms = np.zeros(K)
-    streams = rng.spawn(K)
-    for k in range(K):
-        pk = p0[k]
-        if pk.sum() == 0.0:
-            continue  # zero-score block: pilot norm stays 0, weight will be 0
-        Mk = block_view(M, part, k)
-        Nk = block_view(N, part, k, "rows")
-        C0, D0, _ = sketch_columns(Mk, Nk, pilot_count, pk, streams[k])
+    for k, C0, D0, _ in _block_sketches(M, N, part, counts, p0, rng):
         pilot_norms[k] = frobenius_norm(C0 @ D0)
-    w = np.sqrt(np.abs(s**2 - pilot_norms**2))
-    notes = ()
-    if w.sum() == 0.0:
-        w = s
-        notes = ("pilot size weights all zero; fell back to score-sum sizes",)
-    budgets = integerize(w, c, caps=_cap_array(part, cap, c, s), floor=s > 0)
-    if method is None:
-        method = "ONU" if p0.rule == "uniform" else "ONMCNR"
-    return SamplingPlan(
-        part,
-        optimal_probabilities(M, N, part),
-        budgets,
-        method=method,
-        notes=notes,
-        pilot_norms=pilot_norms,
-    )
+    method = "ONU" if p0.rule == "uniform" else "ONMCNR"
+    return _allocate(part, c, sc, method, pilot_norms=pilot_norms)
+
+
+def _two_step_plan(
+    M: np.ndarray,
+    N: np.ndarray,
+    part: BlockPartition,
+    c: int,
+    c0: int,
+    pilot: str,
+    rng: np.random.Generator,
+) -> tuple[SamplingPlan, np.random.Generator]:
+    """The plan phase of the two-step estimator: pilot probabilities
+    "uniform" (tag ONU) or "norm", the norm-product ones (tag ONMCNR), then
+    ``allocate_two_step`` on the first of two child streams of ``rng``.
+    Returns the plan and the second stream, which the sampling phase uses."""
+    sc = _score(M, N, part)
+    if pilot == "uniform":
+        p0 = uniform_probabilities(part)
+    elif pilot == "norm":
+        p0 = _optimal_probabilities(sc.index, part)
+    else:
+        raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
+    pilot_rng, main_rng = rng.spawn(2)
+    return _allocate_two_step(M, N, part, c, c0, p0, pilot_rng, sc), main_rng
 
 
 def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
@@ -511,62 +538,3 @@ def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition)
     if total == 0.0:
         raise ValueError("all blocks have zero norm: nothing to sample")
     return f / total
-
-
-def plan_to_dict(plan: SamplingPlan, include_probs: Optional[bool] = None) -> dict:
-    """JSON-compatible plan document.  Probability arrays are omitted when a
-    named rule ("optimal", "uniform") can regenerate them, unless forced."""
-    if plan.method not in METHOD_TAGS:
-        raise ValueError(f"method tag {plan.method!r} not in {METHOD_TAGS}")
-    if include_probs is None:
-        include_probs = plan.probs.rule == "explicit"
-    doc = {
-        "method": plan.method,
-        "partition": list(plan.partition.sizes),
-        "total": plan.total,
-        "budgets": [int(b) for b in plan.budgets],
-        "probs_rule": plan.probs.rule,
-    }
-    if include_probs:
-        doc["probs"] = [p.tolist() for p in plan.probs.per_block]
-    if plan.pilot_norms is not None:
-        doc["pilot_norms"] = plan.pilot_norms.tolist()
-    return doc
-
-
-def plan_from_dict(
-    doc: dict, M: Optional[np.ndarray] = None, N: Optional[np.ndarray] = None
-) -> SamplingPlan:
-    part = BlockPartition(tuple(doc["partition"]))
-    rule = doc.get("probs_rule", "explicit")
-    if "probs" in doc:
-        probs = BlockProbabilities(tuple(np.asarray(p) for p in doc["probs"]), rule=rule)
-    elif rule == "uniform":
-        probs = uniform_probabilities(part)
-    elif rule == "optimal":
-        if M is None or N is None:
-            raise ValueError("regenerating 'optimal' probabilities requires the factor matrices")
-        probs = optimal_probabilities(M, N, part)
-    else:
-        raise ValueError(f"cannot reconstruct probabilities for rule {rule!r}")
-    pilot = doc.get("pilot_norms")
-    plan = SamplingPlan(
-        part,
-        probs,
-        np.asarray(doc["budgets"], dtype=np.int64),
-        method=doc.get("method", ""),
-        pilot_norms=None if pilot is None else np.asarray(pilot),
-    )
-    if plan.total != doc.get("total", plan.total):
-        raise ValueError("budget sum disagrees with the recorded total")
-    return plan
-
-
-def plan_to_json(plan: SamplingPlan, include_probs: Optional[bool] = None) -> str:
-    return json.dumps(plan_to_dict(plan, include_probs), indent=2)
-
-
-def plan_from_json(
-    text: str, M: Optional[np.ndarray] = None, N: Optional[np.ndarray] = None
-) -> SamplingPlan:
-    return plan_from_dict(json.loads(text), M, N)

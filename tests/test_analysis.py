@@ -22,7 +22,6 @@ from blockmm import (
     bounds_score_allocation,
     cancellation_stats,
     coverage_check,
-    coverage_check_plan,
     elementwise_variance,
     estimate_product,
     expected_sq_error,
@@ -449,7 +448,11 @@ def test_coverage_of_closed_form_bound():
     part = BlockPartition.equal(40, 4)
     plan = allocate_optimal(M, N, part, c=30)
     pair = bounds_optimal_allocation(bound_inputs_for_plan(M, N, plan, fail_prob=0.2))
-    res = coverage_check_plan(M, N, plan, pair.sq_error_bound, 300, np.random.default_rng(65))
+
+    def runner(stream):
+        return estimate_product(M, N, plan, stream)[1], pair.sq_error_bound
+
+    res = coverage_check(M, N, 300, np.random.default_rng(65), runner)
     assert res.frequency <= 0.2
     assert res.ci_low <= res.frequency <= res.ci_high
 
@@ -467,11 +470,11 @@ def test_normality_validation():
 
 def test_normality_improves_with_block_budget():
     rng = np.random.default_rng(77)
-    M = np.exp(2.0 * rng.standard_normal((3, 40)))
-    N = np.exp(2.0 * rng.standard_normal((40, 3)))
-    part = BlockPartition.equal(40, 2)
-    few = allocate_optimal(M, N, part, c=4, cap=False)
-    many = allocate_optimal(M, N, part, c=200, cap=False)
+    M = np.exp(2.0 * rng.standard_normal((3, 400)))
+    N = np.exp(2.0 * rng.standard_normal((400, 3)))
+    part = BlockPartition.equal(400, 2)
+    few = allocate_optimal(M, N, part, c=4)
+    many = allocate_optimal(M, N, part, c=200)
     res_few = normality_diagnostic(M, N, few, (0, 0), 1500, np.random.default_rng(0))
     res_many = normality_diagnostic(M, N, many, (0, 0), 1500, np.random.default_rng(0))
     assert res_many.ks_distance < 0.05

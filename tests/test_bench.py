@@ -95,6 +95,12 @@ def test_config_rejects_bad_values():
     # without two-step methods a small pilot budget is irrelevant
     cfg = small_config(c0=2, methods=("OPL", "UU", "SSM"))
     assert cfg.c0 == 2
+    # every column sampler needs a draw per block at every sweep point
+    with pytest.raises(ValueError):
+        small_config(K=12, c0=12)  # c=6 < K
+    with pytest.raises(ValueError):
+        small_config(K=(3, 12), c=6, c0=12)
+    assert small_config(K=12, c0=12, methods=("SSM",)).K == 12
 
 
 def test_config_from_dict():
@@ -326,3 +332,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     # resource cap
     assert main(cli_args(tmp_path, "--max-bytes", "16")) == 2
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({"max_bytes": "100000000000"}, ()),  # a string, not a byte count
+        ({"max_bytes": 0}, ()),
+        ({"record_timing": "false"}, ()),  # a truthy string
+        ({}, ("--K", "12", "--c0", "12")),  # c=6 leaves blocks without a draw
+    ],
+    ids=["max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K"],
+)
+def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path), *cli_args(tmp_path, *flags)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,5 @@
 """Data generation tests: covariance construction, distributional checks on
-both generators, and the save/load roundtrip."""
-
-import json
+both generators, and seed determinism."""
 
 import numpy as np
 import pytest
@@ -11,8 +9,6 @@ from blockmm import (
     ar_covariance,
     gen_heavy_tail_instance,
     gen_normal_instance,
-    load_instance,
-    save_instance,
 )
 
 
@@ -112,20 +108,3 @@ def test_heavy_tail_deterministic():
     b = gen_heavy_tail_instance(3, 40, 2, np.random.default_rng(9))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
-
-
-def test_save_load_roundtrip(tmp_path):
-    M, N = gen_normal_instance(3, 12, 2, np.random.default_rng(10))
-    prefix = tmp_path / "inst" / "case_i_seed10"
-    doc = save_instance(prefix, M, N, {"case": "I", "seed": 10})
-    assert doc["case"] == "I" and doc["left_shape"] == [3, 12]
-    M2, N2, meta = load_instance(prefix)
-    np.testing.assert_array_equal(M, M2)
-    np.testing.assert_array_equal(N, N2)
-    assert meta["seed"] == 10
-    sidecar = prefix.with_name(prefix.name + ".json")
-    tampered = json.loads(sidecar.read_text())
-    tampered["left_shape"] = [3, 11]
-    sidecar.write_text(json.dumps(tampered))
-    with pytest.raises(ValueError):
-        load_instance(prefix)

@@ -7,12 +7,8 @@ from blockmm.matrix import (
     block_view,
     column_norms,
     frobenius_norm,
-    load_matrix,
-    load_matrix_csv,
     multiply_exact,
     row_norms,
-    save_matrix,
-    save_matrix_csv,
 )
 
 from oracles import loop_column_norms, loop_product, loop_row_norms
@@ -86,32 +82,3 @@ def test_norms_match_loop_oracles():
     assert frobenius_norm(M) == pytest.approx(
         np.sqrt(sum(M[i, j] ** 2 for i in range(5) for j in range(8))), abs=1e-12
     )
-
-
-def test_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((9, 4))
-    path = tmp_path / "a.bin"
-    save_matrix(path, A)
-    B = load_matrix(path)
-    assert B.shape == A.shape
-    assert (A == B).all()  # bit-exact roundtrip
-
-
-def test_binary_load_rejects_truncation(tmp_path):
-    A = np.arange(12.0).reshape(3, 4)
-    path = tmp_path / "a.bin"
-    save_matrix(path, A)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
-        load_matrix(path)
-
-
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((3, 5)) * 1e-7
-    path = tmp_path / "a.csv"
-    save_matrix_csv(path, A)
-    B = load_matrix_csv(path)
-    assert (A == B).all()  # 17 significant digits reproduce doubles exactly

@@ -1,0 +1,189 @@
+"""Guards of the single scoring pass: every composite call equals, bit for
+bit, its public steps, and computes the column and row norms exactly once."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from blockmm import (
+    BlockPartition,
+    allocate_by_score_sums,
+    allocate_optimal,
+    allocate_two_step,
+    allocate_uniform,
+    bound_inputs_for_plan,
+    cancellation_stats,
+    elementwise_variance,
+    estimate_product,
+    estimate_product_two_step,
+    expected_sq_error,
+    frobenius_norm,
+    gen_heavy_tail_instance,
+    gen_normal_instance,
+    integerize,
+    optimal_probabilities,
+    optimal_size_weights,
+    score_sums,
+    sketch_columns,
+    uniform_probabilities,
+)
+from blockmm import analysis, bench, estimators, matrix, plan as plan_module
+from blockmm.matrix import block_view
+
+
+def _instance(kind):
+    rng = np.random.default_rng(np.random.SeedSequence(201, spawn_key=(0,)))
+    if kind == "normal":
+        M, N = gen_normal_instance(5, 120, 4, rng)
+    else:
+        M, N = gen_heavy_tail_instance(5, 120, 4, rng)
+    if kind == "zero-blocks":
+        M[:, 20:40] = 0.0  # blocks 1 and 2 have zero score
+        N[100:110] = 0.0  # and block 5 too
+    return M, N, BlockPartition.equal(120, 6)
+
+
+KINDS = ("normal", "heavy", "zero-blocks")
+C, C0 = 40, 24
+
+
+def _rng(seed=5):
+    return np.random.default_rng(seed)
+
+
+def _budgets(part, s, w):
+    """The allocators' last steps: the score-sum fallback and integerize."""
+    if w.sum() == 0.0:
+        w = s
+    return integerize(w, C, caps=np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0), floor=s > 0)
+
+
+def _pilot_norms(M, N, part, p0, rng):
+    """The pilot: ``sketch_columns`` per block on ``rng.spawn(K)``."""
+    K = part.num_blocks
+    streams = rng.spawn(K)
+    out = np.zeros(K)
+    for k in range(K):
+        if p0[k].sum() == 0.0:
+            continue
+        Ck, Dk, _ = sketch_columns(block_view(M, part, k), block_view(N, part, k, "rows"), C0 // K, p0[k], streams[k])
+        out[k] = frobenius_norm(Ck @ Dk)
+    return out
+
+
+def _sketch_estimate(M, N, plan, rng):
+    """``estimate_product``: per-block ``sketch_columns`` on ``rng.spawn(K)``,
+    stacked into row-major factors, then one product."""
+    part = plan.partition
+    streams = rng.spawn(part.num_blocks)
+    C = np.empty((M.shape[0], plan.total))
+    D = np.empty((plan.total, N.shape[1]))
+    off = np.concatenate(([0], np.cumsum(plan.budgets)))
+    for k in range(part.num_blocks):
+        if plan.budgets[k] == 0:
+            continue
+        C[:, off[k] : off[k + 1]], D[off[k] : off[k + 1]], _ = sketch_columns(
+            block_view(M, part, k), block_view(N, part, k, "rows"), int(plan.budgets[k]), plan.probs[k], streams[k]
+        )
+    return C @ D
+
+
+def _assert_same_plan(plan, probs, budgets, pilot_norms=None):
+    assert [p.tobytes() for p in plan.probs.per_block] == [p.tobytes() for p in probs.per_block]
+    np.testing.assert_array_equal(plan.budgets, budgets)
+    if pilot_norms is None:
+        assert plan.pilot_norms is None
+    else:
+        assert plan.pilot_norms.tobytes() == pilot_norms.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_score_allocators_equal_their_public_steps(kind):
+    M, N, part = _instance(kind)
+    probs = optimal_probabilities(M, N, part)
+    s = score_sums(M, N, part)
+    _assert_same_plan(allocate_by_score_sums(M, N, part, C), probs, _budgets(part, s, s))
+    w = optimal_size_weights(M, N, part)
+    _assert_same_plan(allocate_optimal(M, N, part, C), probs, _budgets(part, s, w))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("pilot", ["uniform", "norm"])
+def test_two_step_equals_its_public_steps(kind, pilot):
+    M, N, part = _instance(kind)
+    probs = optimal_probabilities(M, N, part)
+    p0 = uniform_probabilities(part) if pilot == "uniform" else probs
+    s = score_sums(M, N, part)
+
+    pilot_norms = _pilot_norms(M, N, part, p0, _rng())
+    steps = (probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
+    plan = allocate_two_step(M, N, part, C, C0, p0, _rng())
+    _assert_same_plan(plan, *steps)
+    assert plan.method == ("ONU" if pilot == "uniform" else "ONMCNR")
+
+    pilot_rng, main_rng = _rng().spawn(2)
+    pilot_norms = _pilot_norms(M, N, part, p0, pilot_rng)
+    res = estimate_product_two_step(M, N, part, C, C0, _rng(), pilot=pilot)
+    _assert_same_plan(res.plan, probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
+    assert res.product.tobytes() == _sketch_estimate(M, N, res.plan, main_rng).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_estimate_product_equals_per_block_sketches(kind):
+    M, N, part = _instance(kind)
+    for plan in (allocate_by_score_sums(M, N, part, C), allocate_uniform(part, C)):
+        assert estimate_product(M, N, plan, _rng())[1].tobytes() == _sketch_estimate(M, N, plan, _rng()).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one scoring pass per call
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Counts calls of the column and row norms under every name the package
+    binds them to."""
+    calls = Counter()
+    for name in ("column_norms", "row_norms"):
+        original = getattr(matrix, name)
+
+        def counted(x, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(x)
+
+        for module in (matrix, plan_module, estimators, analysis, bench):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _scored_calls():
+    M, N, part = _instance("zero-blocks")
+    onc = allocate_by_score_sums(M, N, part, C)
+    two_step = estimate_product_two_step(M, N, part, C, C0, _rng(), pilot="norm").plan
+    p0 = optimal_probabilities(M, N, part)
+    return {
+        "allocate_optimal": lambda: allocate_optimal(M, N, part, C),
+        "allocate_by_score_sums": lambda: allocate_by_score_sums(M, N, part, C),
+        "allocate_two_step": lambda: allocate_two_step(M, N, part, C, C0, p0, _rng()),
+        "estimate_product_two_step[uniform]": lambda: estimate_product_two_step(M, N, part, C, C0, _rng()),
+        "estimate_product_two_step[norm]": lambda: estimate_product_two_step(M, N, part, C, C0, _rng(), pilot="norm"),
+        "bound_inputs_for_plan": lambda: bound_inputs_for_plan(M, N, onc, 0.1),
+        "bound_inputs_for_plan[pilot]": lambda: bound_inputs_for_plan(M, N, two_step, 0.1),
+        "expected_sq_error": lambda: expected_sq_error(M, N, onc),
+        "elementwise_variance": lambda: elementwise_variance(M, N, onc),
+        "cancellation_stats": lambda: cancellation_stats(M, N, part),
+        **{
+            f"bench.METHODS[{tag}]": (lambda tag=tag: bench.METHODS[tag](M, N, part, C, C0, _rng()))
+            for tag in ("OPL", "ONC", "ONU", "ONMCNR")
+        },
+    }
+
+
+@pytest.mark.parametrize("name", list(_scored_calls()))
+def test_one_scoring_pass_per_call(name, norm_calls):
+    call = _scored_calls()[name]  # built before counting starts
+    norm_calls.clear()
+    call()
+    assert norm_calls == {"column_norms": 1, "row_norms": 1}
