@@ -20,7 +20,6 @@ from .plan import (
     METHOD_TAGS,
     BlockProbabilities,
     BlockScores,
-    FloorRatio,
     SamplingPlan,
     allocate_by_score_sums,
     allocate_optimal,

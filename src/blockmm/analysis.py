@@ -52,14 +52,16 @@ def _variance_terms(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets, t
     b = plan.budgets.astype(np.float64) if budgets is None else np.asarray(budgets, dtype=np.float64)
     if b.shape != (part.num_blocks,) or (b < 0).any():
         raise ValueError("budget override must be one nonnegative value per block")
+    missed = (plan.probs.values == 0) & (scores > 0)
+    if missed.any():
+        k = int(np.searchsorted(part.offsets, np.argmax(missed), side="right")) - 1
+        raise ValueError(f"block {k}: zero probability at a contributing column")
     for k in range(part.num_blocks):
         Mk = block_view(M, part, k)
         Nk = block_view(N, part, k, "rows")
         p = plan.probs[k]
         contrib = scores[part.block_slice(k)]
         pos = p > 0
-        if (contrib[~pos] > 0).any():
-            raise ValueError(f"block {k}: zero probability at a contributing column")
         term1, numerator = terms(Mk, Nk, p, pos, contrib)
         if b[k] == 0:
             scale = max(1.0, float(np.max(term1, initial=0.0)))
@@ -281,7 +283,7 @@ def bound_inputs_for_plan(
     part = plan.partition
     sc = _score(M, N, part)
     exact_stats = _cancellation(sc.sums, _block_scores(M, N, part, sc.sums).product_norms, exact=True)
-    floor = prob_floor_ratio(plan.probs, _optimal_probabilities(sc.index, part))
+    floor = prob_floor_ratio(plan.probs, _optimal_probabilities(sc, part))
     if plan.pilot_norms is not None:
         stats = _cancellation(sc.sums, plan.pilot_norms, exact=False)
         hi_exact = exact_stats.cancel_hi
@@ -291,8 +293,8 @@ def bound_inputs_for_plan(
     return BoundInputs(
         c=plan.total,
         fail_prob=fail_prob,
-        prob_floor=0.0 if floor.support_mismatch else floor.ratio,
-        cancel_lo=stats.cancel_lo if stats.lo_available else 0.0,
+        prob_floor=floor,
+        cancel_lo=stats.cancel_lo,
         cancel_hi=stats.cancel_hi,
         frob_m=frobenius_norm(M),
         frob_n=frobenius_norm(N),

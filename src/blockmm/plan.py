@@ -17,7 +17,8 @@ rules implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ METHOD_TAGS = ("OPL", "ONC", "ONU", "ONMCNR", "UU", "SSM")
 
 PROB_SUM_TOL = 1e-12
 RADICAND_SLACK = 1e-9  # relative slack allowed on the Cauchy-Schwarz radicand
+LEVEL_SLACK = 1e-9  # relative nearness to a bound at which integerize defers to the split's own test
 
 
 def _check_instance(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> None:
@@ -46,55 +48,50 @@ def _check_instance(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BlockProbabilities:
-    """Per-block probability vectors over column indices.
+    """Probabilities over the inner dimension, normalized within each block
+    of ``partition``.
 
-    Each vector sums to 1 (within ``PROB_SUM_TOL``) except for flagged
-    zero-score blocks, which carry an all-zero vector to signal that no
-    column there produces a nonzero outer product.  ``rule`` records how the
-    vectors arose ("optimal", "uniform", or "explicit"); a two-step plan
-    takes its tag from its pilot's rule.
+    ``values`` is one read-only vector over all n indices; ``probs[k]`` and
+    ``per_block`` are views of it.  Each block sums to 1 (within
+    ``PROB_SUM_TOL``) except for flagged zero-score blocks, which are all
+    zero to signal that no column there produces a nonzero outer product.
+    ``rule`` records how the vector arose ("optimal", "uniform", or
+    "explicit"); a two-step plan takes its tag from its pilot's rule.
     """
 
-    per_block: tuple[np.ndarray, ...]
+    values: np.ndarray
+    partition: BlockPartition
     rule: str = "explicit"
+    _zero: np.ndarray = field(init=False, repr=False)  # per block: flagged all zero
 
     def __post_init__(self):
-        vecs = []
-        for k, p in enumerate(self.per_block):
-            p = np.ascontiguousarray(p, dtype=np.float64)
-            if p.ndim != 1 or p.size == 0:
-                raise ValueError(f"block {k}: probabilities must be a nonempty vector")
-            if not np.isfinite(p).all() or (p < 0).any():
-                raise ValueError(f"block {k}: probabilities must be finite and >= 0")
-            total = p.sum()
-            if total != 0.0 and abs(total - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"block {k}: probabilities sum to {total!r}, not 1")
-            vecs.append(p)
-        object.__setattr__(self, "per_block", tuple(vecs))
-
-    def __len__(self) -> int:
-        return len(self.per_block)
+        p = np.array(self.values, dtype=np.float64)
+        n = self.partition.total
+        if p.shape != (n,):
+            raise ValueError(f"need one probability per index: got shape {p.shape}, partition covers {n}")
+        if not np.isfinite(p).all() or (p < 0).any():
+            raise ValueError("probabilities must be finite and >= 0")
+        sums = np.add.reduceat(p, self.partition.offsets[:-1])
+        bad = (sums != 0.0) & (np.abs(sums - 1.0) > PROB_SUM_TOL)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"block {k}: probabilities sum to {sums[k]!r}, not 1")
+        p.flags.writeable = False
+        object.__setattr__(self, "values", p)
+        object.__setattr__(self, "_zero", sums == 0.0)
 
     def __getitem__(self, k: int) -> np.ndarray:
         return self.per_block[k]
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.per_block)
+    @cached_property
+    def per_block(self) -> tuple[np.ndarray, ...]:
+        off = self.partition.offsets.tolist()
+        return tuple(self.values[a:b] for a, b in zip(off, off[1:]))
 
     @property
     def zero_blocks(self) -> tuple[int, ...]:
         """Indices of flagged all-zero (zero-score) blocks."""
-        return tuple(k for k, p in enumerate(self.per_block) if p.sum() == 0.0)
-
-    def check_partition(self, part: BlockPartition) -> None:
-        if self.num_blocks != part.num_blocks:
-            raise ValueError(
-                f"probabilities cover {self.num_blocks} blocks, partition has {part.num_blocks}"
-            )
-        for k, (p, n_k) in enumerate(zip(self.per_block, part.sizes)):
-            if p.size != n_k:
-                raise ValueError(f"block {k}: {p.size} probabilities for {n_k} columns")
+        return tuple(np.flatnonzero(self._zero).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +136,12 @@ class SamplingPlan:
             raise ValueError("budgets must be one integer per block")
         if (b < 0).any():
             raise ValueError("budgets must be >= 0")
-        self.probs.check_partition(self.partition)
-        zero_probs = set(self.probs.zero_blocks)
-        for k in range(self.partition.num_blocks):
-            if (b[k] == 0) != (k in zero_probs):
-                raise ValueError(
-                    f"block {k}: zero budget and zero-probability flag must coincide"
-                )
+        if self.probs.partition != self.partition:
+            raise ValueError("probabilities are built on a different partition")
+        mismatch = (b == 0) != self.probs._zero
+        if mismatch.any():
+            k = int(np.argmax(mismatch))
+            raise ValueError(f"block {k}: zero budget and zero-probability flag must coincide")
         object.__setattr__(self, "budgets", b)
         if self.pilot_norms is not None:
             pn = np.asarray(self.pilot_norms, dtype=np.float64)
@@ -197,56 +193,33 @@ def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockSco
     return _block_scores(M, N, part, _score(M, N, part).sums)
 
 
-def _optimal_probabilities(scores: np.ndarray, part: BlockPartition) -> BlockProbabilities:
-    per_block = []
-    for k in range(part.num_blocks):
-        sk = scores[part.block_slice(k)]
-        total = sk.sum()
-        if total == 0.0:
-            per_block.append(np.zeros_like(sk))  # flagged zero-score block
-        else:
-            p = sk / total
-            per_block.append(p / p.sum())  # renormalize away accumulation error
-    return BlockProbabilities(tuple(per_block), rule="optimal")
+def _optimal_probabilities(sc: _Scores, part: BlockPartition) -> BlockProbabilities:
+    """The scoring pass's per-index scores over their block sums; a
+    zero-score block divides by 1 and stays all zero (flagged)."""
+    sums = np.where(sc.sums > 0, sc.sums, 1.0)
+    return BlockProbabilities(sc.index / np.repeat(sums, part.sizes), part, rule="optimal")
 
 
 def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockProbabilities:
     """Variance-minimizing within-block probabilities: p_i proportional to
     ||M column i|| * ||N row i||, normalized per block."""
-    return _optimal_probabilities(_score(M, N, part).index, part)
+    return _optimal_probabilities(_score(M, N, part), part)
 
 
 def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
-    return BlockProbabilities(
-        tuple(np.full(n_k, 1.0 / n_k) for n_k in part.sizes), rule="uniform"
-    )
+    sizes = np.array(part.sizes)
+    return BlockProbabilities(np.repeat(1.0 / sizes, sizes), part, rule="uniform")
 
 
-class FloorRatio(NamedTuple):
-    ratio: float
-    support_mismatch: bool
-
-
-def prob_floor_ratio(probs: BlockProbabilities, reference: BlockProbabilities) -> FloorRatio:
-    """Largest factor beta such that probs >= beta * reference everywhere.
-
-    Computed as the minimum ratio over reference's support, clamped to
-    [0, 1].  If probs vanishes somewhere reference is positive there is no
-    positive floor: returns ratio 0 with the mismatch flag set.
-    """
-    if len(probs) != len(reference):
-        raise ValueError("block counts differ")
-    ratio = 1.0
-    for p, ref in zip(probs.per_block, reference.per_block):
-        if p.shape != ref.shape:
-            raise ValueError("per-block shapes differ")
-        sup = ref > 0
-        if not sup.any():
-            continue
-        if (p[sup] == 0).any():
-            return FloorRatio(0.0, True)
-        ratio = min(ratio, float((p[sup] / ref[sup]).min()))
-    return FloorRatio(min(max(ratio, 0.0), 1.0), False)
+def prob_floor_ratio(probs: BlockProbabilities, reference: BlockProbabilities) -> float:
+    """Largest factor beta in [0, 1] such that probs >= beta * reference
+    everywhere: the minimum ratio over reference's support, capped at 1.
+    It is 0.0 when probs vanishes somewhere reference is positive, i.e. when
+    there is no positive floor."""
+    if probs.partition != reference.partition:
+        raise ValueError("probabilities are built on different partitions")
+    sup = reference.values > 0
+    return float(np.min(probs.values[sup] / reference.values[sup], initial=1.0))
 
 
 def integerize(
@@ -257,7 +230,7 @@ def integerize(
 ) -> np.ndarray:
     """Split budget c into integer block counts proportional to weights.
 
-    Largest-remainder rounding with two side constraints:
+    Two side constraints bound each count:
 
     * ``floor`` -- boolean mask of blocks that must receive at least 1
       (default: blocks with positive weight).  Dropping such a block would
@@ -265,9 +238,13 @@ def integerize(
     * ``caps`` -- optional per-block upper limits (block sizes, when draws
       per block may not exceed the block's column count).
 
-    Blocks whose proportional share violates a bound are pinned there and
-    the remaining budget is re-split among the rest, iterating to a
-    fixpoint before rounding.
+    The real split is clip(t * w, floor, cap) at the level t where it sums
+    to c, found from the sorted breakpoints floor/w and cap/w.  Whatever the
+    positive weights cannot take at their caps goes to the zero-weight
+    blocks, in index order.  The blocks inside their bounds share what the
+    others leave in proportion to their weights; a share that t leaves
+    within rounding of a bound is settled by that split's own test.  One
+    largest-remainder pass rounds the shares (ties go to the lower index).
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
@@ -288,80 +265,87 @@ def integerize(
     floor = np.asarray(floor, dtype=bool)
     if floor.shape != (K,):
         raise ValueError("floor mask must have one entry per block")
-    mins = floor.astype(np.int64)
+    lo = floor.astype(np.int64)
     if caps is None:
-        maxs = np.full(K, c, dtype=np.int64)
+        hi = np.full(K, c, dtype=np.int64)
     else:
-        maxs = np.minimum(np.asarray(caps, dtype=np.int64), c)
-        if maxs.shape != (K,):
+        hi = np.minimum(np.asarray(caps, dtype=np.int64), c)
+        if hi.shape != (K,):
             raise ValueError("caps must have one entry per block")
-    if (maxs < mins).any():
+    if (hi < lo).any():
         raise ValueError("some cap lies below the required floor of 1")
-    if int(mins.sum()) > c:
-        raise ValueError(f"budget c={c} is below the {int(mins.sum())} required floors")
-    if int(maxs.sum()) < c:
-        raise ValueError(f"budget c={c} exceeds the total caps {int(maxs.sum())}")
+    lo_sum = int(lo.sum())
+    if lo_sum > c:
+        raise ValueError(f"budget c={c} is below the {lo_sum} required floors")
+    if int(hi.sum()) < c:
+        raise ValueError(f"budget c={c} exceeds the total caps {int(hi.sum())}")
+    if c == lo_sum:
+        return lo
 
-    # Two-level fixpoint.  Pinning a block at its cap frees budget and can
-    # only raise the others' proportional shares, so cap pins are permanent;
-    # pinning at a floor takes budget and lowers the others' shares, so floor
-    # pins are recomputed from scratch whenever a new cap pin appears.  Caps
-    # are judged only once the floors are pinned: before that the shares are
-    # inflated by the budget the floors have yet to take.
-    out = np.full(K, -1, dtype=np.int64)
-    capped = np.zeros(K, dtype=bool)
-    for _ in range(K + 1):
-        floored = np.zeros(K, dtype=bool)
-        while True:
-            active = ~capped & ~floored
-            budget = c - int(maxs[capped].sum()) - int(mins[floored].sum())
-            idxs = np.where(active)[0]
-            if idxs.size == 0:
-                if budget != 0:
-                    raise AssertionError("apportionment did not converge")
-                out[capped] = maxs[capped]
-                out[floored] = mins[floored]
-                return out
-            wa = w[idxs]
-            if wa.sum() == 0.0:
-                # Zero-weight leftovers: each takes its floor, then any
-                # remaining budget is handed out in index order.
-                out[capped] = maxs[capped]
-                out[floored] = mins[floored]
-                out[idxs] = mins[idxs]
-                budget -= int(mins[idxs].sum())
-                for i in idxs:
-                    take = min(budget, int(maxs[i] - mins[i]))
-                    out[i] += take
-                    budget -= take
-                if budget != 0:
-                    raise AssertionError("apportionment did not converge")
-                return out
-            r = budget * wa / wa.sum()
-            below = r < mins[idxs]
-            if below.any():
-                floored[idxs[below]] = True
-                continue
-            above = r > maxs[idxs] + 1e-12
-            if above.any():
-                capped[idxs[above]] = True
-                break  # restart the floor pass under the new cap set
-            base = np.floor(r).astype(np.int64)
-            deficit = budget - int(base.sum())
-            order = np.argsort(-(r - base), kind="stable")
-            for j in order:
-                if deficit == 0:
-                    break
-                if base[j] < maxs[idxs[j]]:
-                    base[j] += 1
-                    deficit -= 1
-            if deficit != 0:
-                raise AssertionError("apportionment failed to place the full budget")
-            out[capped] = maxs[capped]
-            out[floored] = mins[floored]
-            out[idxs] = base
-            return out
-    raise AssertionError("apportionment did not converge")
+    # (1) The level.  A block's share t * u leaves its floor at lo/u and
+    # reaches its cap at hi/u, so at each sorted breakpoint the total is a
+    # running constant plus t times the weight between the two.  That slope
+    # is summed from the top down, so that large weights which left early
+    # leave no rounding error in it.
+    pos = w > 0
+    u = w / w.max()
+    up, lp, hp = u[pos], lo[pos], hi[pos]
+    if up.min() < 2.0**-960:
+        raise ValueError("positive weights span more than a factor 2**960: the breakpoints overflow float64")
+    bp = np.concatenate((lp / up, hp / up))
+    order = np.argsort(bp, kind="stable")
+    t = bp[order]
+    const = np.concatenate((-lp, hp))[order].cumsum() + lo_sum
+    change = np.concatenate((up, -up))[order]
+    slope = np.zeros(t.size)
+    slope[:-1] = -change[:0:-1].cumsum()[::-1]
+    if const[-1] <= c:
+        # (2) The positive blocks sit at their caps; the zero-weight blocks
+        # take the rest.
+        out = np.where(pos, hi, lo)
+        inside = ~pos
+    else:
+        i = int(np.argmax(const + t * slope >= c))
+        level = min(max((c - const[i - 1]) / slope[i - 1], t[i - 1]), t[i])
+        share = level * u
+        bound = np.minimum(np.maximum(share, lo), hi)
+        out = bound.astype(np.int64)
+        # A share within rounding of its bound stays inside for now.
+        inside = np.abs(share - bound) <= LEVEL_SLACK * bound
+    budget, r = _proportional_split(w, c, out, inside)
+    if r is not None:
+        # The split's own rounding settles the shares the level left at a
+        # bound, by the test an exact split passes: floor <= share <= cap.
+        settle = (r < lo[inside]) | (r > hi[inside] + 1e-12)
+        if settle.any():
+            idx = np.flatnonzero(inside)[settle]
+            out[idx] = np.where(r[settle] < lo[idx], lo[idx], hi[idx])
+            inside[idx] = False
+            budget, r = _proportional_split(w, c, out, inside)
+    if r is None:
+        # Only zero weights inside: floors first, then the rest in index
+        # order, each block up to its cap.
+        lo_in, room = lo[inside], hi[inside] - lo[inside]
+        rest = budget - int(lo_in.sum())
+        out[inside] = lo_in + np.minimum(room, np.maximum(rest - (room.cumsum() - room), 0))
+        return out
+    # (3) One largest-remainder pass.
+    base = np.floor(r)
+    order = np.argsort(base - r, kind="stable")
+    order = order[(base < hi[inside])[order]]
+    base = base.astype(np.int64)
+    base[order[: budget - int(base.sum())]] += 1
+    out[inside] = base
+    return out
+
+
+def _proportional_split(w: np.ndarray, c: int, out: np.ndarray, inside: np.ndarray):
+    """What the blocks outside leave of c, and its split over the blocks
+    inside in proportion to w (None when their weights are all zero)."""
+    budget = c - int(out[~inside].sum())
+    wi = w[inside]
+    total = wi.sum()
+    return budget, (budget * wi / total if total > 0 else None)
 
 
 def _optimal_weights(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -395,13 +379,15 @@ def _allocate(
     c: int,
     sc: _Scores,
     method: str,
+    probs: BlockProbabilities,
     exact_norms: Optional[np.ndarray] = None,
     pilot_norms: Optional[np.ndarray] = None,
 ) -> SamplingPlan:
-    """The allocation shared by OPL, ONC and the two-step plans, all with the
-    optimal probabilities.  Sizes are proportional to the score sums s (ONC),
-    to sqrt(s^2 - g^2) with the exact block product norms g (OPL), or to
-    sqrt(|s^2 - g^2|) with pilot norms g, which may overshoot s (ONU/ONMCNR).
+    """The allocation shared by OPL, ONC and the two-step plans, all with
+    ``probs``, the optimal probabilities of ``sc``.  Sizes are proportional
+    to the score sums s (ONC), to sqrt(s^2 - g^2) with the exact block
+    product norms g (OPL), or to sqrt(|s^2 - g^2|) with pilot norms g, which
+    may overshoot s (ONU/ONMCNR).
     Zero-score blocks get no draws; every other block gets at least one and
     at most its column count."""
     s = sc.sums
@@ -421,14 +407,7 @@ def _allocate(
         notes = (f"{rule} size weights all zero; fell back to score-sum sizes",)
     caps = np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0)
     budgets = integerize(w, c, caps=caps, floor=s > 0)
-    return SamplingPlan(
-        part,
-        _optimal_probabilities(sc.index, part),
-        budgets,
-        method=method,
-        notes=notes,
-        pilot_norms=pilot_norms,
-    )
+    return SamplingPlan(part, probs, budgets, method=method, notes=notes, pilot_norms=pilot_norms)
 
 
 def allocate_optimal(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
@@ -436,13 +415,14 @@ def allocate_optimal(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int)
     proportional to sqrt(s_k^2 - g_k^2).  Forms every exact block product."""
     sc = _score(M, N, part)
     g = _block_scores(M, N, part, sc.sums).product_norms
-    return _allocate(part, c, sc, "OPL", exact_norms=g)
+    return _allocate(part, c, sc, "OPL", _optimal_probabilities(sc, part), exact_norms=g)
 
 
 def allocate_by_score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
     """Cheap plan (tag ONC): optimal probabilities, sizes proportional to the
     block score sums.  Never multiplies out a block."""
-    return _allocate(part, c, _score(M, N, part), "ONC")
+    sc = _score(M, N, part)
+    return _allocate(part, c, sc, "ONC", _optimal_probabilities(sc, part))
 
 
 def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
@@ -469,9 +449,11 @@ def allocate_two_step(
     under an absolute value since the estimate may overshoot the score sum.
     The pilot consumes one spawned substream per block, so the plan is a
     pure function of the rng state regardless of evaluation order.  The tag
-    is ONU for a uniform ``p0`` and ONMCNR otherwise.
+    follows the pilot's rule: ONU for "uniform", ONMCNR for "optimal", and
+    none for any other pilot.
     """
-    return _allocate_two_step(M, N, part, c, c0, p0, rng, _score(M, N, part))
+    sc = _score(M, N, part)
+    return _allocate_two_step(M, N, part, c, c0, p0, rng, sc, _optimal_probabilities(sc, part))
 
 
 def _allocate_two_step(
@@ -483,21 +465,22 @@ def _allocate_two_step(
     p0: BlockProbabilities,
     rng: np.random.Generator,
     sc: _Scores,
+    probs: BlockProbabilities,
 ) -> SamplingPlan:
-    p0.check_partition(part)
+    if p0.partition != part:
+        raise ValueError("pilot probabilities are built on a different partition")
     K = part.num_blocks
     pilot_count = c0 // K
     if pilot_count < 1:
         raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
     from .estimators import _block_sketches  # deferred: estimators builds on plans
 
-    counts = np.full(K, pilot_count)
-    counts[list(p0.zero_blocks)] = 0  # zero-score block: pilot norm stays 0
+    counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
     pilot_norms = np.zeros(K)
     for k, C0, D0, _ in _block_sketches(M, N, part, counts, p0, rng):
         pilot_norms[k] = frobenius_norm(C0 @ D0)
-    method = "ONU" if p0.rule == "uniform" else "ONMCNR"
-    return _allocate(part, c, sc, method, pilot_norms=pilot_norms)
+    method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
+    return _allocate(part, c, sc, method, probs, pilot_norms=pilot_norms)
 
 
 def _two_step_plan(
@@ -514,14 +497,15 @@ def _two_step_plan(
     ``allocate_two_step`` on the first of two child streams of ``rng``.
     Returns the plan and the second stream, which the sampling phase uses."""
     sc = _score(M, N, part)
+    probs = _optimal_probabilities(sc, part)
     if pilot == "uniform":
         p0 = uniform_probabilities(part)
     elif pilot == "norm":
-        p0 = _optimal_probabilities(sc.index, part)
+        p0 = probs  # the plan's own probabilities, built once
     else:
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
     pilot_rng, main_rng = rng.spawn(2)
-    return _allocate_two_step(M, N, part, c, c0, p0, pilot_rng, sc), main_rng
+    return _allocate_two_step(M, N, part, c, c0, p0, pilot_rng, sc, probs), main_rng
 
 
 def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:

@@ -103,7 +103,7 @@ def test_variance_rejects_zero_prob_at_contributing_column():
     part = BlockPartition(sizes=(2,))
     from blockmm import BlockProbabilities
 
-    probs = BlockProbabilities(per_block=(np.array([1.0, 0.0]),), rule="explicit")
+    probs = BlockProbabilities(np.array([1.0, 0.0]), part, rule="explicit")
     plan = SamplingPlan(part, probs, np.array([2]), method="OPL")
     with pytest.raises(ValueError):
         elementwise_variance(M, N, plan)

@@ -101,6 +101,13 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         small_config(K=(3, 12), c=6, c0=12)
     assert small_config(K=12, c0=12, methods=("SSM",)).K == 12
+    # a number that is not an integer is rejected, not truncated
+    for key, value in {"c": [2000.7, 4000.2], "reps": 2.9, "seed": 1.5, "m": "26"}.items():
+        with pytest.raises(ValueError):
+            config_from_dict({key: value})
+    with pytest.raises(ValueError):
+        small_config(reps=True)
+    assert small_config(c=[np.int64(6), 12], seed=np.int64(7)).c == (6, 12)
 
 
 def test_config_from_dict():
@@ -341,12 +348,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"max_bytes": 0}, ()),
         ({"record_timing": "false"}, ()),  # a truthy string
         ({}, ("--K", "12", "--c0", "12")),  # c=6 leaves blocks without a draw
+        ({"max_bytes": 1e11}, ()),  # JSON reads 1e11 as a float
     ],
-    ids=["max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K"],
+    ids=["max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float"],
 )
 def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert main(["--config", str(cfg_path), *cli_args(tmp_path, *flags)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_non_integer_config_file_value(tmp_path, capsys):
+    # flags would override the file's value, so the file carries the whole config
+    doc = dict(case="II", m=4, n=24, p=3, K=3, c=[6, 12], c0=6, reps=2.9, seed=7, out=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -44,13 +44,36 @@ def _random_instance(rng, m=4, n=8, p=3, sizes=(3, 5)):
 
 
 def test_block_probabilities_validation():
-    BlockProbabilities((np.array([0.5, 0.5]),))
+    BlockProbabilities(np.array([0.5, 0.5]), BlockPartition((2,)))
     with pytest.raises(ValueError):
-        BlockProbabilities((np.array([0.5, 0.4]),))
+        BlockProbabilities(np.array([0.5, 0.4]), BlockPartition((2,)))
     with pytest.raises(ValueError):
-        BlockProbabilities((np.array([-0.1, 1.1]),))
-    probs = BlockProbabilities((np.array([1.0]), np.zeros(2)))
+        BlockProbabilities(np.array([-0.1, 1.1]), BlockPartition((2,)))
+    probs = BlockProbabilities(np.array([1.0, 0.0, 0.0]), BlockPartition((1, 2)))
     assert probs.zero_blocks == (1,)
+
+
+def test_block_probabilities_whole_vector_contract():
+    part = BlockPartition((2, 3, 2))
+    with pytest.raises(ValueError):
+        BlockProbabilities(np.full(6, 0.5), part)  # one index short
+    with pytest.raises(ValueError):
+        BlockProbabilities(np.full(8, 0.5), part)
+    with pytest.raises(ValueError, match="block 1"):  # blocks 1 and 2 are both off
+        BlockProbabilities(np.array([0.5, 0.5, 0.2, 0.2, 0.2, 0.5, 0.4]), part)
+    values = np.array([0.5, 0.5, 0.2, 0.3, 0.5, 0.0, 0.0])
+    probs = BlockProbabilities(values, part)
+    assert probs.zero_blocks == (2,)
+    assert not probs.values.flags.writeable
+    with pytest.raises(ValueError):
+        probs.values[0] = 1.0
+    assert len(probs.per_block) == 3
+    for k, view in enumerate(probs.per_block):
+        assert view.base is probs.values and probs[k] is view
+        assert not view.flags.writeable
+    np.testing.assert_array_equal(np.concatenate(probs.per_block), values)
+    values[0] = 0.9  # the caller's array stays the caller's
+    assert probs[0][0] == 0.5
 
 
 def test_optimal_probabilities_direct_normalization():
@@ -145,30 +168,29 @@ def test_block_scores_hand_two_column_case():
 
 def test_prob_floor_ratio_identity_and_hand_case():
     part = BlockPartition((2,))
-    opt = BlockProbabilities((np.array([0.75, 0.25]),))
-    assert prob_floor_ratio(opt, opt).ratio == pytest.approx(1.0)
+    opt = BlockProbabilities(np.array([0.75, 0.25]), part)
+    assert prob_floor_ratio(opt, opt) == pytest.approx(1.0)
     uni = uniform_probabilities(part)
-    res = prob_floor_ratio(uni, opt)
-    assert res.ratio == pytest.approx(2.0 / 3.0)
-    assert not res.support_mismatch
+    assert prob_floor_ratio(uni, opt) == pytest.approx(2.0 / 3.0)
 
 
 def test_prob_floor_ratio_mixture_scan():
     rng = np.random.default_rng(15)
     raw = rng.random(6) + 0.05
-    opt = BlockProbabilities((raw / raw.sum(),))
-    mix = BlockProbabilities((0.5 * opt[0] + 0.5 / 6,))
-    res = prob_floor_ratio(mix, opt)
+    part = BlockPartition((6,))
+    opt = BlockProbabilities(raw / raw.sum(), part)
+    mix = BlockProbabilities(0.5 * opt[0] + 0.5 / 6, part)
+    ratio = prob_floor_ratio(mix, opt)
     scan = min(mix[0][i] / opt[0][i] for i in range(6))
-    assert res.ratio == pytest.approx(scan, rel=1e-12)
-    assert res.ratio >= 0.5
+    assert ratio == pytest.approx(scan, rel=1e-12)
+    assert ratio >= 0.5
 
 
 def test_prob_floor_ratio_support_mismatch():
-    opt = BlockProbabilities((np.array([0.5, 0.5]),))
-    degenerate = BlockProbabilities((np.array([1.0, 0.0]),))
-    res = prob_floor_ratio(degenerate, opt)
-    assert res.ratio == 0.0 and res.support_mismatch
+    part = BlockPartition((2,))
+    opt = BlockProbabilities(np.array([0.5, 0.5]), part)
+    degenerate = BlockProbabilities(np.array([1.0, 0.0]), part)
+    assert prob_floor_ratio(degenerate, opt) == 0.0
 
 
 # ---------------------------------------------------------------- integerize
@@ -226,6 +248,44 @@ def test_integerize_near_clipped_proportional_split():
         share = clipped_proportional_split(w, c, floor, caps)
         if share is not None:
             assert (np.abs(out - share) <= 1.0 + 1e-9).all()
+
+
+# Quantised weights make exact ties: equal shares, shares landing exactly on
+# a floor or a cap, and remainders that tie.
+_TIED_WEIGHTS = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 1 / 3, 0.5, 2 / 3, 1.0, 1.0, 2.0, 2.5, 7.0])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_integerize_property_near_clipped_split(data):
+    K = data.draw(st.integers(1, 12), label="K")
+    w = np.array(data.draw(st.lists(_TIED_WEIGHTS, min_size=K, max_size=K), label="w"))
+    floor = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K), label="floor"))
+    caps = np.array(data.draw(st.lists(st.integers(0, 9), min_size=K, max_size=K), label="caps"))
+    c = data.draw(st.integers(0, int(caps.sum()) + 2), label="c")
+    lo, hi = floor.astype(int), np.minimum(caps, c)
+    valid = w.sum() > 0 and (hi >= lo).all() and lo.sum() <= c <= hi.sum()
+    try:
+        out = integerize(w, c, caps=caps, floor=floor)
+    except ValueError:  # anything else escapes and fails the test
+        assert not valid
+        return
+    assert valid
+    assert out.sum() == c
+    assert (out >= lo).all() and (out <= hi).all()
+    share = clipped_proportional_split(w, c, floor, caps)
+    if share is None:  # the positive weights cannot take c: they sit at their caps
+        assert (out[w > 0] == hi[w > 0]).all()
+    else:
+        assert (np.abs(out - share) <= 1.0 + 1e-9).all()
+    scale = 2.0 ** data.draw(st.integers(-900, 900), label="log2 scale")  # exact in float64
+    np.testing.assert_array_equal(integerize(w * scale, c, caps=caps, floor=floor), out)
+
+
+def test_integerize_rejects_weights_beyond_float_range():
+    with pytest.raises(ValueError):
+        integerize([1.0, 2.0**-961], 3)  # the level's breakpoints would overflow
+    assert list(integerize([1.0, 2.0**-959], 3, caps=[1, 5])) == [1, 2]
 
 
 def test_integerize_matches_reference_largest_remainder():
@@ -379,7 +439,7 @@ def test_allocate_two_step_deterministic_pilot():
     N = rng.standard_normal((12, 2))
     part = BlockPartition((6, 6))
     point = np.eye(6)
-    p0 = BlockProbabilities((point[0], point[5]))
+    p0 = BlockProbabilities(np.concatenate((point[0], point[5])), part)
     plans = [
         allocate_two_step(M, N, part, 6, 4, p0, np.random.default_rng(seed))
         for seed in (1, 2, 3)
@@ -413,6 +473,17 @@ def test_allocate_two_step_validation_and_tags():
     assert plan_u.method == "ONU"
     plan_n = allocate_two_step(M, N, part, 6, 4, optimal_probabilities(M, N, part), rng)
     assert plan_n.method == "ONMCNR"
+
+
+def test_allocate_two_step_tag_follows_pilot_rule():
+    rng = np.random.default_rng(32)
+    M, N, part = _random_instance(rng, m=3, n=8, p=2, sizes=(4, 4))
+    explicit = BlockProbabilities(np.full(8, 0.25), part)  # uniform values, built by hand
+    assert allocate_two_step(M, N, part, 6, 4, explicit, rng).method == ""
+    assert allocate_two_step(M, N, part, 6, 4, uniform_probabilities(part), rng).method == "ONU"
+    assert allocate_two_step(M, N, part, 6, 4, optimal_probabilities(M, N, part), rng).method == "ONMCNR"
+    with pytest.raises(ValueError):
+        allocate_two_step(M, N, part, 6, 4, uniform_probabilities(BlockPartition((2, 6))), rng)
 
 
 def test_allocate_two_step_reproducible_from_seed():
@@ -491,14 +562,21 @@ def test_budget_conservation_across_allocators():
 
 def test_sampling_plan_validation():
     part = BlockPartition((2, 2))
-    probs = BlockProbabilities((np.full(2, 0.5), np.full(2, 0.5)))
+    probs = BlockProbabilities(np.full(4, 0.5), part)
     with pytest.raises(ValueError):
         SamplingPlan(part, probs, np.array([3, 0]))  # zero budget on a live block
     with pytest.raises(ValueError):
         SamplingPlan(part, probs, np.array([1, 1, 1]))
-    zero_probs = BlockProbabilities((np.full(2, 0.5), np.zeros(2)))
+    zero_probs = BlockProbabilities(np.array([0.5, 0.5, 0.0, 0.0]), part)
     plan = SamplingPlan(part, zero_probs, np.array([3, 0]))
     assert plan.total == 3
+
+
+def test_sampling_plan_rejects_probabilities_of_another_partition():
+    probs = uniform_probabilities(BlockPartition((2, 2)))
+    SamplingPlan(BlockPartition((2, 2)), probs, np.array([1, 1]))  # an equal partition is the same
+    with pytest.raises(ValueError, match="different partition"):
+        SamplingPlan(BlockPartition((3, 1)), probs, np.array([1, 1]))
 
 
 # ---------------------------------------------------------------- budget conservation (property)

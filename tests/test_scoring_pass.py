@@ -187,3 +187,35 @@ def test_one_scoring_pass_per_call(name, norm_calls):
     norm_calls.clear()
     call()
     assert norm_calls == {"column_norms": 1, "row_norms": 1}
+
+
+# ---------------------------------------------------------------------------
+# one probability build per plan
+
+
+@pytest.fixture
+def probability_builds(monkeypatch):
+    """Counts builds of the optimal probabilities from a scoring pass."""
+    calls = Counter()
+    original = plan_module._optimal_probabilities
+
+    def counted(*args):
+        calls["built"] += 1
+        return original(*args)
+
+    for module in (plan_module, analysis):
+        monkeypatch.setattr(module, "_optimal_probabilities", counted)
+    return calls
+
+
+PLAN_CALLS = [
+    name for name in _scored_calls() if name not in ("expected_sq_error", "elementwise_variance", "cancellation_stats")
+]
+
+
+@pytest.mark.parametrize("name", PLAN_CALLS)
+def test_one_probability_build_per_plan(name, probability_builds):
+    call = _scored_calls()[name]
+    probability_builds.clear()
+    call()
+    assert probability_builds == {"built": 1}
