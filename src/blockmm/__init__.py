@@ -23,7 +23,6 @@ from .plan import (
     SamplingPlan,
     allocate_by_score_sums,
     allocate_optimal,
-    allocate_two_step,
     allocate_uniform,
     block_norm_probabilities,
     block_scores,
@@ -41,6 +40,7 @@ from .estimators import (
     SampleLog,
     SketchPair,
     TwoStepResult,
+    allocate_two_step,
     estimate_product,
     estimate_product_block_sampling,
     estimate_product_two_step,

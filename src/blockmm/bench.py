@@ -15,7 +15,6 @@ written as 0.0, making the raw CSV byte-reproducible from (config, seed).
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -26,13 +25,13 @@ import numpy as np
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
 from .estimators import (
+    _two_step_plan,
     estimate_product,
     estimate_product_block_sampling,
 )
-from .matrix import BlockPartition, multiply_exact, write_csv
+from .matrix import BlockPartition, as_int, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
-    _two_step_plan,
     allocate_by_score_sums,
     allocate_optimal,
     allocate_uniform,
@@ -48,23 +47,13 @@ class ResourceCapError(RuntimeError):
     """Estimated memory footprint exceeds the configured cap."""
 
 
-def _as_int(name: str, value) -> int:
-    """An integer config value; a bool, 2.9 or "26" is rejected, not coerced."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _normalize_knob(name: str, value) -> IntOrSweep:
     if isinstance(value, (list, tuple, np.ndarray)):
-        vals = tuple(_as_int(name, v) for v in value)
+        vals = tuple(as_int(name, v) for v in value)
         if len(vals) == 0:
             raise ValueError(f"{name}: sweep list is empty")
         return vals
-    return _as_int(name, value)
+    return as_int(name, value)
 
 
 @dataclass(frozen=True)
@@ -99,11 +88,11 @@ class ExperimentConfig:
             raise ValueError("duplicate method names")
         object.__setattr__(self, "methods", methods)
         for name in ("m", "n", "p", "reps"):
-            value = _as_int(name, getattr(self, name))
+            value = as_int(name, getattr(self, name))
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", _as_int("seed", self.seed))
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
         for name in SWEEPABLE:
             object.__setattr__(self, name, _normalize_knob(name, getattr(self, name)))
         swept = [name for name in SWEEPABLE if isinstance(getattr(self, name), tuple)]
@@ -115,7 +104,7 @@ class ExperimentConfig:
             raise ValueError("location must be 'ones' or 'zero'")
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
-        if _as_int("max_bytes", self.max_bytes) < 1:
+        if as_int("max_bytes", self.max_bytes) < 1:
             raise ValueError(f"max_bytes must be an integer >= 1, got {self.max_bytes!r}")
         for K in self._values("K"):
             if K < 1 or self.n % K != 0:

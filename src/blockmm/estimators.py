@@ -1,10 +1,16 @@
 """Monte Carlo product estimators built from sampled, rescaled columns.
 
-``sketch_columns`` is the single-block primitive: draw column indices i.i.d.
-from a probability vector, scale each picked column/row pair by
-1/sqrt(count * p), and return the thin factors.  The blocked estimator runs
-it once per block under a ``SamplingPlan`` and sums the per-block products;
-the whole-block baseline samples entire blocks instead of columns.
+The blocked estimator draws each block's column indices i.i.d. from that
+block's probabilities, on the block's own child stream, for every block with
+a positive budget.  It then gathers every drawn column/row pair of the whole
+plan at once, scales each by 1/sqrt(count * p), and multiplies the two thin
+factors once.  ``sketch_columns`` is the validated single-block version of
+the same draw, gather and scale; the whole-block baseline samples entire
+blocks instead of columns.
+
+The two-step plans (tags ONU / ONMCNR) live here too, next to the sampler
+their pilot runs: ``allocate_two_step`` sizes the blocks from pilot-sampled
+block product norms, each taken from the block's slice of one pilot sketch.
 
 Randomness discipline: every estimator takes a ``numpy.random.Generator``
 and spawns one child stream per block, so results are reproducible from a
@@ -14,18 +20,22 @@ single seed and invariant to the order blocks are processed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, block_view
+from .matrix import BlockPartition, as_int, block_view, frobenius_norm
 from .plan import (
     PROB_SUM_TOL,
     BlockProbabilities,
     SamplingPlan,
+    _allocate,
     _check_instance,
-    _two_step_plan,
+    _optimal_probabilities,
+    _score,
+    _Scores,
     block_norm_probabilities,
+    uniform_probabilities,
 )
 
 
@@ -40,6 +50,14 @@ def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np
     idx = np.searchsorted(cum, u, side="right")
     # u may exceed cum[-1] by float rounding; clamp onto the support's end.
     return np.minimum(idx, support[-1])
+
+
+def _gather(M: np.ndarray, N: np.ndarray, idx: np.ndarray, counts, p: np.ndarray):
+    """Columns ``idx`` of M and rows ``idx`` of N, each pair scaled by
+    1/sqrt(count * p), so that the thin factors' product has expectation
+    M @ N; returns (C, D, scales), C row-major."""
+    scales = 1.0 / np.sqrt(counts * p)
+    return np.take(M, idx, axis=1) * scales, N[idx] * scales[:, None], scales
 
 
 class DrawRecord(NamedTuple):
@@ -64,7 +82,7 @@ def sketch_columns(
     """
     if Mb.ndim != 2 or Nb.ndim != 2 or Mb.shape[1] != Nb.shape[0]:
         raise ValueError(f"factor shapes do not chain: {Mb.shape} x {Nb.shape}")
-    count = int(count)
+    count = as_int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
@@ -73,10 +91,11 @@ def sketch_columns(
     if (probs < 0).any() or abs(probs.sum() - 1.0) > PROB_SUM_TOL:
         raise ValueError("probabilities must be >= 0 and sum to 1")
     idx = _draw_indices(probs, count, rng)
-    scales = 1.0 / np.sqrt(count * probs[idx])
-    C = Mb[:, idx] * scales
-    D = Nb[idx, :] * scales[:, None]
-    return C, D, DrawRecord(idx.astype(np.int64), probs[idx], scales)
+    p = probs[idx]
+    C, D, scales = _gather(Mb, Nb, idx, count, p)
+    # Column-major, like each pilot block: BLAS rounds small products
+    # differently by operand layout, and the pilot replays multiply this C.
+    return np.asfortranarray(C), D, DrawRecord(idx.astype(np.int64), p, scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,34 +122,27 @@ class SampleLog:
         return self.block.size
 
 
-def _empty_log() -> SampleLog:
-    z = np.empty(0, dtype=np.int64)
-    f = np.empty(0, dtype=np.float64)
-    return SampleLog(z, z.copy(), z.copy(), f, f.copy())
-
-
-def _block_sketches(
+def _sketch(
     M: np.ndarray,
     N: np.ndarray,
-    part: BlockPartition,
-    counts: np.ndarray,
     probs: BlockProbabilities,
+    counts: np.ndarray,
     rng: np.random.Generator,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, DrawRecord]]:
-    """``sketch_columns`` on every block with a positive count, each on its
-    own child stream of ``rng``; yields (k, C_k, D_k, record)."""
+) -> tuple[SketchPair, SampleLog]:
+    """The blocked sampler: ``counts[k]`` draws in every block k with a
+    positive count, each block on its own child stream of ``rng``, then one
+    gather and scale of all draws.  ``probs`` was validated when it was
+    built, so nothing is checked again here."""
+    part = probs.partition
     streams = rng.spawn(part.num_blocks)
-    for k, count in enumerate(counts.tolist()):
-        if count == 0:
-            continue
-        Ck, Dk, rec = sketch_columns(
-            block_view(M, part, k),
-            block_view(N, part, k, "rows"),
-            count,
-            probs[k],
-            streams[k],
-        )
-        yield k, Ck, Dk, rec
+    local = [_draw_indices(probs[k], ck, streams[k]) for k, ck in enumerate(counts.tolist()) if ck > 0]
+    block = np.repeat(np.arange(part.num_blocks), counts)
+    idx = np.concatenate([np.empty(0, np.int64), *local]) + part.offsets[block]
+    p = probs.values[idx]
+    C, D, scales = _gather(M, N, idx, np.repeat(counts, counts), p)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    draw = np.arange(idx.size) - offsets[block]
+    return SketchPair(C, D, offsets), SampleLog(block, draw, idx, p, scales)
 
 
 def estimate_product(
@@ -141,38 +153,91 @@ def estimate_product(
 ) -> tuple[SketchPair, np.ndarray, SampleLog]:
     """Blocked importance-sampling estimate of M @ N under ``plan``.
 
-    Runs ``sketch_columns`` per block on its own child stream and returns
-    the stacked factors, their product (the estimate), and the joined log.
+    Draws each block's columns on its own child stream and returns the
+    stacked factors, their product (the estimate), and the per-draw log.
     Zero-budget blocks (flagged zero-score) are skipped; they contribute
     exactly zero to the true product as well.
     """
-    part = plan.partition
-    _check_instance(M, N, part)
-    width = plan.total
-    C = np.empty((M.shape[0], width))
-    D = np.empty((width, N.shape[1]))
-    col_off = np.concatenate(([0], np.cumsum(plan.budgets))).astype(np.int64)
-    blocks, draws, cols, probs, scales = [], [], [], [], []
-    for k, Ck, Dk, rec in _block_sketches(M, N, part, plan.budgets, plan.probs, rng):
-        ck = int(plan.budgets[k])
-        C[:, col_off[k] : col_off[k + 1]] = Ck
-        D[col_off[k] : col_off[k + 1], :] = Dk
-        blocks.append(np.full(ck, k, dtype=np.int64))
-        draws.append(np.arange(ck, dtype=np.int64))
-        cols.append(part.offsets[k] + rec.columns)
-        probs.append(rec.probs)
-        scales.append(rec.scales)
-    if blocks:
-        log = SampleLog(
-            np.concatenate(blocks),
-            np.concatenate(draws),
-            np.concatenate(cols),
-            np.concatenate(probs),
-            np.concatenate(scales),
-        )
+    _check_instance(M, N, plan.partition)
+    pair, log = _sketch(M, N, plan.probs, plan.budgets, rng)
+    return pair, pair.C @ pair.D, log
+
+
+def allocate_two_step(
+    M: np.ndarray,
+    N: np.ndarray,
+    part: BlockPartition,
+    c: int,
+    c0: int,
+    p0: BlockProbabilities,
+    rng: np.random.Generator,
+) -> SamplingPlan:
+    """Pilot-then-allocate plan (tags ONU/ONMCNR).
+
+    Each block is pilot-sampled with floor(c0/K) draws under ``p0`` (any
+    remainder draws are discarded); the pilot product's Frobenius norm
+    stands in for the exact block product norm in the optimal-size weights,
+    under an absolute value since the estimate may overshoot the score sum.
+    The pilot consumes one spawned substream per block, so the plan is a
+    pure function of the rng state regardless of evaluation order.  The tag
+    follows the pilot's rule: ONU for "uniform", ONMCNR for "optimal", and
+    none for any other pilot.
+    """
+    sc = _score(M, N, part)
+    return _allocate_two_step(M, N, part, c, c0, p0, rng, sc, _optimal_probabilities(sc, part))
+
+
+def _allocate_two_step(
+    M: np.ndarray,
+    N: np.ndarray,
+    part: BlockPartition,
+    c: int,
+    c0: int,
+    p0: BlockProbabilities,
+    rng: np.random.Generator,
+    sc: _Scores,
+    probs: BlockProbabilities,
+) -> SamplingPlan:
+    if p0.partition != part:
+        raise ValueError("pilot probabilities are built on a different partition")
+    K = part.num_blocks
+    pilot_count = as_int("c0", c0) // K
+    if pilot_count < 1:
+        raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
+    counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
+    pair, _ = _sketch(M, N, p0, counts, rng)
+    # Each block's product from a column-major C, as from sketch_columns.
+    off = pair.offsets.tolist()
+    pilot_norms = np.array(
+        [frobenius_norm(np.asfortranarray(pair.C[:, a:b]) @ pair.D[a:b]) for a, b in zip(off, off[1:])]
+    )
+    method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
+    return _allocate(part, c, sc, method, probs, pilot_norms=pilot_norms)
+
+
+def _two_step_plan(
+    M: np.ndarray,
+    N: np.ndarray,
+    part: BlockPartition,
+    c: int,
+    c0: int,
+    pilot: str,
+    rng: np.random.Generator,
+) -> tuple[SamplingPlan, np.random.Generator]:
+    """The plan phase of the two-step estimator: pilot probabilities
+    "uniform" (tag ONU) or "norm", the norm-product ones (tag ONMCNR), then
+    ``allocate_two_step`` on the first of two child streams of ``rng``.
+    Returns the plan and the second stream, which the sampling phase uses."""
+    sc = _score(M, N, part)
+    probs = _optimal_probabilities(sc, part)
+    if pilot == "uniform":
+        p0 = uniform_probabilities(part)
+    elif pilot == "norm":
+        p0 = probs  # the plan's own probabilities, built once
     else:
-        log = _empty_log()
-    return SketchPair(C, D, col_off), C @ D, log
+        raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
+    pilot_rng, main_rng = rng.spawn(2)
+    return _allocate_two_step(M, N, part, c, c0, p0, pilot_rng, sc, probs), main_rng
 
 
 class TwoStepResult(NamedTuple):
@@ -228,7 +293,7 @@ def estimate_product_block_sampling(
         q = np.asarray(probs, dtype=np.float64)
         if q.shape != (part.num_blocks,) or (q < 0).any() or abs(q.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError("block probabilities must be >= 0 and sum to 1")
-    draws = int(draws)
+    draws = as_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     idx = _draw_indices(q, draws, rng)

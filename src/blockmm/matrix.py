@@ -10,6 +10,7 @@ never copies the factor matrices.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,17 @@ def as_matrix(values) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
+
+
+def as_int(name: str, value) -> int:
+    """An integer count, budget or config value; a bool, 2.9 or "26" is
+    rejected, not coerced, and NumPy integers are accepted."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

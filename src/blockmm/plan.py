@@ -2,14 +2,13 @@
 
 A plan fixes, for every block of the inner-dimension partition, a probability
 vector over that block's columns and an integer number of draws.  Budget
-rules implemented here:
+rules implemented here (the two-step plans, tags ONU / ONMCNR, are built in
+``estimators``, next to the sampler their pilot runs):
 
 * ``allocate_optimal``      -- variance-minimizing sizes; needs every exact
                                block product (expensive, method tag OPL).
 * ``allocate_by_score_sums``-- sizes proportional to the block score sums
                                (cheap upper-bound minimizer, tag ONC).
-* ``allocate_two_step``     -- sizes from pilot-sampled block product norms
-                               (tags ONU / ONMCNR depending on the pilot).
 * ``allocate_uniform``      -- equal split (tag UU).
 * ``block_norm_probabilities`` -- block-level probabilities for the
                                whole-block sampling baseline (tag SSM).
@@ -25,6 +24,7 @@ import numpy as np
 
 from .matrix import (
     BlockPartition,
+    as_int,
     block_view,
     column_norms,
     frobenius_norm,
@@ -253,7 +253,7 @@ def integerize(
         raise ValueError("weights must be finite and >= 0")
     if w.sum() == 0.0:
         raise ValueError("all weights are zero")
-    c = int(c)
+    c = as_int("c", c)
     if c < 0:
         raise ValueError("budget must be >= 0")
     K = w.size
@@ -430,82 +430,6 @@ def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
     K = part.num_blocks
     budgets = integerize(np.ones(K), c, caps=np.array(part.sizes, dtype=np.int64), floor=np.ones(K, bool))
     return SamplingPlan(part, uniform_probabilities(part), budgets, method="UU")
-
-
-def allocate_two_step(
-    M: np.ndarray,
-    N: np.ndarray,
-    part: BlockPartition,
-    c: int,
-    c0: int,
-    p0: BlockProbabilities,
-    rng: np.random.Generator,
-) -> SamplingPlan:
-    """Pilot-then-allocate plan (tags ONU/ONMCNR).
-
-    Each block is pilot-sampled with floor(c0/K) draws under ``p0`` (any
-    remainder draws are discarded); the pilot product's Frobenius norm
-    stands in for the exact block product norm in the optimal-size weights,
-    under an absolute value since the estimate may overshoot the score sum.
-    The pilot consumes one spawned substream per block, so the plan is a
-    pure function of the rng state regardless of evaluation order.  The tag
-    follows the pilot's rule: ONU for "uniform", ONMCNR for "optimal", and
-    none for any other pilot.
-    """
-    sc = _score(M, N, part)
-    return _allocate_two_step(M, N, part, c, c0, p0, rng, sc, _optimal_probabilities(sc, part))
-
-
-def _allocate_two_step(
-    M: np.ndarray,
-    N: np.ndarray,
-    part: BlockPartition,
-    c: int,
-    c0: int,
-    p0: BlockProbabilities,
-    rng: np.random.Generator,
-    sc: _Scores,
-    probs: BlockProbabilities,
-) -> SamplingPlan:
-    if p0.partition != part:
-        raise ValueError("pilot probabilities are built on a different partition")
-    K = part.num_blocks
-    pilot_count = c0 // K
-    if pilot_count < 1:
-        raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
-    from .estimators import _block_sketches  # deferred: estimators builds on plans
-
-    counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pilot_norms = np.zeros(K)
-    for k, C0, D0, _ in _block_sketches(M, N, part, counts, p0, rng):
-        pilot_norms[k] = frobenius_norm(C0 @ D0)
-    method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
-    return _allocate(part, c, sc, method, probs, pilot_norms=pilot_norms)
-
-
-def _two_step_plan(
-    M: np.ndarray,
-    N: np.ndarray,
-    part: BlockPartition,
-    c: int,
-    c0: int,
-    pilot: str,
-    rng: np.random.Generator,
-) -> tuple[SamplingPlan, np.random.Generator]:
-    """The plan phase of the two-step estimator: pilot probabilities
-    "uniform" (tag ONU) or "norm", the norm-product ones (tag ONMCNR), then
-    ``allocate_two_step`` on the first of two child streams of ``rng``.
-    Returns the plan and the second stream, which the sampling phase uses."""
-    sc = _score(M, N, part)
-    probs = _optimal_probabilities(sc, part)
-    if pilot == "uniform":
-        p0 = uniform_probabilities(part)
-    elif pilot == "norm":
-        p0 = probs  # the plan's own probabilities, built once
-    else:
-        raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
-    pilot_rng, main_rng = rng.spawn(2)
-    return _allocate_two_step(M, N, part, c, c0, p0, pilot_rng, sc, probs), main_rng
 
 
 def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:

@@ -8,13 +8,17 @@ import pytest
 
 from blockmm import (
     BlockPartition,
+    BlockProbabilities,
     SamplingPlan,
+    allocate_by_score_sums,
     allocate_optimal,
+    allocate_two_step,
     allocate_uniform,
     block_norm_probabilities,
     estimate_product,
     estimate_product_block_sampling,
     estimate_product_two_step,
+    integerize,
     optimal_probabilities,
     sketch_columns,
     uniform_probabilities,
@@ -231,6 +235,19 @@ def test_estimate_skips_zero_budget_blocks():
         allocate_optimal(M, N, part, c=5)
 
 
+def test_estimate_all_zero_plan():
+    M, N = tiny_instance(16, m=2, n=6, p=3)
+    part = BlockPartition.equal(6, 3)
+    plan = SamplingPlan(part, BlockProbabilities(np.zeros(6), part), np.zeros(3, dtype=np.int64))
+    pair, product, log = estimate_product(M, N, plan, np.random.default_rng(8))
+    np.testing.assert_array_equal(product, np.zeros((2, 3)))
+    assert pair.C.shape == (2, 0) and pair.D.shape == (0, 3)
+    np.testing.assert_array_equal(pair.offsets, np.zeros(4))
+    assert len(log) == 0
+    for field, dtype in zip((log.block, log.draw, log.column, log.prob, log.scale), ["int64"] * 3 + ["float64"] * 2):
+        assert field.shape == (0,) and field.dtype == dtype
+
+
 def test_sample_log_csv(tmp_path):
     M, N = tiny_instance(17, m=2, n=4, p=2)
     part = BlockPartition.equal(4, 2)
@@ -374,3 +391,36 @@ def test_block_sampling_pair_contract_and_validation():
         estimate_product_block_sampling(
             M, N, part, 2, np.random.default_rng(31), probs=np.array([0.7, 0.2, 0.2])
         )
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+
+def _integer_arguments():
+    """Each library entry point with one integer argument left open; 4 is a
+    valid value for every one of them."""
+    M, N = tiny_instance(31, m=2, n=6, p=2)
+    part = BlockPartition.equal(6, 3)
+    p0 = uniform_probabilities(part)
+    rng = np.random.default_rng
+    return {
+        "integerize-c": lambda v: integerize(np.ones(3), v),
+        "allocate_optimal-c": lambda v: allocate_optimal(M, N, part, v),
+        "allocate_by_score_sums-c": lambda v: allocate_by_score_sums(M, N, part, v),
+        "allocate_uniform-c": lambda v: allocate_uniform(part, v),
+        "allocate_two_step-c": lambda v: allocate_two_step(M, N, part, v, 3, p0, rng(1)),
+        "allocate_two_step-c0": lambda v: allocate_two_step(M, N, part, 4, v, p0, rng(1)),
+        "estimate_product_two_step-c0": lambda v: estimate_product_two_step(M, N, part, 4, v, rng(1)),
+        "estimate_product_block_sampling-draws": lambda v: estimate_product_block_sampling(M, N, part, v, rng(1)),
+        "sketch_columns-count": lambda v: sketch_columns(M, N, v, np.full(6, 1 / 6), rng(1)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_integer_arguments()))
+def test_integer_arguments_are_not_truncated(name):
+    call = _integer_arguments()[name]
+    call(np.int64(4))
+    for bad in (4.7, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)

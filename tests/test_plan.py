@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blockmm import allocate_two_step
 from blockmm.matrix import BlockPartition, frobenius_norm
 from blockmm.plan import (
     BlockProbabilities,
@@ -12,7 +13,6 @@ from blockmm.plan import (
     SamplingPlan,
     allocate_by_score_sums,
     allocate_optimal,
-    allocate_two_step,
     allocate_uniform,
     block_norm_probabilities,
     block_scores,

@@ -59,7 +59,7 @@ def _budgets(part, s, w):
     return integerize(w, C, caps=np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0), floor=s > 0)
 
 
-def _pilot_norms(M, N, part, p0, rng):
+def _pilot_norms(M, N, part, p0, rng, c0=C0):
     """The pilot: ``sketch_columns`` per block on ``rng.spawn(K)``."""
     K = part.num_blocks
     streams = rng.spawn(K)
@@ -67,26 +67,40 @@ def _pilot_norms(M, N, part, p0, rng):
     for k in range(K):
         if p0[k].sum() == 0.0:
             continue
-        Ck, Dk, _ = sketch_columns(block_view(M, part, k), block_view(N, part, k, "rows"), C0 // K, p0[k], streams[k])
+        Ck, Dk, _ = sketch_columns(block_view(M, part, k), block_view(N, part, k, "rows"), c0 // K, p0[k], streams[k])
         out[k] = frobenius_norm(Ck @ Dk)
     return out
 
 
+LOG_FIELDS = ("block", "draw", "column", "prob", "scale")
+
+
 def _sketch_estimate(M, N, plan, rng):
     """``estimate_product``: per-block ``sketch_columns`` on ``rng.spawn(K)``,
-    stacked into row-major factors, then one product."""
+    stacked into row-major factors, then one product.  Returns the factors,
+    their offsets, the product and the log fields from the draw records."""
     part = plan.partition
     streams = rng.spawn(part.num_blocks)
     C = np.empty((M.shape[0], plan.total))
     D = np.empty((plan.total, N.shape[1]))
     off = np.concatenate(([0], np.cumsum(plan.budgets)))
+    log = [[np.empty(0, np.int64)] * 3 + [np.empty(0)] * 2]
     for k in range(part.num_blocks):
-        if plan.budgets[k] == 0:
+        ck = int(plan.budgets[k])
+        if ck == 0:
             continue
-        C[:, off[k] : off[k + 1]], D[off[k] : off[k + 1]], _ = sketch_columns(
-            block_view(M, part, k), block_view(N, part, k, "rows"), int(plan.budgets[k]), plan.probs[k], streams[k]
+        C[:, off[k] : off[k + 1]], D[off[k] : off[k + 1]], rec = sketch_columns(
+            block_view(M, part, k), block_view(N, part, k, "rows"), ck, plan.probs[k], streams[k]
         )
-    return C @ D
+        log.append([np.full(ck, k), np.arange(ck), part.offsets[k] + rec.columns, rec.probs, rec.scales])
+    return C, D, off, C @ D, [np.concatenate(field) for field in zip(*log)]
+
+
+def _assert_same_estimate(pair, product, log, reference):
+    C, D, off, want_product, want_log = reference
+    got = [pair.C, pair.D, pair.offsets, product, *(getattr(log, f) for f in LOG_FIELDS)]
+    for name, a, b in zip(["C", "D", "offsets", "product", *LOG_FIELDS], got, [C, D, off, want_product, *want_log]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def _assert_same_plan(plan, probs, budgets, pilot_norms=None):
@@ -115,25 +129,25 @@ def test_two_step_equals_its_public_steps(kind, pilot):
     probs = optimal_probabilities(M, N, part)
     p0 = uniform_probabilities(part) if pilot == "uniform" else probs
     s = score_sums(M, N, part)
+    for c0 in (C0, 120):  # 20 pilot draws per block: BLAS then rounds by operand layout
+        pilot_norms = _pilot_norms(M, N, part, p0, _rng(), c0)
+        steps = (probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
+        plan = allocate_two_step(M, N, part, C, c0, p0, _rng())
+        _assert_same_plan(plan, *steps)
+        assert plan.method == ("ONU" if pilot == "uniform" else "ONMCNR")
 
-    pilot_norms = _pilot_norms(M, N, part, p0, _rng())
-    steps = (probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
-    plan = allocate_two_step(M, N, part, C, C0, p0, _rng())
-    _assert_same_plan(plan, *steps)
-    assert plan.method == ("ONU" if pilot == "uniform" else "ONMCNR")
-
-    pilot_rng, main_rng = _rng().spawn(2)
-    pilot_norms = _pilot_norms(M, N, part, p0, pilot_rng)
-    res = estimate_product_two_step(M, N, part, C, C0, _rng(), pilot=pilot)
-    _assert_same_plan(res.plan, probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
-    assert res.product.tobytes() == _sketch_estimate(M, N, res.plan, main_rng).tobytes()
+        pilot_rng, main_rng = _rng().spawn(2)
+        pilot_norms = _pilot_norms(M, N, part, p0, pilot_rng, c0)
+        res = estimate_product_two_step(M, N, part, C, c0, _rng(), pilot=pilot)
+        _assert_same_plan(res.plan, probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
+        _assert_same_estimate(res.pair, res.product, res.log, _sketch_estimate(M, N, res.plan, main_rng))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_estimate_product_equals_per_block_sketches(kind):
     M, N, part = _instance(kind)
     for plan in (allocate_by_score_sums(M, N, part, C), allocate_uniform(part, C)):
-        assert estimate_product(M, N, plan, _rng())[1].tobytes() == _sketch_estimate(M, N, plan, _rng()).tobytes()
+        _assert_same_estimate(*estimate_product(M, N, plan, _rng()), _sketch_estimate(M, N, plan, _rng()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +217,7 @@ def probability_builds(monkeypatch):
         calls["built"] += 1
         return original(*args)
 
-    for module in (plan_module, analysis):
+    for module in (plan_module, estimators, analysis):
         monkeypatch.setattr(module, "_optimal_probabilities", counted)
     return calls
 
