@@ -9,7 +9,6 @@ bounds, synthetic instance generators, and a benchmark CLI.
 
 from .matrix import (
     BlockPartition,
-    as_matrix,
     block_view,
     column_norms,
     frobenius_norm,

@@ -32,58 +32,38 @@ from .estimators import estimate_product
 from .matrix import BlockPartition, block_view, frobenius_norm, multiply_exact
 from .plan import (
     SamplingPlan,
-    _block_scores,
+    _floor_ratio,
     _optimal_probabilities,
-    _score,
-    optimal_size_weights,
-    prob_floor_ratio,
+    _optimal_weights,
+    _product_norms,
+    _profile,
+    _Profile,
 )
 
 DEGENERATE_TOL = 1e-12
 
 
-def _variance_terms(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets, terms):
-    """Yield (numerator, budget) per block with a positive budget, where
-    ``terms(Mk, Nk, p, pos, contrib)`` gives the block's (term1, numerator) as
-    scalars or m x p arrays.  Rejects a zero probability at a contributing
-    column and a zero budget on a block with sampling variance."""
+def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets) -> np.ndarray:
+    """The plan's budgets as floats, or the override; rejects a zero
+    probability at a contributing column."""
     part = plan.partition
-    scores = _score(M, N, part).index
     b = plan.budgets.astype(np.float64) if budgets is None else np.asarray(budgets, dtype=np.float64)
     if b.shape != (part.num_blocks,) or (b < 0).any():
         raise ValueError("budget override must be one nonnegative value per block")
-    missed = (plan.probs.values == 0) & (scores > 0)
+    missed = (plan.probs.values == 0) & (prof.index > 0)
     if missed.any():
         k = int(np.searchsorted(part.offsets, np.argmax(missed), side="right")) - 1
         raise ValueError(f"block {k}: zero probability at a contributing column")
-    for k in range(part.num_blocks):
-        Mk = block_view(M, part, k)
-        Nk = block_view(N, part, k, "rows")
-        p = plan.probs[k]
-        contrib = scores[part.block_slice(k)]
-        pos = p > 0
-        term1, numerator = terms(Mk, Nk, p, pos, contrib)
-        if b[k] == 0:
-            scale = max(1.0, float(np.max(term1, initial=0.0)))
-            if np.max(np.abs(numerator), initial=0.0) > 1e-12 * scale:
-                raise ValueError(f"block {k}: zero budget on a block with sampling variance")
-            continue
-        yield numerator, b[k]
+    return b
 
 
-def _entry_terms(Mk, Nk, p, pos, contrib):
-    term1 = (Mk[:, pos] ** 2 / p[pos]) @ (Nk[pos, :] ** 2)
-    return term1, term1 - (Mk @ Nk) ** 2
+def _check_zero_budget(k: int, term1, numerator) -> None:
+    """A zero budget is allowed only on a block without sampling variance."""
+    if np.max(np.abs(numerator), initial=0.0) > 1e-12 * max(1.0, float(np.max(term1, initial=0.0))):
+        raise ValueError(f"block {k}: zero budget on a block with sampling variance")
 
 
-def _frobenius_terms(Mk, Nk, p, pos, contrib):
-    term1 = float((contrib[pos] ** 2 / p[pos]).sum())
-    return term1, term1 - float(((Mk @ Nk) ** 2).sum())
-
-
-def elementwise_variance(
-    M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None
-) -> np.ndarray:
+def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> np.ndarray:
     """Exact per-entry variance of the blocked estimate under ``plan``.
 
     For entry (h, f): sum over blocks of
@@ -93,19 +73,39 @@ def elementwise_variance(
     values (the pre-integerization optimum).  Entries are exact up to
     rounding and may dip to -1e-12 * scale below zero.
     """
+    part = plan.partition
+    prof = _profile(M, N, part)
+    b = _checked_budgets(prof, plan, budgets)
     var = np.zeros((M.shape[0], N.shape[1]))
-    for numerator, bk in _variance_terms(M, N, plan, budgets, _entry_terms):
-        var += numerator / bk
-    return var
+    for k in range(part.num_blocks):
+        Mk = block_view(prof.M, part, k)
+        Nk = block_view(prof.N, part, k, "rows")
+        p = plan.probs[k]
+        pos = p > 0
+        term1 = (Mk[:, pos] ** 2 / p[pos]) @ (Nk[pos, :] ** 2)
+        numerator = term1 - (Mk @ Nk) ** 2
+        if b[k] == 0:
+            _check_zero_budget(k, term1, numerator)
+            continue
+        var += numerator / b[k]
+    return np.ldexp(var, -2 * prof.scale)
 
 
 def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> float:
     """E || exact product - estimate ||_F^2 under ``plan`` (the estimator is
-    unbiased, so this is the summed entry variance), in closed form."""
-    total = 0.0
-    for numerator, bk in _variance_terms(M, N, plan, budgets, _frobenius_terms):
-        total += numerator / bk
-    return total
+    unbiased, so this is the summed entry variance), in closed form: the sum
+    over blocks of (sum_i s_i^2 / p_i - g_k^2) / c_k, s_i the index scores."""
+    part = plan.partition
+    prof = _profile(M, N, part)
+    b = _checked_budgets(prof, plan, budgets)
+    p = plan.probs.values
+    per_index = np.divide(prof.index**2, p, out=np.zeros_like(p), where=p > 0)
+    term1 = np.add.reduceat(per_index, part.offsets[:-1])
+    numerator = term1 - _product_norms(prof) ** 2
+    for k in np.flatnonzero(b == 0).tolist():
+        _check_zero_budget(k, term1[k], numerator[k])
+    live = b > 0
+    return float(np.ldexp((numerator[live] / b[live]).sum(), -2 * prof.scale))
 
 
 def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> float:
@@ -113,8 +113,9 @@ def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition
     real-valued sizes at total budget c: (sum_k sqrt(s_k^2 - g_k^2))^2 / c."""
     if c <= 0:
         raise ValueError("budget must be positive")
-    w = optimal_size_weights(M, N, part)
-    return float(w.sum() ** 2) / c
+    prof = _profile(M, N, part)
+    w = _optimal_weights(prof.sums, _product_norms(prof))
+    return float(np.ldexp(w.sum() ** 2 / c, -2 * prof.scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +149,10 @@ def cancellation_stats(
     the exact ones; those may exceed 1, so the cancellation takes an
     absolute value there.
     """
-    s = _score(M, N, part).sums
+    prof = _profile(M, N, part)
     if pilot_norms is not None:
-        return _cancellation(s, pilot_norms, exact=False)
-    return _cancellation(s, _block_scores(M, N, part, s).product_norms, exact=True)
+        return _cancellation(prof.sums, np.ldexp(pilot_norms, prof.scale), exact=False)
+    return _cancellation(prof.sums, _product_norms(prof), exact=True)
 
 
 def _cancellation(s: np.ndarray, g, exact: bool) -> CancellationStats:
@@ -280,12 +281,11 @@ def bound_inputs_for_plan(
     """Assemble ``BoundInputs`` for a plan: probability floor against the
     variance-minimizing probabilities plus cancellation statistics (pilot
     statistics when the plan carries pilot norms)."""
-    part = plan.partition
-    sc = _score(M, N, part)
-    exact_stats = _cancellation(sc.sums, _block_scores(M, N, part, sc.sums).product_norms, exact=True)
-    floor = prob_floor_ratio(plan.probs, _optimal_probabilities(sc, part))
+    prof = _profile(M, N, plan.partition)
+    exact_stats = _cancellation(prof.sums, _product_norms(prof), exact=True)
+    floor = _floor_ratio(plan.probs.values, _optimal_probabilities(prof))
     if plan.pilot_norms is not None:
-        stats = _cancellation(sc.sums, plan.pilot_norms, exact=False)
+        stats = _cancellation(prof.sums, np.ldexp(plan.pilot_norms, prof.scale), exact=False)
         hi_exact = exact_stats.cancel_hi
     else:
         stats = exact_stats
@@ -296,8 +296,8 @@ def bound_inputs_for_plan(
         prob_floor=floor,
         cancel_lo=stats.cancel_lo,
         cancel_hi=stats.cancel_hi,
-        frob_m=frobenius_norm(M),
-        frob_n=frobenius_norm(N),
+        frob_m=prof.frob_m,
+        frob_n=prof.frob_n,
         ratios=stats.ratios,
         cancel_hi_exact=hi_exact,
     )

@@ -32,8 +32,7 @@ from .plan import (
     _allocate,
     _check_instance,
     _optimal_probabilities,
-    _score,
-    _Scores,
+    _profile,
     block_norm_probabilities,
     uniform_probabilities,
 )
@@ -164,80 +163,59 @@ def estimate_product(
 
 
 def allocate_two_step(
-    M: np.ndarray,
-    N: np.ndarray,
-    part: BlockPartition,
-    c: int,
-    c0: int,
-    p0: BlockProbabilities,
-    rng: np.random.Generator,
+    M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int, c0: int, p0: Optional[BlockProbabilities], rng
 ) -> SamplingPlan:
     """Pilot-then-allocate plan (tags ONU/ONMCNR).
 
     Each block is pilot-sampled with floor(c0/K) draws under ``p0`` (any
-    remainder draws are discarded); the pilot product's Frobenius norm
+    remainder draws are discarded; ``None`` pilots with the plan's own
+    norm-product probabilities); the pilot product's Frobenius norm
     stands in for the exact block product norm in the optimal-size weights,
     under an absolute value since the estimate may overshoot the score sum.
     The pilot consumes one spawned substream per block, so the plan is a
     pure function of the rng state regardless of evaluation order.  The tag
     follows the pilot's rule: ONU for "uniform", ONMCNR for "optimal", and
-    none for any other pilot.
+    none for any other pilot.  c and c0 are checked before any scoring.
     """
-    sc = _score(M, N, part)
-    return _allocate_two_step(M, N, part, c, c0, p0, rng, sc, _optimal_probabilities(sc, part))
-
-
-def _allocate_two_step(
-    M: np.ndarray,
-    N: np.ndarray,
-    part: BlockPartition,
-    c: int,
-    c0: int,
-    p0: BlockProbabilities,
-    rng: np.random.Generator,
-    sc: _Scores,
-    probs: BlockProbabilities,
-) -> SamplingPlan:
-    if p0.partition != part:
-        raise ValueError("pilot probabilities are built on a different partition")
+    c = as_int("c", c)
+    if not 1 <= c <= part.total:
+        raise ValueError(f"budget c={c} must lie in [1, {part.total}]")
     K = part.num_blocks
     pilot_count = as_int("c0", c0) // K
     if pilot_count < 1:
         raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
+    if p0 is not None and p0.partition != part:
+        raise ValueError("pilot probabilities are built on a different partition")
+    prof = _profile(M, N, part)
+    live = prof.sums > 0
+    floors, caps = int(live.sum()), int(np.array(part.sizes)[live].sum())
+    if floors and not floors <= c <= caps:
+        raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
+    probs = BlockProbabilities(_optimal_probabilities(prof), part, rule="optimal")
+    p0 = probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pair, _ = _sketch(M, N, p0, counts, rng)
+    pair, _ = _sketch(prof.M, prof.N, p0, counts, rng)
     # Each block's product from a column-major C, as from sketch_columns.
     off = pair.offsets.tolist()
     pilot_norms = np.array(
         [frobenius_norm(np.asfortranarray(pair.C[:, a:b]) @ pair.D[a:b]) for a, b in zip(off, off[1:])]
     )
     method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
-    return _allocate(part, c, sc, method, probs, pilot_norms=pilot_norms)
+    return _allocate(prof, c, method, probs, pilot_norms=pilot_norms)
 
 
 def _two_step_plan(
-    M: np.ndarray,
-    N: np.ndarray,
-    part: BlockPartition,
-    c: int,
-    c0: int,
-    pilot: str,
-    rng: np.random.Generator,
+    M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int, c0: int, pilot: str, rng: np.random.Generator
 ) -> tuple[SamplingPlan, np.random.Generator]:
     """The plan phase of the two-step estimator: pilot probabilities
     "uniform" (tag ONU) or "norm", the norm-product ones (tag ONMCNR), then
     ``allocate_two_step`` on the first of two child streams of ``rng``.
     Returns the plan and the second stream, which the sampling phase uses."""
-    sc = _score(M, N, part)
-    probs = _optimal_probabilities(sc, part)
-    if pilot == "uniform":
-        p0 = uniform_probabilities(part)
-    elif pilot == "norm":
-        p0 = probs  # the plan's own probabilities, built once
-    else:
+    if pilot not in ("uniform", "norm"):
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
     pilot_rng, main_rng = rng.spawn(2)
-    return _allocate_two_step(M, N, part, c, c0, p0, pilot_rng, sc, probs), main_rng
+    p0 = uniform_probabilities(part) if pilot == "uniform" else None
+    return allocate_two_step(M, N, part, c, c0, p0, pilot_rng), main_rng
 
 
 class TwoStepResult(NamedTuple):

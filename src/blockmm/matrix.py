@@ -1,10 +1,11 @@
 """Dense matrices, block partitions of the inner dimension, norms, and the
 package's CSV writer.
 
-Matrices are plain float64 NumPy arrays in row-major (C) order;
-:func:`as_matrix` validates one.  Block views are NumPy slices, i.e.
-(offset, stride) windows into the parent buffer -- building a sampling plan
-never copies the factor matrices.
+Matrices are plain float64 NumPy arrays in row-major (C) order; the
+scoring pass in ``plan`` rejects a factor with a NaN or Inf entry.  Block
+views are NumPy slices, i.e. (offset, stride) windows into the parent
+buffer -- building a sampling plan copies a factor only when its norms
+overflow or underflow and it must be rescaled.
 """
 
 from __future__ import annotations
@@ -15,20 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-
-def as_matrix(values) -> np.ndarray:
-    """Validate and return a 2-D float64 C-order matrix.
-
-    Rejects non-2-D input and any NaN/Inf entry: probability normalization
-    downstream would silently corrupt otherwise.
-    """
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
 
 
 def as_int(name: str, value) -> int:
@@ -118,13 +105,13 @@ def multiply_exact(M: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column."""
-    return np.linalg.norm(M, axis=0)
+    """Euclidean norm of each column, from one pass of squared sums."""
+    return np.sqrt(np.einsum("ij,ij->j", M, M))
 
 
 def row_norms(N: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row."""
-    return np.linalg.norm(N, axis=1)
+    """Euclidean norm of each row, from one pass of squared sums."""
+    return np.sqrt(np.einsum("ij,ij->i", N, N))
 
 
 def frobenius_norm(M: np.ndarray) -> float:

@@ -16,6 +16,7 @@ rules implemented here (the two-step plans, tags ONU / ONMCNR, are built in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -154,34 +155,69 @@ class SamplingPlan:
         return int(self.budgets.sum())
 
 
-class _Scores(NamedTuple):
-    """One scoring pass over an instance: the per-index scores
-    ||M column i|| * ||N row i|| and their block sums s_k."""
+NORM_RANGE = (2.0**-150, 2.0**150)  # no score, sum, square or block product over/underflows within it
 
+
+def _scaled_norms(X: np.ndarray, norms, name: str):
+    """(X * 2**e, its norms, e), e read off the norm vector: 0 when the largest
+    norm lies in NORM_RANGE, else the power of two that brings it near 1.  A
+    largest norm of inf or 0 (overflow, underflow) first scales by 2**-600
+    or 2**600 to find its size; a NaN, or an inf after that, is a bad entry."""
+    e, Xs, v = 0, X, norms(X)
+    for _ in range(3):
+        hi = float(v.max())
+        if math.isnan(hi) or (hi == math.inf and e < 0):
+            raise ValueError(f"{name} has a NaN or Inf entry")
+        if NORM_RANGE[0] <= hi <= NORM_RANGE[1] or (hi == 0.0 and e > 0):
+            break
+        e += -600 if hi == math.inf else 600 if hi == 0.0 else -math.frexp(hi)[1]
+        Xs = np.ldexp(X, e)
+        v = norms(Xs)
+    return Xs, v, e
+
+
+class _Profile(NamedTuple):
+    """One validated scoring pass: the factors scaled by powers of two whose
+    exponents sum to ``scale``, and in their units the per-index scores
+    ||M column i|| * ||N row i|| and block sums s_k; ``frob_*`` are unscaled."""
+
+    M: np.ndarray
+    N: np.ndarray
+    part: BlockPartition
     index: np.ndarray
     sums: np.ndarray
+    scale: int
+    frob_m: float
+    frob_n: float
 
 
-def _score(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Scores:
+def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
     """The scoring pass; every public entry point makes it exactly once and
-    passes the result down."""
+    passes the profile down."""
     _check_instance(M, N, part)
-    index = column_norms(M) * row_norms(N)
-    return _Scores(index, np.add.reduceat(index, part.offsets[:-1]))
+    M, col, e_m = _scaled_norms(M, column_norms, "M")
+    N, row, e_n = _scaled_norms(N, row_norms, "N")
+    index = col * row
+    frob_m, frob_n = float(np.ldexp(frobenius_norm(col), -e_m)), float(np.ldexp(frobenius_norm(row), -e_n))
+    return _Profile(M, N, part, index, np.add.reduceat(index, part.offsets[:-1]), e_m + e_n, frob_m, frob_n)
+
+
+def _product_norms(prof: _Profile) -> np.ndarray:
+    """Exact block product norms g_k = ||M_k N_k||_F in the profile's units,
+    the one place a block product is formed: one batched matmul over
+    (K, m, n/K) and (K, n/K, p) views for an equal partition, else a loop."""
+    M, N, part = prof.M, prof.N, prof.part
+    K, b = part.num_blocks, part.sizes[0]
+    if part.sizes == (b,) * K:
+        G = np.matmul(M.reshape(M.shape[0], K, b).transpose(1, 0, 2), N.reshape(K, b, N.shape[1]))
+        return np.sqrt(np.einsum("kij,kij->k", G, G))
+    off = part.offsets.tolist()
+    return np.array([frobenius_norm(M[:, a:b] @ N[a:b]) for a, b in zip(off, off[1:])])
 
 
 def score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
-    return _score(M, N, part).sums
-
-
-def _block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition, s: np.ndarray) -> BlockScores:
-    g = np.array(
-        [
-            frobenius_norm(block_view(M, part, k) @ block_view(N, part, k, "rows"))
-            for k in range(part.num_blocks)
-        ]
-    )
-    return BlockScores(s, g)
+    prof = _profile(M, N, part)
+    return np.ldexp(prof.sums, -prof.scale)
 
 
 def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockScores:
@@ -190,20 +226,21 @@ def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockSco
     Computing g_k multiplies out every block, so this is as expensive as the
     exact product itself; it backs the optimal allocator only.
     """
-    return _block_scores(M, N, part, _score(M, N, part).sums)
+    prof = _profile(M, N, part)
+    return BlockScores(np.ldexp(prof.sums, -prof.scale), np.ldexp(_product_norms(prof), -prof.scale))
 
 
-def _optimal_probabilities(sc: _Scores, part: BlockPartition) -> BlockProbabilities:
-    """The scoring pass's per-index scores over their block sums; a
-    zero-score block divides by 1 and stays all zero (flagged)."""
-    sums = np.where(sc.sums > 0, sc.sums, 1.0)
-    return BlockProbabilities(sc.index / np.repeat(sums, part.sizes), part, rule="optimal")
+def _optimal_probabilities(prof: _Profile) -> np.ndarray:
+    """The profile's per-index scores over their block sums, one vector over
+    all n indices; a zero-score block divides by 1 and stays all zero."""
+    sums = np.where(prof.sums > 0, prof.sums, 1.0)
+    return prof.index / np.repeat(sums, prof.part.sizes)
 
 
 def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockProbabilities:
     """Variance-minimizing within-block probabilities: p_i proportional to
     ||M column i|| * ||N row i||, normalized per block."""
-    return _optimal_probabilities(_score(M, N, part), part)
+    return BlockProbabilities(_optimal_probabilities(_profile(M, N, part)), part, rule="optimal")
 
 
 def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
@@ -218,8 +255,12 @@ def prob_floor_ratio(probs: BlockProbabilities, reference: BlockProbabilities) -
     there is no positive floor."""
     if probs.partition != reference.partition:
         raise ValueError("probabilities are built on different partitions")
-    sup = reference.values > 0
-    return float(np.min(probs.values[sup] / reference.values[sup], initial=1.0))
+    return _floor_ratio(probs.values, reference.values)
+
+
+def _floor_ratio(values: np.ndarray, reference: np.ndarray) -> float:
+    sup = reference > 0
+    return float(np.min(values[sup] / reference[sup], initial=1.0))
 
 
 def integerize(
@@ -361,42 +402,37 @@ def _optimal_weights(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def optimal_size_weights(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Real-valued optimal-size weights sqrt(s_k^2 - g_k^2) with exact g_k."""
-    sc = block_scores(M, N, part)
-    return _optimal_weights(sc.score_sums, sc.product_norms)
+    prof = _profile(M, N, part)
+    return np.ldexp(_optimal_weights(prof.sums, _product_norms(prof)), -prof.scale)
 
 
 def real_optimal_budgets(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> np.ndarray:
     """Pre-integerization optimal sizes c * w_k / sum(w)."""
-    w = optimal_size_weights(M, N, part)
-    total = w.sum()
-    if total == 0.0:
+    prof = _profile(M, N, part)
+    w = _optimal_weights(prof.sums, _product_norms(prof))
+    if w.sum() == 0.0:
         raise ValueError("all optimal size weights are zero")
-    return c * w / total
+    return c * w / w.sum()
 
 
-def _allocate(
-    part: BlockPartition,
-    c: int,
-    sc: _Scores,
-    method: str,
-    probs: BlockProbabilities,
-    exact_norms: Optional[np.ndarray] = None,
-    pilot_norms: Optional[np.ndarray] = None,
-) -> SamplingPlan:
+def _allocate(prof: _Profile, c: int, method: str, probs=None, exact_norms=None, pilot_norms=None):
     """The allocation shared by OPL, ONC and the two-step plans, all with
-    ``probs``, the optimal probabilities of ``sc``.  Sizes are proportional
-    to the score sums s (ONC), to sqrt(s^2 - g^2) with the exact block
-    product norms g (OPL), or to sqrt(|s^2 - g^2|) with pilot norms g, which
-    may overshoot s (ONU/ONMCNR).
+    ``probs``, the optimal probabilities of ``prof`` (built here if None).
+    Sizes are proportional to the score sums s (ONC), to sqrt(s^2 - g^2)
+    with the exact block product norms g (OPL), or to sqrt(|s^2 - g^2|)
+    with pilot norms g, which may overshoot s (ONU/ONMCNR), g in the
+    profile's units.
     Zero-score blocks get no draws; every other block gets at least one and
     at most its column count."""
-    s = sc.sums
+    s, part = prof.sums, prof.part
     if s.sum() == 0.0:
         raise ValueError("all blocks have zero score: nothing to sample")
     if exact_norms is not None:
         w, rule = _optimal_weights(s, exact_norms), "optimal"
     elif pilot_norms is not None:
         w, rule = np.sqrt(np.abs(s**2 - pilot_norms**2)), "pilot"
+        with np.errstate(over="ignore"):  # the plan records inf for a norm beyond float64
+            pilot_norms = np.ldexp(pilot_norms, -prof.scale)
     else:
         w, rule = s, "score"
     notes = ()
@@ -407,22 +443,22 @@ def _allocate(
         notes = (f"{rule} size weights all zero; fell back to score-sum sizes",)
     caps = np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0)
     budgets = integerize(w, c, caps=caps, floor=s > 0)
+    if probs is None:
+        probs = BlockProbabilities(_optimal_probabilities(prof), part, rule="optimal")
     return SamplingPlan(part, probs, budgets, method=method, notes=notes, pilot_norms=pilot_norms)
 
 
 def allocate_optimal(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
     """Variance-minimizing plan (tag OPL): optimal probabilities, sizes
     proportional to sqrt(s_k^2 - g_k^2).  Forms every exact block product."""
-    sc = _score(M, N, part)
-    g = _block_scores(M, N, part, sc.sums).product_norms
-    return _allocate(part, c, sc, "OPL", _optimal_probabilities(sc, part), exact_norms=g)
+    prof = _profile(M, N, part)
+    return _allocate(prof, c, "OPL", exact_norms=_product_norms(prof))
 
 
 def allocate_by_score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
     """Cheap plan (tag ONC): optimal probabilities, sizes proportional to the
     block score sums.  Never multiplies out a block."""
-    sc = _score(M, N, part)
-    return _allocate(part, c, sc, "ONC", _optimal_probabilities(sc, part))
+    return _allocate(_profile(M, N, part), c, "ONC")
 
 
 def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:

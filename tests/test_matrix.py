@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from blockmm import allocate_by_score_sums, expected_sq_error
 from blockmm.matrix import (
     BlockPartition,
-    as_matrix,
     block_view,
     column_norms,
     frobenius_norm,
@@ -14,15 +14,28 @@ from blockmm.matrix import (
 from oracles import loop_column_norms, loop_product, loop_row_norms
 
 
-def test_as_matrix_coerces_and_validates():
-    A = as_matrix([[1, 2], [3, 4]])
-    assert A.dtype == np.float64 and A.flags.c_contiguous
-    with pytest.raises(ValueError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        as_matrix([[1.0, np.nan]])
-    with pytest.raises(ValueError):
-        as_matrix([[np.inf, 0.0]])
+def test_bad_factors_rejected_at_the_boundary():
+    """A non-2-D factor, or a NaN or Inf entry, raises a ValueError that
+    names the factor, from the planners and from the analytics alike."""
+    rng = np.random.default_rng(3)
+    M, N = rng.standard_normal((3, 6)), rng.standard_normal((6, 2))
+    part = BlockPartition.equal(6, 2)
+    plan = allocate_by_score_sums(M, N, part, 4)
+    for call in (
+        lambda A, B: allocate_by_score_sums(A, B, part, 4),
+        lambda A, B: expected_sq_error(A, B, plan),
+    ):
+        with pytest.raises(ValueError, match="2-D"):
+            call(M[0], N)
+        for bad in (np.nan, np.inf, -np.inf):
+            A = M.copy()
+            A[1, 4] = bad
+            with pytest.raises(ValueError, match="M has a NaN or Inf entry"):
+                call(A, N)
+            B = N.copy()
+            B[2, 0] = bad
+            with pytest.raises(ValueError, match="N has a NaN or Inf entry"):
+                call(M, B)
 
 
 def test_partition_basics():

@@ -1,10 +1,13 @@
 """Guards of the single scoring pass: every composite call equals, bit for
-bit, its public steps, and computes the column and row norms exactly once."""
+bit, its public steps, computes the column and row norms exactly once and
+forms the block products at most once, and every plan is unchanged, bit for
+bit, when a factor is scaled by a power of two."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blockmm import (
     BlockPartition,
@@ -22,6 +25,7 @@ from blockmm import (
     gen_heavy_tail_instance,
     gen_normal_instance,
     integerize,
+    minimum_expected_sq_error,
     optimal_probabilities,
     optimal_size_weights,
     score_sums,
@@ -233,3 +237,136 @@ def test_one_probability_build_per_plan(name, probability_builds):
     probability_builds.clear()
     call()
     assert probability_builds == {"built": 1}
+
+
+# ---------------------------------------------------------------------------
+# two-step budgets are checked before the scoring pass and the pilot
+
+
+@pytest.mark.parametrize("c, c0", [(4.7, C0), (0, C0), (121, C0), (C, 5), (C, 24.5)])
+def test_two_step_checks_budgets_before_scoring(c, c0, norm_calls):
+    M, N, part = _instance("normal")  # n = 120, K = 6
+    p0 = uniform_probabilities(part)
+    for call in (
+        lambda: allocate_two_step(M, N, part, c, c0, p0, _rng()),
+        lambda: estimate_product_two_step(M, N, part, c, c0, _rng()),
+        lambda: estimate_product_two_step(M, N, part, c, c0, _rng(), pilot="norm"),
+    ):
+        norm_calls.clear()
+        with pytest.raises(ValueError):
+            call()
+        assert not norm_calls
+
+
+def test_two_step_checks_block_floors_before_the_pilot(monkeypatch):
+    M, N, part = _instance("zero-blocks")  # three of six blocks score
+    sketches = Counter()
+    original = estimators._sketch
+
+    def counted(*args):
+        sketches["pilot"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(estimators, "_sketch", counted)
+    with pytest.raises(ValueError, match="block floors"):
+        allocate_two_step(M, N, part, 2, C0, uniform_probabilities(part), _rng())
+    with pytest.raises(ValueError, match="block floors"):
+        estimate_product_two_step(M, N, part, 2, C0, _rng(), pilot="norm")
+    assert not sketches
+
+
+# ---------------------------------------------------------------------------
+# block products: formed once per analytics call, never by the cheap plans
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Counts calls of the shared block product helper under every name the
+    package binds it to."""
+    calls = Counter()
+    original = plan_module._product_norms
+
+    def counted(prof):
+        calls["formed"] += 1
+        return original(prof)
+
+    for module in (plan_module, estimators, analysis, bench):
+        if hasattr(module, "_product_norms"):
+            monkeypatch.setattr(module, "_product_norms", counted)
+    return calls
+
+
+def _product_calls():
+    M, N, part = _instance("zero-blocks")
+    onc = allocate_by_score_sums(M, N, part, C)
+    calls = _scored_calls()
+    del calls["elementwise_variance"]  # needs the block products entry by entry
+    calls.update({
+        "minimum_expected_sq_error": lambda: minimum_expected_sq_error(M, N, part, C),
+        "allocate_uniform": lambda: allocate_uniform(part, C),
+        "estimate_product": lambda: estimate_product(M, N, onc, _rng()),
+    })
+    return calls
+
+
+FORMS_PRODUCTS = {
+    "allocate_optimal",
+    "bench.METHODS[OPL]",
+    "bound_inputs_for_plan",
+    "bound_inputs_for_plan[pilot]",
+    "cancellation_stats",
+    "expected_sq_error",
+    "minimum_expected_sq_error",
+}
+
+
+@pytest.mark.parametrize("name", list(_product_calls()))
+def test_block_products_formed_once_or_never(name, product_calls):
+    call = _product_calls()[name]
+    product_calls.clear()
+    call()
+    assert product_calls["formed"] == (1 if name in FORMS_PRODUCTS else 0)
+
+
+@pytest.mark.parametrize("sizes", [(20,) * 6, (30, 10, 25, 15, 40)])
+def test_product_norms_match_the_block_loop(sizes):
+    M, N, _ = _instance("heavy")
+    part = BlockPartition(sizes)
+    g = plan_module._product_norms(plan_module._profile(M, N, part))
+    loop = [frobenius_norm(block_view(M, part, k) @ block_view(N, part, k, "rows")) for k in range(part.num_blocks)]
+    np.testing.assert_allclose(g, loop, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# scale: powers of two change no bit of a plan, and extreme scales plan
+
+
+def _plans(M, N, part):
+    """ONC, OPL and both two-step plans, each on the same rng."""
+    p0 = optimal_probabilities(M, N, part)
+    return [
+        allocate_by_score_sums(M, N, part, C),
+        allocate_optimal(M, N, part, C),
+        allocate_two_step(M, N, part, C, C0, uniform_probabilities(part), _rng()),
+        allocate_two_step(M, N, part, C, C0, p0, _rng()),
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), a=st.integers(-900, 900), b=st.integers(-900, 900))
+@example(kind="heavy", a=900, b=-900)  # squares overflow in M and underflow in N
+@example(kind="normal", a=-200, b=200)  # inside the float range, outside NORM_RANGE
+def test_plans_are_invariant_under_power_of_two_scaling(kind, a, b):
+    M, N, part = _instance(kind)
+    for want, got in zip(_plans(M, N, part), _plans(np.ldexp(M, a), np.ldexp(N, b), part)):
+        assert got.probs.values.tobytes() == want.probs.values.tobytes()
+        assert got.budgets.tobytes() == want.budgets.tobytes()
+        assert got.notes == want.notes
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_extreme_scales_plan(factor):
+    M, N, part = _instance("heavy")
+    for want, got in zip(_plans(M, N, part), _plans(M * factor, N * factor, part)):
+        np.testing.assert_allclose(got.probs.values, want.probs.values, rtol=1e-12)
+        assert got.total == C
