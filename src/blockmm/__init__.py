@@ -78,7 +78,6 @@ from .bench import (
     estimate_bytes,
     run,
     summarize,
-    write_raw_csv,
     write_results,
 )
 

@@ -284,8 +284,9 @@ def bound_inputs_for_plan(
     prof = _profile(M, N, plan.partition)
     exact_stats = _cancellation(prof.sums, _product_norms(prof), exact=True)
     floor = _floor_ratio(plan.probs.values, _optimal_probabilities(prof))
-    if plan.pilot_norms is not None:
-        stats = _cancellation(prof.sums, np.ldexp(plan.pilot_norms, prof.scale), exact=False)
+    if plan._pilot is not None:
+        values, e = plan._pilot
+        stats = _cancellation(prof.sums, np.ldexp(values, prof.scale - e), exact=False)
         hi_exact = exact_stats.cancel_hi
     else:
         stats = exact_stats

@@ -345,9 +345,6 @@ def write_records(path, records: Sequence) -> None:
     write_csv(path, names, ([getattr(r, name) for name in names] for r in records))
 
 
-write_raw_csv = write_records
-
-
 def write_results(out_dir, raw: Sequence[RawRecord], summary: Sequence[SummaryRecord]) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

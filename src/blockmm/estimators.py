@@ -2,11 +2,14 @@
 
 The blocked estimator draws each block's column indices i.i.d. from that
 block's probabilities, on the block's own child stream, for every block with
-a positive budget.  It then gathers every drawn column/row pair of the whole
-plan at once, scales each by 1/sqrt(count * p), and multiplies the two thin
-factors once.  ``sketch_columns`` is the validated single-block version of
-the same draw, gather and scale; the whole-block baseline samples entire
-blocks instead of columns.
+a positive budget: one ``random`` call and one ``searchsorted`` on the
+block's slice of one table of running sums, built once per call (one
+row-wise cumsum for an equal partition).  It then gathers every drawn
+column/row pair of the whole plan at once, scales each by 1/sqrt(count * p)
+in place, and multiplies the two thin factors once.  ``sketch_columns`` is
+the validated single-block version of the same draw, gather and scale; the
+whole-block baseline samples entire blocks instead of columns, by the same
+draw rule over the blocks.
 
 The two-step plans (tags ONU / ONMCNR) live here too, next to the sampler
 their pilot runs: ``allocate_two_step`` sizes the blocks from pilot-sampled
@@ -38,17 +41,35 @@ from .plan import (
 )
 
 
+def _inverse_cdf(cum: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The one draw rule: ``count`` uniforms on ``rng``, each looked up in one
+    block's running probability sums ``cum``, as local indices.  An index
+    below ``cum.size`` always has positive probability: where p_i = 0,
+    cum[i] equals cum[i - 1] and cannot be the first sum above u."""
+    return cum.searchsorted(rng.random(count), side="right")
+
+
+def _block_cumsums(probs: BlockProbabilities) -> np.ndarray:
+    """Every block's running probability sums, as one n-vector: one row-wise
+    cumsum for an equal partition (it adds in sequence, the same bits as one
+    cumsum per block), else one cumsum per block.  Built per call: kept on
+    every probability vector, one more long-lived n-vector each, it raised
+    the desk-heavy benchmark's peak RSS by 3-6% through heap fragmentation."""
+    part = probs.partition
+    K, b = part.num_blocks, part.sizes[0]
+    if part.sizes == (b,) * K:
+        return probs.values.reshape(K, b).cumsum(axis=1).ravel()
+    return np.concatenate([np.cumsum(v) for v in probs.per_block])
+
+
 def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw of ``count`` i.i.d. indices; never returns an index
-    with zero probability."""
-    cum = np.cumsum(probs)
+    """Inverse-CDF draw of ``count`` i.i.d. indices from one probability
+    vector; never returns an index with zero probability."""
     support = np.flatnonzero(probs > 0)
     if support.size == 0:
         raise ValueError("probability vector has empty support")
-    u = rng.random(count)
-    idx = np.searchsorted(cum, u, side="right")
     # u may exceed cum[-1] by float rounding; clamp onto the support's end.
-    return np.minimum(idx, support[-1])
+    return np.minimum(_inverse_cdf(np.cumsum(probs), count, rng), support[-1])
 
 
 def _gather(M: np.ndarray, N: np.ndarray, idx: np.ndarray, counts, p: np.ndarray):
@@ -56,7 +77,13 @@ def _gather(M: np.ndarray, N: np.ndarray, idx: np.ndarray, counts, p: np.ndarray
     1/sqrt(count * p), so that the thin factors' product has expectation
     M @ N; returns (C, D, scales), C row-major."""
     scales = 1.0 / np.sqrt(counts * p)
-    return np.take(M, idx, axis=1) * scales, N[idx] * scales[:, None], scales
+    # Scaled in place, in the dtype the product with the scales would have
+    # (integer factors become float64), so the bits match the plain product.
+    C = np.take(M, idx, axis=1).astype(np.result_type(M, scales), copy=False)
+    C *= scales
+    D = N[idx].astype(np.result_type(N, scales), copy=False)
+    D *= scales[:, None]
+    return C, D, scales
 
 
 class DrawRecord(NamedTuple):
@@ -133,10 +160,15 @@ def _sketch(
     gather and scale of all draws.  ``probs`` was validated when it was
     built, so nothing is checked again here."""
     part = probs.partition
+    cum, off = _block_cumsums(probs), part.offsets.tolist()
     streams = rng.spawn(part.num_blocks)
-    local = [_draw_indices(probs[k], ck, streams[k]) for k, ck in enumerate(counts.tolist()) if ck > 0]
+    local = [_inverse_cdf(cum[off[k] : off[k + 1]], ck, streams[k]) for k, ck in enumerate(counts.tolist()) if ck > 0]
     block = np.repeat(np.arange(part.num_blocks), counts)
     idx = np.concatenate([np.empty(0, np.int64), *local]) + part.offsets[block]
+    # u may reach a block's last sum by float rounding, and the draw then
+    # lands one past the block; clamp it onto the block's last positive column.
+    for i in np.flatnonzero(idx == part.offsets[block + 1]).tolist():
+        idx[i] = off[block[i]] + np.flatnonzero(probs[block[i]])[-1]
     p = probs.values[idx]
     C, D, scales = _gather(M, N, idx, np.repeat(counts, counts), p)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)

@@ -40,6 +40,9 @@ LEVEL_SLACK = 1e-9  # relative nearness to a bound at which integerize defers to
 
 
 def _check_instance(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> None:
+    for name, X in (("M", M), ("N", N)):
+        if not isinstance(X, np.ndarray):
+            raise ValueError(f"{name} must be a numpy array, got {type(X).__name__}")
     if M.ndim != 2 or N.ndim != 2:
         raise ValueError("factors must be 2-D")
     if M.shape[1] != N.shape[0]:
@@ -116,6 +119,12 @@ class BlockScores:
         object.__setattr__(self, "product_norms", g)
 
 
+def _unscaled(pilot: tuple[np.ndarray, int]) -> np.ndarray:
+    values, e = pilot
+    with np.errstate(over="ignore"):  # the audit field records inf for a norm beyond float64
+        return np.ldexp(values, -e)
+
+
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
     """Partition + probabilities + integer budgets; the estimator input."""
@@ -126,6 +135,12 @@ class SamplingPlan:
     method: str = ""
     notes: tuple[str, ...] = ()
     pilot_norms: Optional[np.ndarray] = None  # two-step audit: per-block pilot norms
+    # The pilot norms as (values, e), pilot_norms = values * 2**-e.  The
+    # two-step plans pass the scoring pass's units here, where no norm
+    # overflows or underflows, and pilot_norms follows from it.  A
+    # pilot_norms given alone, or changed by dataclasses.replace, wins:
+    # it becomes (pilot_norms, 0).
+    _pilot: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.budgets)
@@ -144,11 +159,17 @@ class SamplingPlan:
             k = int(np.argmax(mismatch))
             raise ValueError(f"block {k}: zero budget and zero-probability flag must coincide")
         object.__setattr__(self, "budgets", b)
+        pilot = self._pilot
         if self.pilot_norms is not None:
-            pn = np.asarray(self.pilot_norms, dtype=np.float64)
-            if pn.shape != (self.partition.num_blocks,):
+            given = np.asarray(self.pilot_norms, dtype=np.float64)
+            if pilot is None or not np.array_equal(given, _unscaled(pilot)):
+                pilot = (given, 0)
+        if pilot is not None:
+            values, e = np.asarray(pilot[0], dtype=np.float64), pilot[1]
+            if values.shape != (self.partition.num_blocks,):
                 raise ValueError("pilot_norms must be one value per block")
-            object.__setattr__(self, "pilot_norms", pn)
+            object.__setattr__(self, "pilot_norms", _unscaled((values, e)))
+            object.__setattr__(self, "_pilot", (values, e))
 
     @property
     def total(self) -> int:
@@ -431,8 +452,6 @@ def _allocate(prof: _Profile, c: int, method: str, probs=None, exact_norms=None,
         w, rule = _optimal_weights(s, exact_norms), "optimal"
     elif pilot_norms is not None:
         w, rule = np.sqrt(np.abs(s**2 - pilot_norms**2)), "pilot"
-        with np.errstate(over="ignore"):  # the plan records inf for a norm beyond float64
-            pilot_norms = np.ldexp(pilot_norms, -prof.scale)
     else:
         w, rule = s, "score"
     notes = ()
@@ -445,7 +464,8 @@ def _allocate(prof: _Profile, c: int, method: str, probs=None, exact_norms=None,
     budgets = integerize(w, c, caps=caps, floor=s > 0)
     if probs is None:
         probs = BlockProbabilities(_optimal_probabilities(prof), part, rule="optimal")
-    return SamplingPlan(part, probs, budgets, method=method, notes=notes, pilot_norms=pilot_norms)
+    pilot = None if pilot_norms is None else (pilot_norms, prof.scale)
+    return SamplingPlan(part, probs, budgets, method=method, notes=notes, _pilot=pilot)
 
 
 def allocate_optimal(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:

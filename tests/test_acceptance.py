@@ -37,7 +37,7 @@ from blockmm import (
     run,
     uniform_probabilities,
 )
-from blockmm.bench import make_instance, write_raw_csv
+from blockmm.bench import make_instance, write_records
 from blockmm.matrix import frobenius_norm, multiply_exact
 from blockmm.plan import optimal_size_weights, real_optimal_budgets
 from oracles import blockwise_mean_var, joint_mean_var, loop_expected_sq_error
@@ -299,6 +299,6 @@ def test_criterion_10_determinism(tmp_path):
     with criterion(10, "identical config and seed give a byte-identical raw CSV"):
         cfg = ExperimentConfig(reps=3, record_timing=False)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_raw_csv(a, run(cfg)[0])
-        write_raw_csv(b, run(cfg)[0])
+        write_records(a, run(cfg)[0])
+        write_records(b, run(cfg)[0])
         assert a.read_bytes() == b.read_bytes()

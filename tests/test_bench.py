@@ -25,7 +25,6 @@ from blockmm.bench import (
     estimate_bytes,
     make_instance,
     summarize,
-    write_raw_csv,
     write_records,
     write_results,
 )
@@ -207,8 +206,8 @@ def test_run_deterministic_bytes(tmp_path):
     raw2, _ = run(cfg)
     assert raw1 == raw2
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_raw_csv(a, raw1)
-    write_raw_csv(b, raw2)
+    write_records(a, raw1)
+    write_records(b, raw2)
     assert a.read_bytes() == b.read_bytes()
 
 

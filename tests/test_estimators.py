@@ -235,6 +235,19 @@ def test_estimate_skips_zero_budget_blocks():
         allocate_optimal(M, N, part, c=5)
 
 
+def test_integer_factors_sample_like_their_float_copies():
+    rng = np.random.default_rng(21)
+    M, N = rng.integers(-9, 10, (3, 12)), rng.integers(-9, 10, (12, 4))
+    part = BlockPartition.equal(12, 3)
+    plan = allocate_by_score_sums(M, N, part, 6)
+    for run in (
+        lambda A, B: estimate_product(A, B, plan, np.random.default_rng(4))[1],
+        lambda A, B: estimate_product_two_step(A, B, part, 6, 6, np.random.default_rng(4), pilot="norm").product,
+    ):
+        got, want = run(M, N), run(M.astype(np.float64), N.astype(np.float64))
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 def test_estimate_all_zero_plan():
     M, N = tiny_instance(16, m=2, n=6, p=3)
     part = BlockPartition.equal(6, 3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockmm import allocate_by_score_sums, expected_sq_error
+from blockmm import allocate_by_score_sums, estimate_product, expected_sq_error
 from blockmm.matrix import (
     BlockPartition,
     block_view,
@@ -15,18 +15,25 @@ from oracles import loop_column_norms, loop_product, loop_row_norms
 
 
 def test_bad_factors_rejected_at_the_boundary():
-    """A non-2-D factor, or a NaN or Inf entry, raises a ValueError that
-    names the factor, from the planners and from the analytics alike."""
+    """A factor that is no array or not 2-D raises a ValueError from the
+    planners, the analytics and the estimator alike; a NaN or Inf entry one
+    that names the factor from every call that scores the instance."""
     rng = np.random.default_rng(3)
     M, N = rng.standard_normal((3, 6)), rng.standard_normal((6, 2))
     part = BlockPartition.equal(6, 2)
     plan = allocate_by_score_sums(M, N, part, 4)
-    for call in (
+    scoring = (
         lambda A, B: allocate_by_score_sums(A, B, part, 4),
         lambda A, B: expected_sq_error(A, B, plan),
-    ):
+    )
+    for call in (*scoring, lambda A, B: estimate_product(A, B, plan, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="M must be a numpy array, got list"):
+            call(M.tolist(), N)
+        with pytest.raises(ValueError, match="N must be a numpy array, got list"):
+            call(M, N.tolist())
         with pytest.raises(ValueError, match="2-D"):
             call(M[0], N)
+    for call in scoring:
         for bad in (np.nan, np.inf, -np.inf):
             A = M.copy()
             A[1, 4] = bad

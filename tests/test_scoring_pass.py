@@ -1,8 +1,12 @@
 """Guards of the single scoring pass: every composite call equals, bit for
 bit, its public steps, computes the column and row norms exactly once and
 forms the block products at most once, and every plan is unchanged, bit for
-bit, when a factor is scaled by a power of two."""
+bit, when a factor is scaled by a power of two.  The sampler draws from one
+table of per-block running sums per call and still equals the per-block
+``sketch_columns`` bit for bit."""
 
+import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from blockmm import (
     BlockPartition,
+    BlockProbabilities,
+    SamplingPlan,
     allocate_by_score_sums,
     allocate_optimal,
     allocate_two_step,
@@ -152,6 +158,96 @@ def test_estimate_product_equals_per_block_sketches(kind):
     M, N, part = _instance(kind)
     for plan in (allocate_by_score_sums(M, N, part, C), allocate_uniform(part, C)):
         _assert_same_estimate(*estimate_product(M, N, plan, _rng()), _sketch_estimate(M, N, plan, _rng()))
+
+
+UNEQUAL = BlockPartition((30, 10, 25, 15, 40))  # n = 120: the table's per-block cumsum loop
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_estimate_product_on_an_unequal_partition_equals_per_block_sketches(kind):
+    M, N, _ = _instance(kind)  # "zero-blocks": blocks 1 and 4 have zero score
+    for plan in (allocate_by_score_sums(M, N, UNEQUAL, C), allocate_uniform(UNEQUAL, C)):
+        _assert_same_estimate(*estimate_product(M, N, plan, _rng()), _sketch_estimate(M, N, plan, _rng()))
+
+
+def _trailing_zeros_plan():
+    """Every block's trailing probabilities are zero, and blocks 0 and 2 sum
+    to just below 1, so that a draw near 1 lands past their last positive
+    column; block 1 is all zero."""
+    part = BlockPartition((5, 4, 6))
+    values = np.array([0.3, 0.3, 0.4 - 4e-13, 0, 0, 0, 0, 0, 0, 1.0 - 3e-13, 0, 0, 0, 0, 0])
+    return SamplingPlan(part, BlockProbabilities(values, part), np.array([7, 0, 3]))
+
+
+class _NearOne:
+    """A stand-in generator whose every child draws the largest double below 1."""
+
+    def spawn(self, n):
+        return [self] * n
+
+    def random(self, count):
+        return np.full(count, np.nextafter(1.0, 0.0))
+
+
+def test_draws_past_a_blocks_last_sum_are_clamped_onto_its_support():
+    M, N, _ = _instance("normal")
+    M, N, plan = M[:, :15], N[:15], _trailing_zeros_plan()
+    pair, product, log = estimate_product(M, N, plan, _NearOne())
+    np.testing.assert_array_equal(log.column, [2] * 7 + [9] * 3)
+    _assert_same_estimate(pair, product, log, _sketch_estimate(M, N, plan, _NearOne()))
+
+
+def test_estimate_product_with_trailing_zero_probabilities_equals_per_block_sketches():
+    M, N, _ = _instance("heavy")
+    M, N, plan = M[:, :15], N[:15], _trailing_zeros_plan()
+    for seed in range(5):
+        _assert_same_estimate(*estimate_product(M, N, plan, _rng(seed)), _sketch_estimate(M, N, plan, _rng(seed)))
+
+
+@pytest.mark.parametrize("part", [BlockPartition.equal(120, 6), UNEQUAL])
+def test_block_cumsums_equal_one_cumsum_per_block(part):
+    M, N, _ = _instance("zero-blocks")
+    for probs in (optimal_probabilities(M, N, part), uniform_probabilities(part)):
+        cum = estimators._block_cumsums(probs)
+        off = part.offsets
+        assert [cum[a:b].tobytes() for a, b in zip(off, off[1:])] == [np.cumsum(p).tobytes() for p in probs.per_block]
+
+
+@pytest.fixture
+def sampler_work(monkeypatch):
+    """Counts the running-sum tables built and the ``np.cumsum`` calls made
+    inside each sampler call."""
+    calls = Counter()
+    original_table, original_sketch, original_cumsum = estimators._block_cumsums, estimators._sketch, np.cumsum
+
+    def table(*args):
+        calls["tables"] += 1
+        return original_table(*args)
+
+    def cumsum(*args, **kwargs):
+        calls["cumsum"] += 1
+        return original_cumsum(*args, **kwargs)
+
+    def sketch(*args):
+        calls["sketches"] += 1
+        before = calls["cumsum"]
+        out = original_sketch(*args)
+        calls["most cumsums in one sketch"] = max(calls["most cumsums in one sketch"], calls["cumsum"] - before)
+        return out
+
+    monkeypatch.setattr(estimators, "_block_cumsums", table)
+    monkeypatch.setattr(estimators, "_sketch", sketch)
+    monkeypatch.setattr(np, "cumsum", cumsum)
+    return calls
+
+
+@pytest.mark.parametrize("pilot", ["uniform", "norm"])
+def test_each_sampler_call_builds_one_table_and_no_per_block_cumsum(pilot, sampler_work):
+    M, N, part = _instance("zero-blocks")  # K = 6 equal blocks
+    estimate_product_two_step(M, N, part, C, C0, _rng(), pilot=pilot)
+    assert sampler_work["sketches"] == 2  # the pilot and the main pass
+    assert sampler_work["tables"] == 2
+    assert sampler_work["most cumsums in one sketch"] <= 1  # the offsets only, none per block
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +466,32 @@ def test_extreme_scales_plan(factor):
     for want, got in zip(_plans(M, N, part), _plans(M * factor, N * factor, part)):
         np.testing.assert_allclose(got.probs.values, want.probs.values, rtol=1e-12)
         assert got.total == C
+
+
+@pytest.mark.parametrize("a, b", [(600, 600), (-600, -600), (600, -600)])
+def test_pilot_bound_inputs_are_invariant_under_power_of_two_scaling(a, b):
+    M, N, part = _instance("heavy")
+    Ms, Ns = np.ldexp(M, a), np.ldexp(N, b)
+    for want_plan, got_plan in zip(_plans(M, N, part)[2:], _plans(Ms, Ns, part)[2:]):
+        want = bound_inputs_for_plan(M, N, want_plan, 0.1)
+        got = bound_inputs_for_plan(Ms, Ns, got_plan, 0.1)
+        for name in ("c", "fail_prob", "prob_floor", "cancel_lo", "cancel_hi", "ratios", "cancel_hi_exact"):
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+        assert (got.frob_m, got.frob_n) == (math.ldexp(want.frob_m, a), math.ldexp(want.frob_n, b))
+
+
+def test_replaced_two_step_plans_keep_or_take_the_pilot_norms():
+    M, N, part = _instance("heavy")
+    Ms, Ns = np.ldexp(M, 600), np.ldexp(N, 600)
+    plan = _plans(Ms, Ns, part)[3]
+    assert np.isinf(plan.pilot_norms).all()  # beyond float64 in the caller's units
+    want = bound_inputs_for_plan(Ms, Ns, plan, 0.1)
+    kept = bound_inputs_for_plan(Ms, Ns, dataclasses.replace(plan, method="renamed"), 0.1)
+    for name in ("cancel_lo", "cancel_hi", "ratios"):
+        assert np.asarray(getattr(kept, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+    plan = _plans(M, N, part)[3]
+    moved = dataclasses.replace(plan, pilot_norms=plan.pilot_norms * 0.5)
+    np.testing.assert_array_equal(moved.pilot_norms, plan.pilot_norms * 0.5)
+    np.testing.assert_array_equal(
+        bound_inputs_for_plan(M, N, moved, 0.1).ratios, bound_inputs_for_plan(M, N, plan, 0.1).ratios * 0.5
+    )
