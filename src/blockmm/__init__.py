@@ -34,8 +34,6 @@ from .plan import (
     uniform_probabilities,
 )
 from .estimators import (
-    BlockDrawRecord,
-    DrawRecord,
     SampleLog,
     SketchPair,
     TwoStepResult,

@@ -52,7 +52,7 @@ def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets) -> np.ndarray:
         raise ValueError("budget override must be one nonnegative value per block")
     missed = (plan.probs.values == 0) & (prof.index > 0)
     if missed.any():
-        k = int(np.searchsorted(part.offsets, np.argmax(missed), side="right")) - 1
+        k = int(np.argmax(np.logical_or.reduceat(missed, part.offsets[:-1])))
         raise ValueError(f"block {k}: zero probability at a contributing column")
     return b
 

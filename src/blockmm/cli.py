@@ -74,10 +74,7 @@ def main(argv=None) -> int:
             if value is not None:
                 doc[key] = value
         if args.methods:
-            tags = []
-            for entry in args.methods:
-                tags.extend(t.strip() for t in entry.split(",") if t.strip())
-            doc["methods"] = tuple(tags)
+            doc["methods"] = ",".join(args.methods)
         if args.no_timing:
             doc["record_timing"] = False
         config = config_from_dict(doc)

@@ -1,23 +1,25 @@
 """Monte Carlo product estimators built from sampled, rescaled columns.
 
-The blocked estimator draws each block's column indices i.i.d. from that
-block's probabilities, on the block's own child stream, for every block with
-a positive budget: one ``random`` call and one ``searchsorted`` on the
-block's slice of one table of running sums, built once per call (one
-row-wise cumsum for an equal partition).  It then gathers every drawn
-column/row pair of the whole plan at once, scales each by 1/sqrt(count * p)
-in place, and multiplies the two thin factors once.  ``sketch_columns`` is
-the validated single-block version of the same draw, gather and scale; the
-whole-block baseline samples entire blocks instead of columns, by the same
-draw rule over the blocks.
+Every sampler draws by one rule, inverse-CDF importance sampling: in each
+block with a positive count, one ``random`` call and one binary search in
+the block's slice of one table of running sums, built once per call.
+The probabilities are a validated ``BlockProbabilities``, so a negative or
+non-finite entry, or a block that sums to neither 1 nor 0, is rejected
+before any draw.  The blocked estimator then gathers every drawn
+column/row pair of its plan at once, scales each by 1/sqrt(count * p) in
+place, and multiplies the two thin factors once; ``sketch_columns`` does
+the same on one block, and the whole-block baseline draws blocks from the
+K block probabilities, taken as one block, and gathers their columns at
+once.  All three return the same per-draw ``SampleLog``.
 
 The two-step plans (tags ONU / ONMCNR) live here too, next to the sampler
 their pilot runs: ``allocate_two_step`` sizes the blocks from pilot-sampled
 block product norms, each taken from the block's slice of one pilot sketch.
 
-Randomness discipline: every estimator takes a ``numpy.random.Generator``
-and spawns one child stream per block, so results are reproducible from a
-single seed and invariant to the order blocks are processed in.
+Randomness discipline: every estimator takes a ``numpy.random.Generator``;
+the blocked ones spawn one child stream per block, so results are
+reproducible from a single seed and invariant to the order blocks are
+processed in.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, block_view, frobenius_norm
+from .matrix import BlockPartition, as_int, frobenius_norm
 from .plan import (
-    PROB_SUM_TOL,
     BlockProbabilities,
     SamplingPlan,
     _allocate,
@@ -39,14 +40,6 @@ from .plan import (
     block_norm_probabilities,
     uniform_probabilities,
 )
-
-
-def _inverse_cdf(cum: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The one draw rule: ``count`` uniforms on ``rng``, each looked up in one
-    block's running probability sums ``cum``, as local indices.  An index
-    below ``cum.size`` always has positive probability: where p_i = 0,
-    cum[i] equals cum[i - 1] and cannot be the first sum above u."""
-    return cum.searchsorted(rng.random(count), side="right")
 
 
 def _block_cumsums(probs: BlockProbabilities) -> np.ndarray:
@@ -62,14 +55,33 @@ def _block_cumsums(probs: BlockProbabilities) -> np.ndarray:
     return np.concatenate([np.cumsum(v) for v in probs.per_block])
 
 
-def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw of ``count`` i.i.d. indices from one probability
-    vector; never returns an index with zero probability."""
-    support = np.flatnonzero(probs > 0)
-    if support.size == 0:
-        raise ValueError("probability vector has empty support")
-    # u may exceed cum[-1] by float rounding; clamp onto the support's end.
-    return np.minimum(_inverse_cdf(np.cumsum(probs), count, rng), support[-1])
+def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.ndarray]:
+    """The one draw rule: ``counts[k]`` uniforms on ``streams[k]`` in every
+    block k with a positive count, each looked up in the block's running
+    sums; returns each draw's block and global index.  ``probs`` was
+    validated when it was built, so nothing is checked here.  An index below
+    a block's end always has positive probability: where p_i = 0, cum[i]
+    equals cum[i - 1] and cannot be the first sum above u."""
+    part = probs.partition
+    cum, off = _block_cumsums(probs), part.offsets.tolist()
+    blocks = zip(off, off[1:], counts, streams)
+    local = [cum[a:b].searchsorted(rng.random(ck), side="right") for a, b, ck, rng in blocks if ck > 0]
+    block = np.repeat(np.arange(part.num_blocks), counts)
+    idx = np.concatenate([np.empty(0, np.int64), *local]) + part.offsets[block]
+    # u may reach a block's last sum by float rounding, and the draw then
+    # lands one past the block; clamp it onto the block's last positive column.
+    for i in np.flatnonzero(idx == part.offsets[block + 1]).tolist():
+        idx[i] = off[block[i]] + np.flatnonzero(probs[block[i]])[-1]
+    return block, idx
+
+
+def _one_block(probs, size: int) -> BlockProbabilities:
+    """``probs`` validated as the probabilities of one block of ``size``
+    items, which must not be all zero."""
+    q = BlockProbabilities(probs, BlockPartition((size,)))
+    if q._zero[0]:
+        raise ValueError("probabilities are all zero: nothing to sample")
+    return q
 
 
 def _gather(M: np.ndarray, N: np.ndarray, idx: np.ndarray, counts, p: np.ndarray):
@@ -81,47 +93,9 @@ def _gather(M: np.ndarray, N: np.ndarray, idx: np.ndarray, counts, p: np.ndarray
     # (integer factors become float64), so the bits match the plain product.
     C = np.take(M, idx, axis=1).astype(np.result_type(M, scales), copy=False)
     C *= scales
-    D = N[idx].astype(np.result_type(N, scales), copy=False)
+    D = np.take(N, idx, axis=0).astype(np.result_type(N, scales), copy=False)
     D *= scales[:, None]
     return C, D, scales
-
-
-class DrawRecord(NamedTuple):
-    """Per-draw audit trail of one ``sketch_columns`` call."""
-
-    columns: np.ndarray  # local column indices
-    probs: np.ndarray
-    scales: np.ndarray
-
-
-def sketch_columns(
-    Mb: np.ndarray,
-    Nb: np.ndarray,
-    count: int,
-    probs: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, DrawRecord]:
-    """Sample ``count`` rescaled column/row pairs from one block.
-
-    Returns thin factors C (m x count) and D (count x p) whose product has
-    expectation Mb @ Nb, plus the draw record.
-    """
-    if Mb.ndim != 2 or Nb.ndim != 2 or Mb.shape[1] != Nb.shape[0]:
-        raise ValueError(f"factor shapes do not chain: {Mb.shape} x {Nb.shape}")
-    count = as_int("count", count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (Mb.shape[1],):
-        raise ValueError("need one probability per column")
-    if (probs < 0).any() or abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError("probabilities must be >= 0 and sum to 1")
-    idx = _draw_indices(probs, count, rng)
-    p = probs[idx]
-    C, D, scales = _gather(Mb, Nb, idx, count, p)
-    # Column-major, like each pilot block: BLAS rounds small products
-    # differently by operand layout, and the pilot replays multiply this C.
-    return np.asfortranarray(C), D, DrawRecord(idx.astype(np.int64), p, scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +110,9 @@ class SketchPair:
 
 @dataclass(frozen=True, eq=False)
 class SampleLog:
-    """Flat per-draw log across blocks (columns are global inner indices)."""
+    """Flat per-draw log of every sampler, one row per sketch column
+    (``column`` is a global inner index); the whole-block baseline logs a
+    drawn block's columns under one ``draw``."""
 
     block: np.ndarray
     draw: np.ndarray
@@ -153,27 +129,40 @@ def _sketch(
     N: np.ndarray,
     probs: BlockProbabilities,
     counts: np.ndarray,
-    rng: np.random.Generator,
+    streams,
 ) -> tuple[SketchPair, SampleLog]:
     """The blocked sampler: ``counts[k]`` draws in every block k with a
-    positive count, each block on its own child stream of ``rng``, then one
-    gather and scale of all draws.  ``probs`` was validated when it was
-    built, so nothing is checked again here."""
-    part = probs.partition
-    cum, off = _block_cumsums(probs), part.offsets.tolist()
-    streams = rng.spawn(part.num_blocks)
-    local = [_inverse_cdf(cum[off[k] : off[k + 1]], ck, streams[k]) for k, ck in enumerate(counts.tolist()) if ck > 0]
-    block = np.repeat(np.arange(part.num_blocks), counts)
-    idx = np.concatenate([np.empty(0, np.int64), *local]) + part.offsets[block]
-    # u may reach a block's last sum by float rounding, and the draw then
-    # lands one past the block; clamp it onto the block's last positive column.
-    for i in np.flatnonzero(idx == part.offsets[block + 1]).tolist():
-        idx[i] = off[block[i]] + np.flatnonzero(probs[block[i]])[-1]
+    positive count, on ``streams[k]``, then one gather and scale of all
+    draws."""
+    block, idx = _draw(probs, counts, streams)
     p = probs.values[idx]
     C, D, scales = _gather(M, N, idx, np.repeat(counts, counts), p)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     draw = np.arange(idx.size) - offsets[block]
     return SketchPair(C, D, offsets), SampleLog(block, draw, idx, p, scales)
+
+
+def sketch_columns(
+    Mb: np.ndarray,
+    Nb: np.ndarray,
+    count: int,
+    probs: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, SampleLog]:
+    """Sample ``count`` rescaled column/row pairs from one block.
+
+    Returns thin factors C (m x count) and D (count x p) whose product has
+    expectation Mb @ Nb, plus the per-draw log.
+    """
+    if Mb.ndim != 2 or Nb.ndim != 2 or Mb.shape[1] != Nb.shape[0]:
+        raise ValueError(f"factor shapes do not chain: {Mb.shape} x {Nb.shape}")
+    count = as_int("count", count)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    pair, log = _sketch(Mb, Nb, _one_block(probs, Mb.shape[1]), np.array([count]), [rng])
+    # Column-major, like each pilot block: BLAS rounds small products
+    # differently by operand layout, and the pilot replays multiply this C.
+    return np.asfortranarray(pair.C), pair.D, log
 
 
 def estimate_product(
@@ -190,7 +179,7 @@ def estimate_product(
     exactly zero to the true product as well.
     """
     _check_instance(M, N, plan.partition)
-    pair, log = _sketch(M, N, plan.probs, plan.budgets, rng)
+    pair, log = _sketch(M, N, plan.probs, plan.budgets, rng.spawn(plan.partition.num_blocks))
     return pair, pair.C @ pair.D, log
 
 
@@ -226,7 +215,7 @@ def allocate_two_step(
     probs = BlockProbabilities(_optimal_probabilities(prof), part, rule="optimal")
     p0 = probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pair, _ = _sketch(prof.M, prof.N, p0, counts, rng)
+    pair, _ = _sketch(prof.M, prof.N, p0, counts, rng.spawn(K))
     # Each block's product from a column-major C, as from sketch_columns.
     off = pair.offsets.tolist()
     pilot_norms = np.array(
@@ -277,14 +266,6 @@ def estimate_product_two_step(
     return TwoStepResult(pair, product, log, plan)
 
 
-class BlockDrawRecord(NamedTuple):
-    """Audit trail of the whole-block baseline: one entry per drawn block."""
-
-    blocks: np.ndarray
-    probs: np.ndarray
-    scales: np.ndarray
-
-
 def estimate_product_block_sampling(
     M: np.ndarray,
     N: np.ndarray,
@@ -292,29 +273,23 @@ def estimate_product_block_sampling(
     draws: int,
     rng: np.random.Generator,
     probs: Optional[np.ndarray] = None,
-) -> tuple[SketchPair, np.ndarray, BlockDrawRecord]:
+) -> tuple[SketchPair, np.ndarray, SampleLog]:
     """Whole-block baseline (tag SSM): draw ``draws`` block indices i.i.d.
     with probability proportional to the blocks' norm product (or ``probs``)
-    and stack the rescaled blocks themselves into the sketch."""
+    and stack the rescaled blocks themselves into the sketch.  The log has
+    one row per sketch column; its ``draw`` is the block draw it came from."""
     _check_instance(M, N, part)
-    if probs is None:
-        q = block_norm_probabilities(M, N, part)
-    else:
-        q = np.asarray(probs, dtype=np.float64)
-        if q.shape != (part.num_blocks,) or (q < 0).any() or abs(q.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError("block probabilities must be >= 0 and sum to 1")
+    q = block_norm_probabilities(M, N, part) if probs is None else probs
+    q = _one_block(q, part.num_blocks)
     draws = as_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    idx = _draw_indices(q, draws, rng)
-    scales = 1.0 / np.sqrt(draws * q[idx])
-    C_parts, D_parts = [], []
-    for k, s in zip(idx, scales):
-        C_parts.append(s * block_view(M, part, int(k)))
-        D_parts.append(s * block_view(N, part, int(k), "rows"))
-    C = np.hstack(C_parts)
-    D = np.vstack(D_parts)
-    widths = np.array([part.sizes[int(k)] for k in idx], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(widths)))
-    record = BlockDrawRecord(idx.astype(np.int64), q[idx], scales)
-    return SketchPair(C, D, offsets), C @ D, record
+    drawn = _draw(q, [draws], [rng])[1]
+    start = part.offsets[drawn]
+    widths = part.offsets[drawn + 1] - start
+    offsets = np.concatenate(([0], widths.cumsum()))
+    draw = np.arange(draws).repeat(widths)
+    idx = np.arange(offsets[-1]) + (start - offsets[:-1]).repeat(widths)
+    block, p = drawn[draw], q.values[drawn][draw]
+    C, D, scales = _gather(M, N, idx, draws, p)
+    return SketchPair(C, D, offsets), C @ D, SampleLog(block, draw, idx, p, scales)

@@ -1,11 +1,11 @@
 """Dense matrices, block partitions of the inner dimension, norms, and the
 package's CSV writer.
 
-Matrices are plain float64 NumPy arrays in row-major (C) order; the
+Matrices are plain NumPy arrays of a bool, integer or floating dtype; the
 scoring pass in ``plan`` rejects a factor with a NaN or Inf entry.  Block
 views are NumPy slices, i.e. (offset, stride) windows into the parent
-buffer -- building a sampling plan copies a factor only when its norms
-overflow or underflow and it must be rescaled.
+buffer -- building a sampling plan copies a factor only when it is not
+float64, or when its norms overflow or underflow and it must be rescaled.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class BlockPartition:
     def __post_init__(self):
         if len(self.sizes) < 1:
             raise ValueError("partition needs at least one block")
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(as_int("block size", s) for s in self.sizes)
         if any(s < 1 for s in sizes):
             raise ValueError(f"every block size must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
@@ -46,6 +46,7 @@ class BlockPartition:
     @classmethod
     def equal(cls, n: int, num_blocks: int) -> "BlockPartition":
         """Equal-sized partition; requires n divisible by num_blocks."""
+        n, num_blocks = as_int("n", n), as_int("num_blocks", num_blocks)
         if num_blocks < 1 or n % num_blocks != 0:
             raise ValueError(f"n={n} is not divisible into {num_blocks} equal blocks")
         return cls((n // num_blocks,) * num_blocks)
@@ -62,7 +63,7 @@ class BlockPartition:
     def offsets(self) -> np.ndarray:
         """Prefix sums: offsets[k] is where block k starts, offsets[K] == n.
         Computed once and read-only, since every caller shares the array."""
-        off = np.concatenate(([0], np.cumsum(self.sizes)))
+        off = np.cumsum((0, *self.sizes))
         off.flags.writeable = False
         return off
 

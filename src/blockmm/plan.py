@@ -43,6 +43,8 @@ def _check_instance(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> None:
     for name, X in (("M", M), ("N", N)):
         if not isinstance(X, np.ndarray):
             raise ValueError(f"{name} must be a numpy array, got {type(X).__name__}")
+        if X.dtype.kind not in "biuf":
+            raise ValueError(f"{name} must have a bool, integer or floating dtype, got {X.dtype}")
     if M.ndim != 2 or N.ndim != 2:
         raise ValueError("factors must be 2-D")
     if M.shape[1] != N.shape[0]:
@@ -214,8 +216,10 @@ class _Profile(NamedTuple):
 
 def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
     """The scoring pass; every public entry point makes it exactly once and
-    passes the profile down."""
+    passes the profile down.  A factor of another dtype is scored as one
+    float64 copy: float32 sums miss PROB_SUM_TOL, and integer squares overflow."""
     _check_instance(M, N, part)
+    M, N = M.astype(np.float64, copy=False), N.astype(np.float64, copy=False)
     M, col, e_m = _scaled_norms(M, column_norms, "M")
     N, row, e_n = _scaled_norms(N, row_norms, "N")
     index = col * row

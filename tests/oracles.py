@@ -187,3 +187,13 @@ def clipped_proportional_split(weights, c, floor, caps):
         else:
             t_hi = t
     return np.clip(t_hi * w, lo, hi)
+
+
+def inverse_cdf_draw(probs, count, rng):
+    """Reference draw rule for one probability vector: ``count`` uniforms on
+    ``rng``, each looked up in ``np.cumsum(probs)`` (first running sum above
+    u), then clamped onto the last index with positive probability, where a
+    u at or above the last sum lands by rounding."""
+    probs = np.asarray(probs, dtype=float)
+    drawn = np.cumsum(probs).searchsorted(rng.random(count), side="right")
+    return np.minimum(drawn, np.flatnonzero(probs > 0)[-1])

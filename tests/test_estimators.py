@@ -53,7 +53,7 @@ def test_sketch_one_hot_prob_is_exact():
     for count in (1, 3, 8):
         C, D, rec = sketch_columns(Mb, Nb, count, probs, np.random.default_rng(count))
         assert C.shape == (3, count) and D.shape == (count, 2)
-        assert (rec.columns == 1).all()
+        assert (rec.column == 1).all()
         np.testing.assert_allclose(C @ D, exact, rtol=0, atol=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_sketch_two_column_outcome_set_and_frequency():
         ]
         assert len(matched) == 1
         hits[matched[0]] += 1
-        assert rec.columns[0] in (0, 1)
+        assert rec.column[0] in (0, 1)
     freq = hits[0] / reps
     assert abs(freq - 0.6) < 4 * np.sqrt(0.6 * 0.4 / reps)
 
@@ -100,11 +100,11 @@ def test_sketch_scales_and_record_agree():
     count = 9
     C, D, rec = sketch_columns(Mb, Nb, count, probs, rng)
     for t in range(count):
-        i = rec.columns[t]
-        assert rec.scales[t] == pytest.approx(1.0 / np.sqrt(count * probs[i]), rel=1e-12)
-        assert rec.probs[t] == probs[i]
-        np.testing.assert_array_equal(C[:, t], Mb[:, i] * rec.scales[t])
-        np.testing.assert_array_equal(D[t, :], Nb[i, :] * rec.scales[t])
+        i = rec.column[t]
+        assert rec.scale[t] == pytest.approx(1.0 / np.sqrt(count * probs[i]), rel=1e-12)
+        assert rec.prob[t] == probs[i]
+        np.testing.assert_array_equal(C[:, t], Mb[:, i] * rec.scale[t])
+        np.testing.assert_array_equal(D[t, :], Nb[i, :] * rec.scale[t])
 
 
 def test_sketch_never_draws_zero_probability_columns():
@@ -113,7 +113,7 @@ def test_sketch_never_draws_zero_probability_columns():
     Nb = rng.standard_normal((5, 2))
     probs = np.array([0.5, 0.0, 0.25, 0.0, 0.25])
     _, _, rec = sketch_columns(Mb, Nb, 200, probs, rng)
-    assert set(np.unique(rec.columns)) <= {0, 2, 4}
+    assert set(np.unique(rec.column)) <= {0, 2, 4}
 
 
 def test_sketch_input_validation():
@@ -133,6 +133,20 @@ def test_sketch_input_validation():
         sketch_columns(Mb, Nb[:2], 2, ok, rng)
     with pytest.raises(ValueError):
         sketch_columns(Mb, Nb, 2, np.zeros(3), rng)
+
+
+def test_non_finite_or_all_zero_probabilities_are_rejected():
+    rng = np.random.default_rng(5)
+    Mb, Nb = rng.standard_normal((2, 3)), rng.standard_normal((3, 2))
+    M, N = tiny_instance(32, m=3, n=6, p=2)
+    part = BlockPartition.equal(6, 3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sketch_columns(Mb, Nb, 4, [bad, 0.5, 0.5], rng)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_product_block_sampling(M, N, part, 2, rng, probs=[0.5, 0.5, bad])
+    with pytest.raises(ValueError, match="all zero"):
+        estimate_product_block_sampling(M, N, part, 2, rng, probs=np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +363,7 @@ def test_block_sampling_single_block_exact():
         )
         np.testing.assert_allclose(product, M @ N, rtol=0, atol=1e-12)
         assert pair.C.shape == (3, 4 * b)
-        assert (rec.blocks == 0).all()
+        assert (rec.block == 0).all()
 
 
 def test_block_sampling_two_outcome_enumeration():
@@ -365,7 +379,7 @@ def test_block_sampling_two_outcome_enumeration():
         _, est, rec = estimate_product_block_sampling(
             M, N, part, 1, np.random.default_rng(500 + s)
         )
-        k = int(rec.blocks[0])
+        k = int(rec.block[0])
         np.testing.assert_allclose(est, outcomes[k], rtol=0, atol=1e-12)
         hits[k] += 1
     freq = hits[0] / reps
@@ -379,7 +393,7 @@ def test_block_sampling_degenerate_probs_deterministic():
     pair, product, rec = estimate_product_block_sampling(
         M, N, part, 3, np.random.default_rng(28), probs=probs
     )
-    assert (rec.blocks == 0).all()
+    assert (rec.block == 0).all()
     np.testing.assert_allclose(product, M[:, :2] @ N[:2], rtol=0, atol=1e-12)
     assert pair.offsets[-1] == 6
 

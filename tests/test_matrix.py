@@ -45,6 +45,34 @@ def test_bad_factors_rejected_at_the_boundary():
                 call(M, B)
 
 
+def test_non_real_factors_rejected_naming_the_factor():
+    rng = np.random.default_rng(4)
+    M, N = rng.standard_normal((3, 6)), rng.standard_normal((6, 2))
+    part = BlockPartition.equal(6, 2)
+    plan = allocate_by_score_sums(M, N, part, 4)
+    for call in (
+        lambda A, B: allocate_by_score_sums(A, B, part, 4),
+        lambda A, B: expected_sq_error(A, B, plan),
+        lambda A, B: estimate_product(A, B, plan, np.random.default_rng(0)),
+    ):
+        for dtype in (complex, object):
+            with pytest.raises(ValueError, match="M must have a bool, integer or floating dtype"):
+                call(M.astype(dtype), N)
+            with pytest.raises(ValueError, match="N must have a bool, integer or floating dtype"):
+                call(M, N.astype(dtype))
+
+
+def test_partition_sizes_are_integers_not_truncated():
+    for bad in ((2.7, 3), ("3", 2), (True, 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BlockPartition(bad)
+    for n, K in ((12.0, 3), (12, 3.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BlockPartition.equal(n, K)
+    assert BlockPartition((np.int64(2), 3)).sizes == (2, 3)
+    assert BlockPartition.equal(np.int64(12), np.int64(3)) == BlockPartition((4, 4, 4))
+
+
 def test_partition_basics():
     part = BlockPartition((2, 3, 1))
     assert part.num_blocks == 3

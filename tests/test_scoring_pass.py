@@ -25,6 +25,7 @@ from blockmm import (
     cancellation_stats,
     elementwise_variance,
     estimate_product,
+    estimate_product_block_sampling,
     estimate_product_two_step,
     expected_sq_error,
     frobenius_norm,
@@ -40,6 +41,7 @@ from blockmm import (
 )
 from blockmm import analysis, bench, estimators, matrix, plan as plan_module
 from blockmm.matrix import block_view
+from oracles import inverse_cdf_draw
 
 
 def _instance(kind):
@@ -102,7 +104,7 @@ def _sketch_estimate(M, N, plan, rng):
         C[:, off[k] : off[k + 1]], D[off[k] : off[k + 1]], rec = sketch_columns(
             block_view(M, part, k), block_view(N, part, k, "rows"), ck, plan.probs[k], streams[k]
         )
-        log.append([np.full(ck, k), np.arange(ck), part.offsets[k] + rec.columns, rec.probs, rec.scales])
+        log.append([np.full(ck, k), np.arange(ck), part.offsets[k] + rec.column, rec.prob, rec.scale])
     return C, D, off, C @ D, [np.concatenate(field) for field in zip(*log)]
 
 
@@ -202,6 +204,29 @@ def test_estimate_product_with_trailing_zero_probabilities_equals_per_block_sket
     M, N, plan = M[:, :15], N[:15], _trailing_zeros_plan()
     for seed in range(5):
         _assert_same_estimate(*estimate_product(M, N, plan, _rng(seed)), _sketch_estimate(M, N, plan, _rng(seed)))
+
+
+DRAW_VECTORS = [
+    np.full(5, 0.2),
+    np.array([0.1, 0.0, 0.45, 0.05, 0.4]),
+    np.array([0.3, 0.3, 0.4 - 4e-13, 0, 0]),  # trailing zeros, summing to just below 1
+    np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("probs", DRAW_VECTORS, ids=["uniform", "interior-zero", "trailing-zeros", "one-hot"])
+def test_sketch_columns_and_block_sampling_draw_like_the_reference(probs):
+    """Both single-vector samplers against an independent inverse-CDF draw:
+    the columns of ``sketch_columns`` and the blocks of the whole-block
+    baseline (five one-column blocks, so its columns are its blocks)."""
+    M, N, _ = _instance("heavy")
+    M, N, part = M[:, :5], N[:5], BlockPartition.equal(5, 5)
+    for make_rng in [*(lambda seed=seed: _rng(seed) for seed in range(5)), _NearOne]:
+        want = inverse_cdf_draw(probs, 40, make_rng())
+        np.testing.assert_array_equal(sketch_columns(M, N, 40, probs, make_rng())[2].column, want)
+        _, _, log = estimate_product_block_sampling(M, N, part, 40, make_rng(), probs=probs)
+        np.testing.assert_array_equal(log.block, want)
+        np.testing.assert_array_equal(log.column, want)
 
 
 @pytest.mark.parametrize("part", [BlockPartition.equal(120, 6), UNEQUAL])
@@ -458,6 +483,21 @@ def test_plans_are_invariant_under_power_of_two_scaling(kind, a, b):
         assert got.probs.values.tobytes() == want.probs.values.tobytes()
         assert got.budgets.tobytes() == want.budgets.tobytes()
         assert got.notes == want.notes
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_float32_float16_and_large_int64_factors_plan_as_their_float64_copies(kind):
+    M, N, part = _instance(kind)
+    rng = _rng()
+    big = 4_000_000_000  # squares beyond the int64 range
+    for A, B in (
+        (M.astype(np.float32), N.astype(np.float32)),
+        (M.astype(np.float16), N.astype(np.float16)),
+        (rng.integers(-big, big, M.shape), rng.integers(-big, big, N.shape)),
+    ):
+        for want, got in zip(_plans(A.astype(np.float64), B.astype(np.float64), part), _plans(A, B, part)):
+            assert got.probs.values.tobytes() == want.probs.values.tobytes()
+            assert got.budgets.tobytes() == want.budgets.tobytes()
 
 
 @pytest.mark.parametrize("factor", [1e200, 1e-200])
