@@ -26,7 +26,6 @@ import numpy as np
 from .matrix import (
     BlockPartition,
     as_int,
-    block_view,
     column_norms,
     frobenius_norm,
     row_norms,
@@ -238,6 +237,37 @@ def _product_norms(prof: _Profile) -> np.ndarray:
         return np.sqrt(np.einsum("kij,kij->k", G, G))
     off = part.offsets.tolist()
     return np.array([frobenius_norm(M[:, a:b] @ N[a:b]) for a, b in zip(off, off[1:])])
+
+
+BLOCK_CHUNK = 2**15  # entries per copy of M's column blocks, small enough to stay in cache
+
+
+def _block_sq_sums(x: np.ndarray) -> np.ndarray:
+    """Each block x[i]'s sum of squares, summed in row-major order by one
+    ``ddot``, the sum ``np.linalg.norm`` makes of a C-ordered block.  The
+    C-ordered copy made here, if any, is freed on return: a second live
+    copy would cost fresh pages, more than the sums themselves."""
+    x = np.ascontiguousarray(x).reshape(len(x), -1)
+    return np.matmul(x[:, None, :], x[:, :, None]).ravel()
+
+
+def _block_norms(X: np.ndarray, part: BlockPartition, axis: str) -> np.ndarray:
+    """Frobenius norm of each column block (axis="columns") or row block
+    (axis="rows") of the float64 X, with the bits of ``np.linalg.norm`` on
+    a C-ordered block.  For an equal partition N's row blocks are one
+    (K, n/K, p) view, and M's column blocks are copied a chunk of blocks at
+    a time.  Else one block at a time."""
+    K, b = part.num_blocks, part.sizes[0]
+    if part.sizes != (b,) * K:
+        off = part.offsets.tolist()
+        blocks = ((X[:, a:z] if axis == "columns" else X[a:z])[None] for a, z in zip(off, off[1:]))
+    elif axis == "rows":
+        blocks = (X.reshape(K, b, X.shape[1]),)
+    else:
+        per = max(1, BLOCK_CHUNK // max(1, X.shape[0] * b))
+        Xb = X.reshape(X.shape[0], K, b).transpose(1, 0, 2)
+        blocks = (Xb[k : k + per] for k in range(0, K, per))
+    return np.sqrt(np.concatenate([_block_sq_sums(x) for x in blocks]))
 
 
 def score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
@@ -494,14 +524,15 @@ def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
 
 def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Block-level probabilities for the whole-block baseline (tag SSM):
-    p_k proportional to ||M block||_F * ||N block||_F."""
+    p_k proportional to ||M block||_F * ||N block||_F.  Scored like the
+    scoring pass: a float64 copy of a factor of another dtype, a NaN or Inf
+    entry rejected, and the norms rescaled by a power of two when they leave
+    NORM_RANGE, which changes no bit of the result."""
     _check_instance(M, N, part)
-    f = np.array(
-        [
-            frobenius_norm(block_view(M, part, k)) * frobenius_norm(block_view(N, part, k, "rows"))
-            for k in range(part.num_blocks)
-        ]
-    )
+    M, N = M.astype(np.float64, copy=False), N.astype(np.float64, copy=False)
+    with np.errstate(over="ignore"):  # a sum that overflows reads inf, which _scaled_norms rescales
+        f = _scaled_norms(M, lambda X: _block_norms(X, part, "columns"), "M")[1]
+        f = f * _scaled_norms(N, lambda X: _block_norms(X, part, "rows"), "N")[1]
     total = f.sum()
     if total == 0.0:
         raise ValueError("all blocks have zero norm: nothing to sample")

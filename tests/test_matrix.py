@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockmm import allocate_by_score_sums, estimate_product, expected_sq_error
+from blockmm import allocate_by_score_sums, block_norm_probabilities, estimate_product, expected_sq_error
 from blockmm.matrix import (
     BlockPartition,
     block_view,
@@ -25,6 +25,7 @@ def test_bad_factors_rejected_at_the_boundary():
     scoring = (
         lambda A, B: allocate_by_score_sums(A, B, part, 4),
         lambda A, B: expected_sq_error(A, B, plan),
+        lambda A, B: block_norm_probabilities(A, B, part),
     )
     for call in (*scoring, lambda A, B: estimate_product(A, B, plan, np.random.default_rng(0))):
         with pytest.raises(ValueError, match="M must be a numpy array, got list"):

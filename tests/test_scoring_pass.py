@@ -3,7 +3,8 @@ bit, its public steps, computes the column and row norms exactly once and
 forms the block products at most once, and every plan is unchanged, bit for
 bit, when a factor is scaled by a power of two.  The sampler draws from one
 table of per-block running sums per call and still equals the per-block
-``sketch_columns`` bit for bit."""
+``sketch_columns`` bit for bit.  The whole-block baseline's probabilities
+come from one batched norm pass with the bits of the per-block norms."""
 
 import dataclasses
 import math
@@ -21,6 +22,7 @@ from blockmm import (
     allocate_optimal,
     allocate_two_step,
     allocate_uniform,
+    block_norm_probabilities,
     bound_inputs_for_plan,
     cancellation_stats,
     elementwise_variance,
@@ -459,6 +461,58 @@ def test_product_norms_match_the_block_loop(sizes):
 
 
 # ---------------------------------------------------------------------------
+# the whole-block baseline: one batched block-norm pass, the bits of the loop
+
+
+def _block_norm_instance(m, p, sizes, zero_block=None):
+    rng = np.random.default_rng(np.random.SeedSequence(202, spawn_key=(len(sizes),)))
+    part = BlockPartition(sizes)
+    M, N = gen_heavy_tail_instance(m, part.total, p, rng)
+    if zero_block is not None:
+        M[:, part.block_slice(zero_block)] = 0.0
+    return M, N, part
+
+
+# (m, p, block sizes, zero block).  BLOCK_CHUNK // (m * n/K) blocks share a
+# copy: 3 for 7 x 1171 blocks, so K = 7 ends in a short chunk; all 60 tiny
+# blocks share one; 5 x 7001 blocks exceed a chunk and run one at a time.
+# No block length is a multiple of 32.
+BLOCK_NORM_CASES = {
+    "short-last-chunk": (7, 3, (1171,) * 7, None),
+    "one-chunk": (6, 6, (10,) * 60, None),
+    "one-block-per-chunk": (5, 4, (7001,) * 3, None),
+    "K=1": (4, 5, (333,), None),
+    "zero-block": (7, 3, (1171,) * 7, 4),
+    "unequal": (5, 4, (30, 10, 25, 15, 40), None),
+    "unequal-long": (3, 2, (1, 7001, 77, 300), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_NORM_CASES))
+def test_block_norm_probabilities_have_the_bits_of_the_block_loop(case, monkeypatch):
+    M, N, part = _block_norm_instance(*BLOCK_NORM_CASES[case])
+    f = np.array([
+        frobenius_norm(block_view(M, part, k)) * frobenius_norm(block_view(N, part, k, "rows"))
+        for k in range(part.num_blocks)
+    ])
+    calls = Counter()
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "norm", counted("np.linalg.norm", np.linalg.norm))
+    for module in (matrix, plan_module):
+        monkeypatch.setattr(module, "frobenius_norm", counted("frobenius_norm", module.frobenius_norm))
+    q = block_norm_probabilities(M, N, part)
+    assert q.tobytes() == (f / f.sum()).tobytes()
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
 # scale: powers of two change no bit of a plan, and extreme scales plan
 
 
@@ -479,10 +533,12 @@ def _plans(M, N, part):
 @example(kind="normal", a=-200, b=200)  # inside the float range, outside NORM_RANGE
 def test_plans_are_invariant_under_power_of_two_scaling(kind, a, b):
     M, N, part = _instance(kind)
-    for want, got in zip(_plans(M, N, part), _plans(np.ldexp(M, a), np.ldexp(N, b), part)):
+    Ms, Ns = np.ldexp(M, a), np.ldexp(N, b)
+    for want, got in zip(_plans(M, N, part), _plans(Ms, Ns, part)):
         assert got.probs.values.tobytes() == want.probs.values.tobytes()
         assert got.budgets.tobytes() == want.budgets.tobytes()
         assert got.notes == want.notes
+    assert block_norm_probabilities(Ms, Ns, part).tobytes() == block_norm_probabilities(M, N, part).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -495,17 +551,22 @@ def test_float32_float16_and_large_int64_factors_plan_as_their_float64_copies(ki
         (M.astype(np.float16), N.astype(np.float16)),
         (rng.integers(-big, big, M.shape), rng.integers(-big, big, N.shape)),
     ):
-        for want, got in zip(_plans(A.astype(np.float64), B.astype(np.float64), part), _plans(A, B, part)):
+        A64, B64 = A.astype(np.float64), B.astype(np.float64)
+        for want, got in zip(_plans(A64, B64, part), _plans(A, B, part)):
             assert got.probs.values.tobytes() == want.probs.values.tobytes()
             assert got.budgets.tobytes() == want.budgets.tobytes()
+        assert block_norm_probabilities(A, B, part).tobytes() == block_norm_probabilities(A64, B64, part).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("factor", [1e200, 1e-200])
 def test_extreme_scales_plan(factor):
     M, N, part = _instance("heavy")
     for want, got in zip(_plans(M, N, part), _plans(M * factor, N * factor, part)):
         np.testing.assert_allclose(got.probs.values, want.probs.values, rtol=1e-12)
         assert got.total == C
+    q = block_norm_probabilities(M * factor, N * factor, part)
+    np.testing.assert_allclose(q, block_norm_probabilities(M, N, part), rtol=1e-12)
 
 
 @pytest.mark.parametrize("a, b", [(600, 600), (-600, -600), (600, -600)])
