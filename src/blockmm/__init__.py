@@ -61,12 +61,7 @@ from .analysis import (
     normality_diagnostic,
     relative_error,
 )
-from .datagen import (
-    CovarianceSpec,
-    ar_covariance,
-    gen_heavy_tail_instance,
-    gen_normal_instance,
-)
+from .datagen import gen_heavy_tail_instance, gen_normal_instance
 from .bench import (
     ExperimentConfig,
     RawRecord,

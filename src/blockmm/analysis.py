@@ -29,7 +29,7 @@ from scipy.special import ndtr
 from scipy.stats import beta as _beta_dist
 
 from .estimators import estimate_product
-from .matrix import BlockPartition, block_view, frobenius_norm, multiply_exact
+from .matrix import BlockPartition, as_int, as_nonneg, block_view, frobenius_norm, multiply_exact
 from .plan import (
     SamplingPlan,
     _floor_ratio,
@@ -47,9 +47,8 @@ def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets) -> np.ndarray:
     """The plan's budgets as floats, or the override; rejects a zero
     probability at a contributing column."""
     part = plan.partition
-    b = plan.budgets.astype(np.float64) if budgets is None else np.asarray(budgets, dtype=np.float64)
-    if b.shape != (part.num_blocks,) or (b < 0).any():
-        raise ValueError("budget override must be one nonnegative value per block")
+    K = part.num_blocks
+    b = plan.budgets.astype(np.float64) if budgets is None else as_nonneg("budget override", budgets, (K,))
     missed = (plan.probs.values == 0) & (prof.index > 0)
     if missed.any():
         k = int(np.argmax(np.logical_or.reduceat(missed, part.offsets[:-1])))
@@ -111,8 +110,8 @@ def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=
 def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> float:
     """Closed-form minimum of ``expected_sq_error`` over probabilities and
     real-valued sizes at total budget c: (sum_k sqrt(s_k^2 - g_k^2))^2 / c."""
-    if c <= 0:
-        raise ValueError("budget must be positive")
+    if isinstance(c, (bool, np.bool_)) or not (math.isfinite(c) and c > 0):
+        raise ValueError(f"budget c must be finite and > 0, got {c!r}")
     prof = _profile(M, N, part)
     w = _optimal_weights(prof.sums, _product_norms(prof))
     return float(np.ldexp(w.sum() ** 2 / c, -2 * prof.scale))
@@ -151,18 +150,16 @@ def cancellation_stats(
     """
     prof = _profile(M, N, part)
     if pilot_norms is not None:
-        return _cancellation(prof.sums, np.ldexp(pilot_norms, prof.scale), exact=False)
+        g = as_nonneg("pilot_norms", pilot_norms, (part.num_blocks,))
+        return _cancellation(prof.sums, np.ldexp(g, prof.scale), exact=False)
     return _cancellation(prof.sums, _product_norms(prof), exact=True)
 
 
-def _cancellation(s: np.ndarray, g, exact: bool) -> CancellationStats:
+def _cancellation(s: np.ndarray, g: np.ndarray, exact: bool) -> CancellationStats:
     """Cancellation statistics from score sums s and product norms g, exact
-    or pilot estimates."""
+    or pilot estimates, both checked vectors of one value per block."""
     if (s == 0).all():
         raise ValueError("all blocks have zero score")
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != s.shape:
-        raise ValueError("need one pilot norm per block")
     ratios = np.full(s.size, np.nan)
     included = s > 0
     ratios[included] = g[included] / s[included]
@@ -211,8 +208,12 @@ class BoundInputs:
     cancel_hi_exact: Optional[float] = None
 
     def __post_init__(self):
-        if self.c < 1:
+        if as_int("c", self.c) < 1:
             raise ValueError("c must be >= 1")
+        for name in ("fail_prob", "prob_floor", "cancel_lo", "cancel_hi", "frob_m", "frob_n", "cancel_hi_exact"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.fail_prob < 1.0:
             raise ValueError("fail_prob must lie in (0, 1)")
         if not 0.0 <= self.prob_floor <= 1.0 + 1e-12:
@@ -220,7 +221,7 @@ class BoundInputs:
         if self.cancel_lo < 0 or self.cancel_hi < self.cancel_lo - 1e-15:
             raise ValueError("need 0 <= cancel_lo <= cancel_hi")
         if self.frob_m < 0 or self.frob_n < 0:
-            raise ValueError("norms must be >= 0")
+            raise ValueError("frob_m and frob_n must be >= 0")
 
 
 class BoundPair(NamedTuple):
@@ -343,6 +344,7 @@ def coverage_check(
     vary with the pilot draw.  Reports the violation frequency with a 95%
     Clopper-Pearson interval.
     """
+    reps = as_int("reps", reps)
     if reps < 100:
         raise ValueError("need at least 100 replications for a meaningful frequency")
     exact = multiply_exact(M, N)
@@ -373,6 +375,7 @@ def normality_diagnostic(
     """Standardize one entry's estimation error by its exact standard
     deviation over ``reps`` replications and measure the sup-distance of the
     empirical CDF from the standard normal."""
+    reps = as_int("reps", reps)
     if reps < 1000:
         raise ValueError("need at least 1000 replications for the diagnostic")
     h, f = entry

@@ -29,12 +29,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, frobenius_norm
+from .matrix import BlockPartition, as_int, check_factors, frobenius_norm
 from .plan import (
     BlockProbabilities,
     SamplingPlan,
     _allocate,
-    _check_instance,
     _optimal_probabilities,
     _profile,
     block_norm_probabilities,
@@ -154,12 +153,11 @@ def sketch_columns(
     Returns thin factors C (m x count) and D (count x p) whose product has
     expectation Mb @ Nb, plus the per-draw log.
     """
-    if Mb.ndim != 2 or Nb.ndim != 2 or Mb.shape[1] != Nb.shape[0]:
-        raise ValueError(f"factor shapes do not chain: {Mb.shape} x {Nb.shape}")
+    n = check_factors(Mb, Nb)
     count = as_int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    pair, log = _sketch(Mb, Nb, _one_block(probs, Mb.shape[1]), np.array([count]), [rng])
+    pair, log = _sketch(Mb, Nb, _one_block(probs, n), np.array([count]), [rng])
     # Column-major, like each pilot block: BLAS rounds small products
     # differently by operand layout, and the pilot replays multiply this C.
     return np.asfortranarray(pair.C), pair.D, log
@@ -178,7 +176,7 @@ def estimate_product(
     Zero-budget blocks (flagged zero-score) are skipped; they contribute
     exactly zero to the true product as well.
     """
-    _check_instance(M, N, plan.partition)
+    plan.partition.check_length(check_factors(M, N), "inner dimension")
     pair, log = _sketch(M, N, plan.probs, plan.budgets, rng.spawn(plan.partition.num_blocks))
     return pair, pair.C @ pair.D, log
 
@@ -278,7 +276,7 @@ def estimate_product_block_sampling(
     with probability proportional to the blocks' norm product (or ``probs``)
     and stack the rescaled blocks themselves into the sketch.  The log has
     one row per sketch column; its ``draw`` is the block draw it came from."""
-    _check_instance(M, N, part)
+    part.check_length(check_factors(M, N), "inner dimension")
     q = block_norm_probabilities(M, N, part) if probs is None else probs
     q = _one_block(q, part.num_blocks)
     draws = as_int("draws", draws)

@@ -1,5 +1,7 @@
-"""Dense matrices, block partitions of the inner dimension, norms, and the
-package's CSV writer.
+"""Dense matrices, block partitions of the inner dimension, norms, the
+package's CSV writer, and its input validators: one per kind of input,
+factors (``check_factors``), counts (``as_int``) and nonnegative vectors
+(``as_nonneg``).
 
 Matrices are plain NumPy arrays of a bool, integer or floating dtype; the
 scoring pass in ``plan`` rejects a factor with a NaN or Inf entry.  Block
@@ -27,6 +29,33 @@ def as_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_nonneg(name: str, values, shape=None) -> np.ndarray:
+    """A new float64 array of ``values`` (of ``shape``, if given) whose every
+    entry is finite and >= 0: probabilities, weights, budget overrides,
+    pilot norms.  A NaN entry is rejected, not dropped by a comparison."""
+    v = np.array(values, dtype=np.float64)
+    if shape is not None and v.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
+    if not np.isfinite(v).all() or (v < 0).any():
+        raise ValueError(f"{name} must be finite and >= 0")
+    return v
+
+
+def check_factors(M: np.ndarray, N: np.ndarray) -> int:
+    """The factors of a product: numpy arrays of a bool, integer or floating
+    dtype, 2-D, whose inner dimensions chain; returns the inner dimension."""
+    for name, X in (("M", M), ("N", N)):
+        if not isinstance(X, np.ndarray):
+            raise ValueError(f"{name} must be a numpy array, got {type(X).__name__}")
+        if X.dtype.kind not in "biuf":
+            raise ValueError(f"{name} must have a bool, integer or floating dtype, got {X.dtype}")
+    if M.ndim != 2 or N.ndim != 2:
+        raise ValueError("factors must be 2-D")
+    if M.shape[1] != N.shape[0]:
+        raise ValueError(f"inner dimensions differ: {M.shape} x {N.shape}")
+    return M.shape[1]
 
 
 @dataclass(frozen=True)
@@ -98,10 +127,7 @@ def block_view(M: np.ndarray, part: BlockPartition, k: int, axis: str = "columns
 
 def multiply_exact(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     """Exact product MN (ground-truth oracle for the randomized estimators)."""
-    if M.ndim != 2 or N.ndim != 2:
-        raise ValueError("both factors must be 2-D")
-    if M.shape[1] != N.shape[0]:
-        raise ValueError(f"inner dimensions differ: {M.shape} x {N.shape}")
+    check_factors(M, N)
     return M @ N
 
 

@@ -26,6 +26,8 @@ import numpy as np
 from .matrix import (
     BlockPartition,
     as_int,
+    as_nonneg,
+    check_factors,
     column_norms,
     frobenius_norm,
     row_norms,
@@ -36,19 +38,6 @@ METHOD_TAGS = ("OPL", "ONC", "ONU", "ONMCNR", "UU", "SSM")
 PROB_SUM_TOL = 1e-12
 RADICAND_SLACK = 1e-9  # relative slack allowed on the Cauchy-Schwarz radicand
 LEVEL_SLACK = 1e-9  # relative nearness to a bound at which integerize defers to the split's own test
-
-
-def _check_instance(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> None:
-    for name, X in (("M", M), ("N", N)):
-        if not isinstance(X, np.ndarray):
-            raise ValueError(f"{name} must be a numpy array, got {type(X).__name__}")
-        if X.dtype.kind not in "biuf":
-            raise ValueError(f"{name} must have a bool, integer or floating dtype, got {X.dtype}")
-    if M.ndim != 2 or N.ndim != 2:
-        raise ValueError("factors must be 2-D")
-    if M.shape[1] != N.shape[0]:
-        raise ValueError(f"inner dimensions differ: {M.shape} x {N.shape}")
-    part.check_length(M.shape[1], "inner dimension")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +59,7 @@ class BlockProbabilities:
     _zero: np.ndarray = field(init=False, repr=False)  # per block: flagged all zero
 
     def __post_init__(self):
-        p = np.array(self.values, dtype=np.float64)
-        n = self.partition.total
-        if p.shape != (n,):
-            raise ValueError(f"need one probability per index: got shape {p.shape}, partition covers {n}")
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ValueError("probabilities must be finite and >= 0")
+        p = as_nonneg("probabilities", self.values, (self.partition.total,))
         sums = np.add.reduceat(p, self.partition.offsets[:-1])
         bad = (sums != 0.0) & (np.abs(sums - 1.0) > PROB_SUM_TOL)
         if bad.any():
@@ -99,25 +83,12 @@ class BlockProbabilities:
         return tuple(np.flatnonzero(self._zero).tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class BlockScores:
+class BlockScores(NamedTuple):
     """Per-block score sums s_k = sum_i ||col_i|| * ||row_i|| and exact block
     product Frobenius norms g_k."""
 
     score_sums: np.ndarray
     product_norms: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.score_sums, dtype=np.float64)
-        g = np.asarray(self.product_norms, dtype=np.float64)
-        if s.shape != g.shape or s.ndim != 1:
-            raise ValueError("score_sums and product_norms must be matching vectors")
-        if (s < 0).any() or (g < 0).any():
-            raise ValueError("scores must be nonnegative")
-        if (g > s * (1 + RADICAND_SLACK) + 1e-300).any():
-            raise ValueError("exact product norm exceeds score sum (Cauchy-Schwarz violated)")
-        object.__setattr__(self, "score_sums", s)
-        object.__setattr__(self, "product_norms", g)
 
 
 def _unscaled(pilot: tuple[np.ndarray, int]) -> np.ndarray:
@@ -166,9 +137,7 @@ class SamplingPlan:
             if pilot is None or not np.array_equal(given, _unscaled(pilot)):
                 pilot = (given, 0)
         if pilot is not None:
-            values, e = np.asarray(pilot[0], dtype=np.float64), pilot[1]
-            if values.shape != (self.partition.num_blocks,):
-                raise ValueError("pilot_norms must be one value per block")
+            values, e = as_nonneg("pilot_norms", pilot[0], (self.partition.num_blocks,)), pilot[1]
             object.__setattr__(self, "pilot_norms", _unscaled((values, e)))
             object.__setattr__(self, "_pilot", (values, e))
 
@@ -217,7 +186,7 @@ def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
     """The scoring pass; every public entry point makes it exactly once and
     passes the profile down.  A factor of another dtype is scored as one
     float64 copy: float32 sums miss PROB_SUM_TOL, and integer squares overflow."""
-    _check_instance(M, N, part)
+    part.check_length(check_factors(M, N), "inner dimension")
     M, N = M.astype(np.float64, copy=False), N.astype(np.float64, copy=False)
     M, col, e_m = _scaled_norms(M, column_norms, "M")
     N, row, e_n = _scaled_norms(N, row_norms, "N")
@@ -342,11 +311,9 @@ def integerize(
     within rounding of a bound is settled by that split's own test.  One
     largest-remainder pass rounds the shares (ties go to the lower index).
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = as_nonneg("weights", weights)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty vector")
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise ValueError("weights must be finite and >= 0")
     if w.sum() == 0.0:
         raise ValueError("all weights are zero")
     c = as_int("c", c)
@@ -528,7 +495,7 @@ def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition)
     scoring pass: a float64 copy of a factor of another dtype, a NaN or Inf
     entry rejected, and the norms rescaled by a power of two when they leave
     NORM_RANGE, which changes no bit of the result."""
-    _check_instance(M, N, part)
+    part.check_length(check_factors(M, N), "inner dimension")
     M, N = M.astype(np.float64, copy=False), N.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):  # a sum that overflows reads inf, which _scaled_norms rescales
         f = _scaled_norms(M, lambda X: _block_norms(X, part, "columns"), "M")[1]

@@ -120,8 +120,9 @@ def test_minimum_expected_sq_error_hand_and_consistency():
     g = abs(M @ N).item()
     want = (s**2 - g**2) / 4
     assert minimum_expected_sq_error(M, N, part, 4) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        minimum_expected_sq_error(M, N, part, 0)
+    for bad in (0, -1.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="budget c must be finite and > 0"):
+            minimum_expected_sq_error(M, N, part, bad)
 
     # equals the general formula evaluated at optimal probs and real sizes
     for seed in range(6):
@@ -349,8 +350,13 @@ def test_bound_input_validation():
         ("prob_floor", 1.5),
         ("cancel_lo", -0.2),
         ("frob_m", -1.0),
+        ("cancel_lo", math.nan),
+        ("frob_m", math.nan),
+        ("cancel_hi", math.inf),
+        ("c", 2.5),
+        ("c", True),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             BoundInputs(**{**ok, field: bad})
     with pytest.raises(ValueError):
         BoundInputs(**{**ok, "cancel_lo": 0.9})  # lo above hi
@@ -399,6 +405,33 @@ def test_bound_inputs_for_two_step_plan():
 # relative error, coverage, normality
 
 
+def test_non_finite_or_negative_budget_overrides_rejected():
+    """A NaN override would drop its block from the objective, like an
+    infinite one, and would make the variance NaN."""
+    M, N = random_instance(40, m=4, n=12, p=3)
+    part = BlockPartition.equal(12, 3)
+    plan = allocate_by_score_sums(M, N, part, c=6)
+    for call in (expected_sq_error, elementwise_variance):
+        for bad in ([math.nan, 2, 2], [math.inf, 2, 2], [2, -1, 2]):
+            with pytest.raises(ValueError, match="budget override must be finite and >= 0"):
+                call(M, N, plan, budgets=bad)
+        with pytest.raises(ValueError, match="budget override must have shape"):
+            call(M, N, plan, budgets=[2, 2])
+
+
+def test_non_finite_or_negative_pilot_norms_rejected():
+    M, N = random_instance(41, m=4, n=12, p=3)
+    part = BlockPartition.equal(12, 3)
+    plan = allocate_by_score_sums(M, N, part, c=6)
+    for bad in ([math.nan, 1, 1], [-1, 1, 1], [math.inf, 1, 1]):
+        with pytest.raises(ValueError, match="pilot_norms must be finite and >= 0"):
+            SamplingPlan(part, plan.probs, plan.budgets, pilot_norms=bad)
+        with pytest.raises(ValueError, match="pilot_norms must be finite and >= 0"):
+            cancellation_stats(M, N, part, pilot_norms=bad)
+    ok = SamplingPlan(part, plan.probs, plan.budgets, pilot_norms=[0.5, 1, 1])
+    assert math.isfinite(bounds_pilot_allocation(bound_inputs_for_plan(M, N, ok, 0.1)).sq_error_bound)
+
+
 def test_relative_error_basics():
     exact = np.array([[3.0, 4.0]])
     assert relative_error(exact, exact) == 0.0
@@ -441,6 +474,8 @@ def test_coverage_counts_violations():
 
     with pytest.raises(ValueError):
         coverage_check(M, N, 99, np.random.default_rng(63), never)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        coverage_check(M, N, 100.5, np.random.default_rng(63), never)
 
 
 def test_coverage_of_closed_form_bound():
@@ -466,6 +501,8 @@ def test_normality_validation():
     varied = allocate_optimal(M, N, BlockPartition(sizes=(3,)), c=2)
     with pytest.raises(ValueError):
         normality_diagnostic(M, N, varied, (0, 0), 999, np.random.default_rng(71))
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        normality_diagnostic(M, N, varied, (0, 0), 1000.5, np.random.default_rng(71))
 
 
 def test_normality_improves_with_block_budget():

@@ -4,36 +4,24 @@ both generators, and seed determinism."""
 import numpy as np
 import pytest
 
-from blockmm import (
-    CovarianceSpec,
-    ar_covariance,
-    gen_heavy_tail_instance,
-    gen_normal_instance,
-)
+from blockmm import gen_heavy_tail_instance, gen_normal_instance
+from blockmm.datagen import _covariance
 
 
-def test_covariance_spec_validation():
-    CovarianceSpec(3)
-    CovarianceSpec(2, scale=0.5, rho=-0.3)
-    with pytest.raises(ValueError):
-        CovarianceSpec(0)
-    with pytest.raises(ValueError):
-        CovarianceSpec(2, scale=0.0)
-    with pytest.raises(ValueError):
-        CovarianceSpec(2, rho=1.0)
-    with pytest.raises(ValueError):
-        CovarianceSpec(2, rho=-1.0)
+def ar_covariance(dim, scale):
+    """Entry ij = scale * 0.7^|i-j|, computed entry by entry."""
+    return np.array([[scale * 0.7 ** abs(i - j) for j in range(dim)] for i in range(dim)])
 
 
 def test_ar_covariance_hand_values():
-    np.testing.assert_array_equal(ar_covariance(CovarianceSpec(1, scale=3.0)), [[3.0]])
-    got = ar_covariance(CovarianceSpec(2))
+    np.testing.assert_array_equal(_covariance(1, 3.0), [[3.0]])
+    got = _covariance(2, 1.0)
     np.testing.assert_allclose(got, [[1.0, 0.7], [0.7, 1.0]], rtol=0, atol=0)
-    got = ar_covariance(CovarianceSpec(3, scale=2.0, rho=0.7))
+    got = _covariance(3, 2.0)
     want = 2.0 * np.array([[1, 0.7, 0.49], [0.7, 1, 0.7], [0.49, 0.7, 1]])
     np.testing.assert_allclose(got, want, rtol=1e-15)
     # decay structure stays positive definite at benchmark size
-    np.linalg.cholesky(ar_covariance(CovarianceSpec(200)))
+    np.linalg.cholesky(_covariance(200, 1.0))
 
 
 def test_normal_instance_shapes_and_determinism():
@@ -46,15 +34,16 @@ def test_normal_instance_shapes_and_determinism():
     assert not np.array_equal(M1, M3)
     with pytest.raises(ValueError):
         gen_normal_instance(0, 5, 2, np.random.default_rng(3))
-    with pytest.raises(ValueError):
-        gen_normal_instance(4, 5, 2, np.random.default_rng(3), cov_left=CovarianceSpec(3))
+    for dims in ((2, 3.0, 2), (2.0, 3, 2), (2, 3, True)):
+        for gen in (gen_normal_instance, gen_heavy_tail_instance):
+            with pytest.raises(ValueError, match="must be an integer"):
+                gen(*dims, np.random.default_rng(3))
 
 
 def test_normal_instance_matches_target_covariances():
     n = 100_000
     M, N = gen_normal_instance(5, n, 4, np.random.default_rng(4))
-    left = ar_covariance(CovarianceSpec(5, scale=1.0, rho=0.7))
-    right = ar_covariance(CovarianceSpec(4, scale=2.0, rho=0.7))
+    left, right = ar_covariance(5, 1.0), ar_covariance(4, 2.0)
     sample_left = (M @ M.T) / n
     sample_right = (N.T @ N) / n
     assert np.abs(M.mean(axis=1)).max() < 0.02
@@ -63,21 +52,15 @@ def test_normal_instance_matches_target_covariances():
 
 
 def test_heavy_tail_cauchy_marginals():
-    # with identity covariance and zero location each entry is standard
-    # Cauchy: median 0, median absolute value 1
+    # row 0 of M is a standard normal over a chi-square(1) root, since the
+    # left Cholesky factor has L[0, 0] = 1: at zero location each entry is
+    # standard Cauchy, median 0 and median absolute value 1
     n = 20_000
-    M, _ = gen_heavy_tail_instance(
-        3, n, 2, np.random.default_rng(5),
-        cov_left=CovarianceSpec(3, rho=0.0), cov_right=CovarianceSpec(2, rho=0.0),
-        location="zero",
-    )
+    M, _ = gen_heavy_tail_instance(3, n, 2, np.random.default_rng(5), location="zero")
     row = M[0]
     assert abs(np.median(row)) < 0.05
     assert abs(np.median(np.abs(row)) - 1.0) < 0.05
-    Mo, _ = gen_heavy_tail_instance(
-        3, n, 2, np.random.default_rng(5),
-        cov_left=CovarianceSpec(3, rho=0.0), cov_right=CovarianceSpec(2, rho=0.0),
-    )
+    Mo, _ = gen_heavy_tail_instance(3, n, 2, np.random.default_rng(5))
     assert abs(np.median(Mo[0]) - 1.0) < 0.05
     with pytest.raises(ValueError):
         gen_heavy_tail_instance(3, 10, 2, np.random.default_rng(6), location="median")

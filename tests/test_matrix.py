@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from blockmm import allocate_by_score_sums, block_norm_probabilities, estimate_product, expected_sq_error
+from blockmm import (
+    allocate_by_score_sums,
+    block_norm_probabilities,
+    estimate_product,
+    expected_sq_error,
+    sketch_columns,
+)
 from blockmm.matrix import (
     BlockPartition,
     block_view,
@@ -16,8 +22,9 @@ from oracles import loop_column_norms, loop_product, loop_row_norms
 
 def test_bad_factors_rejected_at_the_boundary():
     """A factor that is no array or not 2-D raises a ValueError from the
-    planners, the analytics and the estimator alike; a NaN or Inf entry one
-    that names the factor from every call that scores the instance."""
+    planners, the analytics, the estimators and the exact product alike; a
+    NaN or Inf entry one that names the factor from every call that scores
+    the instance."""
     rng = np.random.default_rng(3)
     M, N = rng.standard_normal((3, 6)), rng.standard_normal((6, 2))
     part = BlockPartition.equal(6, 2)
@@ -27,7 +34,12 @@ def test_bad_factors_rejected_at_the_boundary():
         lambda A, B: expected_sq_error(A, B, plan),
         lambda A, B: block_norm_probabilities(A, B, part),
     )
-    for call in (*scoring, lambda A, B: estimate_product(A, B, plan, np.random.default_rng(0))):
+    for call in (
+        *scoring,
+        lambda A, B: estimate_product(A, B, plan, np.random.default_rng(0)),
+        lambda A, B: sketch_columns(A, B, 2, np.full(6, 1 / 6), np.random.default_rng(0)),
+        multiply_exact,
+    ):
         with pytest.raises(ValueError, match="M must be a numpy array, got list"):
             call(M.tolist(), N)
         with pytest.raises(ValueError, match="N must be a numpy array, got list"):
@@ -55,6 +67,7 @@ def test_non_real_factors_rejected_naming_the_factor():
         lambda A, B: allocate_by_score_sums(A, B, part, 4),
         lambda A, B: expected_sq_error(A, B, plan),
         lambda A, B: estimate_product(A, B, plan, np.random.default_rng(0)),
+        lambda A, B: sketch_columns(A, B, 2, np.full(6, 1 / 6), np.random.default_rng(0)),
     ):
         for dtype in (complex, object):
             with pytest.raises(ValueError, match="M must have a bool, integer or floating dtype"):

@@ -9,7 +9,6 @@ from blockmm import allocate_two_step
 from blockmm.matrix import BlockPartition, frobenius_norm
 from blockmm.plan import (
     BlockProbabilities,
-    BlockScores,
     SamplingPlan,
     allocate_by_score_sums,
     allocate_optimal,
@@ -159,8 +158,6 @@ def test_block_scores_hand_two_column_case():
     sc = block_scores(M, N, BlockPartition((2,)))
     assert sc.score_sums[0] == pytest.approx(1 * 3 + 2 * 4)
     assert sc.product_norms[0] == pytest.approx(math.sqrt(3**2 + 8**2))
-    with pytest.raises(ValueError):
-        BlockScores(np.array([1.0]), np.array([2.0]))
 
 
 # ---------------------------------------------------------------- floor ratio
