@@ -47,18 +47,14 @@ from .analysis import (
     BoundInputs,
     BoundPair,
     CancellationStats,
-    CoverageResult,
-    NormalityResult,
     bound_inputs_for_plan,
     bounds_optimal_allocation,
     bounds_pilot_allocation,
     bounds_score_allocation,
     cancellation_stats,
-    coverage_check,
     elementwise_variance,
     expected_sq_error,
     minimum_expected_sq_error,
-    normality_diagnostic,
     relative_error,
 )
 from .datagen import gen_heavy_tail_instance, gen_normal_instance

@@ -1,7 +1,8 @@
 """Exact variance analytics and high-probability error bounds.
 
-Everything here is closed-form except the Monte Carlo validation helpers at
-the bottom (coverage counting and a CLT diagnostic).  The three bound
+Everything here is closed-form; the Monte Carlo checks of these formulas
+(bound coverage and a CLT diagnostic) are test code, not library code, so
+the package needs nothing beyond numpy at run time.  The three bound
 functions share a ``BoundInputs`` record built from per-block cancellation
 statistics:
 
@@ -22,15 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import beta as _beta_dist
 
-from .estimators import estimate_product
-from .matrix import BlockPartition, as_int, as_nonneg, block_view, frobenius_norm, multiply_exact
+from .matrix import BlockPartition, as_int, as_nonneg, block_view, frobenius_norm
 from .plan import (
+    NORM_RANGE,
     SamplingPlan,
     _floor_ratio,
     _optimal_probabilities,
@@ -229,14 +228,31 @@ class BoundPair(NamedTuple):
     sq_error_bound: float  # bounds ||exact - estimate||_F^2 w.p. >= 1 - fail_prob
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, inf where that lies beyond float64."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def _bound_pair(inp: BoundInputs, radicand: float, hi: float = 1.0, lo: float = 1.0) -> BoundPair:
     """The bound formula: phi = sqrt(radicand) / (hi * lo)^(1/4) and
     eta = phi + sqrt(hi / lo) * sqrt(8 log(1 / fail_prob) / floor), each
-    squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c)."""
+    squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c).  A norm outside
+    NORM_RANGE is squared as its mantissa, its power of two applied last,
+    so no square overflows or underflows; a bound beyond float64 is inf."""
     phi = math.sqrt(radicand) / (hi * lo) ** 0.25
     eta = phi + math.sqrt(hi / lo) * math.sqrt((8.0 / inp.prob_floor) * math.log(1.0 / inp.fail_prob))
-    base = inp.frob_m**2 * inp.frob_n**2 / (inp.prob_floor * inp.c)
-    return BoundPair(phi**2 * base, eta**2 * base)
+    fm, fn, (a, b) = inp.frob_m, inp.frob_n, NORM_RANGE
+    # The plain squares where they are safe: a mantissa's square scaled back
+    # differs from pow(x, 2) in the last bit for about 1 x in 2,000.
+    if a <= fm <= b and a <= fn <= b:
+        base = fm**2 * fn**2 / (inp.prob_floor * inp.c)
+        return BoundPair(phi**2 * base, eta**2 * base)
+    (fm, em), (fn, en) = math.frexp(fm), math.frexp(fn)
+    base, e = fm**2 * fn**2 / (inp.prob_floor * inp.c), 2 * (em + en)
+    return BoundPair(_ldexp(phi**2 * base, e), _ldexp(eta**2 * base, e))
 
 
 def _cancellation_bounds(inp: BoundInputs, hi_exact: float) -> BoundPair:
@@ -313,82 +329,3 @@ def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     if denom == 0.0:
         raise ValueError("exact matrix has zero norm")
     return frobenius_norm(exact - approx) / denom
-
-
-class CoverageResult(NamedTuple):
-    reps: int
-    violations: int
-    frequency: float
-    ci_low: float
-    ci_high: float
-
-
-def _clopper_pearson(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    alpha = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
-    return lo, hi
-
-
-def coverage_check(
-    M: np.ndarray,
-    N: np.ndarray,
-    reps: int,
-    rng: np.random.Generator,
-    runner: Callable[[np.random.Generator], tuple[np.ndarray, float]],
-) -> CoverageResult:
-    """Count how often the squared Frobenius error exceeds its bound.
-
-    ``runner(stream)`` produces one replication: (estimate, squared-error
-    bound).  Returning the bound per replication lets pilot-based bounds
-    vary with the pilot draw.  Reports the violation frequency with a 95%
-    Clopper-Pearson interval.
-    """
-    reps = as_int("reps", reps)
-    if reps < 100:
-        raise ValueError("need at least 100 replications for a meaningful frequency")
-    exact = multiply_exact(M, N)
-    violations = 0
-    for stream in rng.spawn(reps):
-        estimate, sq_bound = runner(stream)
-        if frobenius_norm(estimate - exact) ** 2 > sq_bound:
-            violations += 1
-    lo, hi = _clopper_pearson(violations, reps)
-    return CoverageResult(reps, violations, violations / reps, lo, hi)
-
-
-class NormalityResult(NamedTuple):
-    samples: np.ndarray  # standardized errors at the chosen entry
-    mean: float
-    variance: float
-    ks_distance: float
-
-
-def normality_diagnostic(
-    M: np.ndarray,
-    N: np.ndarray,
-    plan: SamplingPlan,
-    entry: tuple[int, int],
-    reps: int,
-    rng: np.random.Generator,
-) -> NormalityResult:
-    """Standardize one entry's estimation error by its exact standard
-    deviation over ``reps`` replications and measure the sup-distance of the
-    empirical CDF from the standard normal."""
-    reps = as_int("reps", reps)
-    if reps < 1000:
-        raise ValueError("need at least 1000 replications for the diagnostic")
-    h, f = entry
-    sigma_sq = elementwise_variance(M, N, plan)[h, f]
-    if sigma_sq <= 0.0:
-        raise ValueError(f"entry {entry} has zero variance under this plan")
-    exact = multiply_exact(M, N)[h, f]
-    scale = math.sqrt(sigma_sq)
-    samples = np.empty(reps)
-    for r, stream in enumerate(rng.spawn(reps)):
-        samples[r] = (estimate_product(M, N, plan, stream)[1][h, f] - exact) / scale
-    z = np.sort(samples)
-    cdf = ndtr(z)
-    grid = np.arange(1, reps + 1) / reps
-    ks = float(max((grid - cdf).max(), (cdf - (grid - 1.0 / reps)).max()))
-    return NormalityResult(samples, float(samples.mean()), float(samples.var(ddof=1)), ks)

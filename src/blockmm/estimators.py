@@ -29,11 +29,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, check_factors, frobenius_norm
+from .matrix import BlockPartition, as_int, check_factors
 from .plan import (
     BlockProbabilities,
     SamplingPlan,
     _allocate,
+    _block_sq_sums,
     _optimal_probabilities,
     _profile,
     block_norm_probabilities,
@@ -214,11 +215,14 @@ def allocate_two_step(
     p0 = probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
     pair, _ = _sketch(prof.M, prof.N, p0, counts, rng.spawn(K))
-    # Each block's product from a column-major C, as from sketch_columns.
-    off = pair.offsets.tolist()
-    pilot_norms = np.array(
-        [frobenius_norm(np.asfortranarray(pair.C[:, a:b]) @ pair.D[a:b]) for a, b in zip(off, off[1:])]
-    )
+    # Every live block has pilot_count draws: one batched matmul of
+    # column-major (live, m, pilot_count) views, with the strides of
+    # sketch_columns' C, and norms with the bits of np.linalg.norm.
+    live = counts > 0
+    shape = (int(live.sum()), pilot_count)
+    C = np.asfortranarray(pair.C).T.reshape(*shape, M.shape[0]).transpose(0, 2, 1)
+    pilot_norms = np.zeros(K)
+    pilot_norms[live] = np.sqrt(_block_sq_sums(np.matmul(C, pair.D.reshape(*shape, N.shape[1]))))
     method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
     return _allocate(prof, c, method, probs, pilot_norms=pilot_norms)
 

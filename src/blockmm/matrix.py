@@ -1,7 +1,7 @@
 """Dense matrices, block partitions of the inner dimension, norms, the
 package's CSV writer, and its input validators: one per kind of input,
-factors (``check_factors``), counts (``as_int``) and nonnegative vectors
-(``as_nonneg``).
+factors (``check_factors``), counts (``as_int``), integer vectors
+(``as_ints``) and nonnegative vectors (``as_nonneg``).
 
 Matrices are plain NumPy arrays of a bool, integer or floating dtype; the
 scoring pass in ``plan`` rejects a factor with a NaN or Inf entry.  Block
@@ -40,6 +40,22 @@ def as_nonneg(name: str, values, shape=None) -> np.ndarray:
         raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
     if not np.isfinite(v).all() or (v < 0).any():
         raise ValueError(f"{name} must be finite and >= 0")
+    return v
+
+
+def as_ints(name: str, values, shape=None) -> np.ndarray:
+    """A new int64 array of ``values`` (of ``shape``, if given): budgets and
+    caps.  A signed integer array passes on its dtype; unsigned or float
+    entries must be finite, integral and within int64, and bool or any
+    other dtype is rejected."""
+    v = np.array(values)
+    if v.dtype.kind != "i" and not (
+        v.dtype.kind in "uf" and np.isfinite(v).all() and (v == np.round(v)).all() and (abs(v) < 2.0**63).all()
+    ):
+        raise ValueError(f"{name} must be finite integers, got {np.array2string(v, threshold=8)}")
+    v = v.astype(np.int64, copy=False)
+    if shape is not None and v.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
     return v
 
 

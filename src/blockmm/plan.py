@@ -26,6 +26,7 @@ import numpy as np
 from .matrix import (
     BlockPartition,
     as_int,
+    as_ints,
     as_nonneg,
     check_factors,
     column_norms,
@@ -115,13 +116,7 @@ class SamplingPlan:
     _pilot: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.budgets)
-        if b.dtype.kind not in "iu":
-            if not np.array_equal(b, np.round(b)):
-                raise ValueError("budgets must be integers")
-        b = b.astype(np.int64)
-        if b.ndim != 1 or b.size != self.partition.num_blocks:
-            raise ValueError("budgets must be one integer per block")
+        b = as_ints("budgets", self.budgets, (self.partition.num_blocks,))
         if (b < 0).any():
             raise ValueError("budgets must be >= 0")
         if self.probs.partition != self.partition:
@@ -216,7 +211,7 @@ def _block_sq_sums(x: np.ndarray) -> np.ndarray:
     ``ddot``, the sum ``np.linalg.norm`` makes of a C-ordered block.  The
     C-ordered copy made here, if any, is freed on return: a second live
     copy would cost fresh pages, more than the sums themselves."""
-    x = np.ascontiguousarray(x).reshape(len(x), -1)
+    x = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
     return np.matmul(x[:, None, :], x[:, :, None]).ravel()
 
 
@@ -332,9 +327,7 @@ def integerize(
     if caps is None:
         hi = np.full(K, c, dtype=np.int64)
     else:
-        hi = np.minimum(np.asarray(caps, dtype=np.int64), c)
-        if hi.shape != (K,):
-            raise ValueError("caps must have one entry per block")
+        hi = np.minimum(as_ints("caps", caps, (K,)), c)
     if (hi < lo).any():
         raise ValueError("some cap lies below the required floor of 1")
     lo_sum = int(lo.sum())

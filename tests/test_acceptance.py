@@ -25,14 +25,12 @@ from blockmm import (
     bounds_pilot_allocation,
     bounds_score_allocation,
     cancellation_stats,
-    coverage_check,
     estimate_product,
     estimate_product_two_step,
     expected_sq_error,
     elementwise_variance,
     gen_normal_instance,
     minimum_expected_sq_error,
-    normality_diagnostic,
     optimal_probabilities,
     run,
     uniform_probabilities,
@@ -40,6 +38,7 @@ from blockmm import (
 from blockmm.bench import make_instance, write_records
 from blockmm.matrix import frobenius_norm, multiply_exact
 from blockmm.plan import optimal_size_weights, real_optimal_budgets
+from montecarlo import coverage_check, normality_diagnostic
 from oracles import blockwise_mean_var, joint_mean_var, loop_expected_sq_error
 
 

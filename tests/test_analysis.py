@@ -21,17 +21,15 @@ from blockmm import (
     bounds_pilot_allocation,
     bounds_score_allocation,
     cancellation_stats,
-    coverage_check,
     elementwise_variance,
     estimate_product,
     expected_sq_error,
     minimum_expected_sq_error,
-    normality_diagnostic,
     optimal_probabilities,
     relative_error,
 )
-from blockmm.analysis import _clopper_pearson
 from blockmm.plan import optimal_size_weights, real_optimal_budgets, score_sums
+from montecarlo import _clopper_pearson, coverage_check, normality_diagnostic
 from oracles import blockwise_mean_var, loop_expected_sq_error
 
 

@@ -221,6 +221,18 @@ def test_integerize_errors():
         integerize([1, 2], 10**18)  # float shares cannot hold the budget
 
 
+def test_integerize_rejects_fractional_caps():
+    with pytest.raises(ValueError, match=r"caps must be finite integers, got \[2\.7"):
+        integerize([1, 1, 1], 7, caps=[2.7, 3, 3])  # was truncated to [2, 3, 3]
+    assert list(integerize([1, 1, 1], 7, caps=[3.0, 3, 3])) == [3, 2, 2]
+
+
+def test_integerize_rejects_non_finite_and_bool_caps():
+    for bad in ([np.nan, 3, 3], [np.inf, 3, 3], np.array([True, True, True])):
+        with pytest.raises(ValueError, match="caps must be finite integers"):
+            integerize([1, 1, 1], 7, caps=bad)
+
+
 def test_integerize_pins_floors_before_caps():
     # judged before the floors took their budget, block 1 looked over its cap
     assert list(integerize([0, 9, 1], 3, caps=[3, 2, 1], floor=[True] * 3)) == [1, 1, 1]
@@ -470,6 +482,9 @@ def test_allocate_two_step_validation_and_tags():
     assert plan_u.method == "ONU"
     plan_n = allocate_two_step(M, N, part, 6, 4, optimal_probabilities(M, N, part), rng)
     assert plan_n.method == "ONMCNR"
+    for p0 in (None, uniform_probabilities(part)):  # no live pilot block, or no score
+        with pytest.raises(ValueError, match="all blocks have zero score"):
+            allocate_two_step(np.zeros_like(M), N, part, 6, 4, p0, rng)
 
 
 def test_allocate_two_step_tag_follows_pilot_rule():
@@ -567,6 +582,22 @@ def test_sampling_plan_validation():
     zero_probs = BlockProbabilities(np.array([0.5, 0.5, 0.0, 0.0]), part)
     plan = SamplingPlan(part, zero_probs, np.array([3, 0]))
     assert plan.total == 3
+
+
+def test_sampling_plan_rejects_non_finite_fractional_and_bool_budgets():
+    part = BlockPartition((2, 2, 2))
+    probs = uniform_probabilities(part)
+    bools, huge = np.array([True, True, True]), np.array([2**63, 2, 2], dtype=np.uint64)
+    for bad in ([np.inf, 2, 2], [np.nan, 2, 2], [1.5, 2, 2], bools, huge):
+        with pytest.raises(ValueError, match="budgets must be finite integers"):
+            SamplingPlan(part, probs, bad)
+    with pytest.raises(ValueError, match=r"budgets must have shape \(3,\)"):
+        SamplingPlan(part, probs, np.array([[1, 2, 2]]))
+    budgets = np.array([1, 2, 2])
+    plan = SamplingPlan(part, probs, budgets)
+    budgets[0] = 5  # the plan keeps its own copy
+    assert plan.budgets.tolist() == [1, 2, 2] and plan.budgets.dtype == np.int64
+    assert SamplingPlan(part, probs, [1.0, 2.0, 2.0]).budgets.tolist() == [1, 2, 2]
 
 
 def test_sampling_plan_rejects_probabilities_of_another_partition():

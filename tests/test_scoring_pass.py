@@ -24,6 +24,8 @@ from blockmm import (
     allocate_uniform,
     block_norm_probabilities,
     bound_inputs_for_plan,
+    bounds_optimal_allocation,
+    bounds_pilot_allocation,
     cancellation_stats,
     elementwise_variance,
     estimate_product,
@@ -136,14 +138,23 @@ def test_score_allocators_equal_their_public_steps(kind):
     _assert_same_plan(allocate_optimal(M, N, part, C), probs, _budgets(part, s, w))
 
 
+def _two_step_cases(kind):
+    """(M, N, part, c0) of the two-step bit checks: 4, 20 (BLAS then rounds
+    by operand layout) and 1 pilot draws per block, p = 1, and an unequal
+    partition."""
+    M, N, part = _instance(kind)
+    yield from ((M, N, part, c0) for c0 in (C0, 120, 6))
+    yield M, N[:, :1], part, C0
+    yield M, N, BlockPartition((10, 30, 20, 40, 5, 15)), C0
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("pilot", ["uniform", "norm"])
 def test_two_step_equals_its_public_steps(kind, pilot):
-    M, N, part = _instance(kind)
-    probs = optimal_probabilities(M, N, part)
-    p0 = uniform_probabilities(part) if pilot == "uniform" else probs
-    s = score_sums(M, N, part)
-    for c0 in (C0, 120):  # 20 pilot draws per block: BLAS then rounds by operand layout
+    for M, N, part, c0 in _two_step_cases(kind):
+        probs = optimal_probabilities(M, N, part)
+        p0 = uniform_probabilities(part) if pilot == "uniform" else probs
+        s = score_sums(M, N, part)
         pilot_norms = _pilot_norms(M, N, part, p0, _rng(), c0)
         steps = (probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
         plan = allocate_two_step(M, N, part, C, c0, p0, _rng())
@@ -569,7 +580,7 @@ def test_extreme_scales_plan(factor):
     np.testing.assert_allclose(q, block_norm_probabilities(M, N, part), rtol=1e-12)
 
 
-@pytest.mark.parametrize("a, b", [(600, 600), (-600, -600), (600, -600)])
+@pytest.mark.parametrize("a, b", [(600, 600), (-600, -600), (600, -600), (-600, 600)])
 def test_pilot_bound_inputs_are_invariant_under_power_of_two_scaling(a, b):
     M, N, part = _instance("heavy")
     Ms, Ns = np.ldexp(M, a), np.ldexp(N, b)
@@ -579,6 +590,10 @@ def test_pilot_bound_inputs_are_invariant_under_power_of_two_scaling(a, b):
         for name in ("c", "fail_prob", "prob_floor", "cancel_lo", "cancel_hi", "ratios", "cancel_hi_exact"):
             assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
         assert (got.frob_m, got.frob_n) == (math.ldexp(want.frob_m, a), math.ldexp(want.frob_n, b))
+        # The bounds scale by 2**(2(a + b)): beyond float64 they read inf, below it 0.
+        for bounds in (bounds_optimal_allocation, bounds_pilot_allocation):
+            for w, g in zip(bounds(want), bounds(got)):
+                assert g == pytest.approx(math.inf if a + b > 0 else 0.0 if a + b < 0 else w, rel=1e-14)
 
 
 def test_replaced_two_step_plans_keep_or_take_the_pilot_norms():
