@@ -29,7 +29,6 @@ import numpy as np
 
 from .matrix import BlockPartition, as_int, as_nonneg, block_view, frobenius_norm
 from .plan import (
-    NORM_RANGE,
     SamplingPlan,
     _floor_ratio,
     _optimal_probabilities,
@@ -239,20 +238,16 @@ def _ldexp(x: float, e: int) -> float:
 def _bound_pair(inp: BoundInputs, radicand: float, hi: float = 1.0, lo: float = 1.0) -> BoundPair:
     """The bound formula: phi = sqrt(radicand) / (hi * lo)^(1/4) and
     eta = phi + sqrt(hi / lo) * sqrt(8 log(1 / fail_prob) / floor), each
-    squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c).  A norm outside
-    NORM_RANGE is squared as its mantissa, its power of two applied last,
-    so no square overflows or underflows; a bound beyond float64 is inf."""
-    phi = math.sqrt(radicand) / (hi * lo) ** 0.25
-    eta = phi + math.sqrt(hi / lo) * math.sqrt((8.0 / inp.prob_floor) * math.log(1.0 / inp.fail_prob))
-    fm, fn, (a, b) = inp.frob_m, inp.frob_n, NORM_RANGE
-    # The plain squares where they are safe: a mantissa's square scaled back
-    # differs from pow(x, 2) in the last bit for about 1 x in 2,000.
-    if a <= fm <= b and a <= fn <= b:
-        base = fm**2 * fn**2 / (inp.prob_floor * inp.c)
-        return BoundPair(phi**2 * base, eta**2 * base)
-    (fm, em), (fn, en) = math.frexp(fm), math.frexp(fn)
-    base, e = fm**2 * fn**2 / (inp.prob_floor * inp.c), 2 * (em + en)
-    return BoundPair(_ldexp(phi**2 * base, e), _ldexp(eta**2 * base, e))
+    squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c).  phi, eta, the
+    norms and the floor enter as frexp mantissas, their powers of two summed
+    and applied last, so no step raises: a bound beyond float64 reads inf,
+    one below it 0."""
+    phi = math.sqrt(radicand) / (math.sqrt(math.sqrt(hi)) * math.sqrt(math.sqrt(lo)))
+    eta = phi + math.sqrt(hi / lo * 8.0 * math.log(1.0 / inp.fail_prob)) / math.sqrt(inp.prob_floor)
+    (fm, em), (fn, en), (d, ed) = math.frexp(inp.frob_m), math.frexp(inp.frob_n), math.frexp(inp.prob_floor)
+    base, e = fm * fm * (fn * fn) / (d * inp.c), 2 * (em + en) - ed
+    (p, ep), (q, eq) = math.frexp(phi), math.frexp(eta)
+    return BoundPair(_ldexp(p * p * base, e + 2 * ep), _ldexp(q * q * base, e + 2 * eq))
 
 
 def _cancellation_bounds(inp: BoundInputs, hi_exact: float) -> BoundPair:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .matrix import BlockPartition, as_int, check_factors
 from .plan import (
+    BLOCK_CHUNK,
     BlockProbabilities,
     SamplingPlan,
     _allocate,
@@ -215,14 +216,19 @@ def allocate_two_step(
     p0 = probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
     pair, _ = _sketch(prof.M, prof.N, p0, counts, rng.spawn(K))
-    # Every live block has pilot_count draws: one batched matmul of
-    # column-major (live, m, pilot_count) views, with the strides of
-    # sketch_columns' C, and norms with the bits of np.linalg.norm.
-    live = counts > 0
-    shape = (int(live.sum()), pilot_count)
-    C = np.asfortranarray(pair.C).T.reshape(*shape, M.shape[0]).transpose(0, 2, 1)
+    # Every live block has pilot_count draws: batched matmuls of column-major
+    # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
+    # and norms with the bits of np.linalg.norm.  A batch holds about
+    # BLOCK_CHUNK product entries, or one block's.
+    m, p, pc = M.shape[0], N.shape[1], pilot_count
+    sq = np.zeros(int((counts > 0).sum()))
+    per = max(1, BLOCK_CHUNK // max(1, m * p))
+    for k in range(0, sq.size, per):
+        cols, n = slice(k * pc, (k + per) * pc), min(per, sq.size - k)
+        C = np.asfortranarray(pair.C[:, cols]).T.reshape(n, pc, m).transpose(0, 2, 1)
+        sq[k : k + n] = _block_sq_sums(np.matmul(C, pair.D[cols].reshape(n, pc, p)))
     pilot_norms = np.zeros(K)
-    pilot_norms[live] = np.sqrt(_block_sq_sums(np.matmul(C, pair.D.reshape(*shape, N.shape[1]))))
+    pilot_norms[counts > 0] = np.sqrt(sq)
     method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
     return _allocate(prof, c, method, probs, pilot_norms=pilot_norms)
 

@@ -336,6 +336,25 @@ def test_bound_degenerate_premises_go_infinite():
     assert z == (math.inf, math.inf)
 
 
+def test_bounds_beyond_float64_read_inf_and_never_raise():
+    kw = dict(c=1, fail_prob=0.1, prob_floor=1e-120)
+    # eta is about 4.3e160, so its square alone lies beyond float64.
+    pair = bounds_optimal_allocation(BoundInputs(cancel_lo=1e-200, cancel_hi=1.0, frob_m=1.0, frob_n=1.0, **kw))
+    assert pair.variance_bound == pytest.approx(1e220, rel=1e-14)
+    assert pair.sq_error_bound == math.inf
+    # The same eta against tiny norms: the bound itself is representable.
+    pair = bounds_optimal_allocation(BoundInputs(cancel_lo=1e-200, cancel_hi=1.0, frob_m=1e-150, frob_n=1e-150, **kw))
+    assert pair.sq_error_bound == pytest.approx(8 * math.log(10) * 1e-160, rel=1e-13)
+    # hi * lo underflows to 0, and (hi * lo)**0.25 with it.
+    pair = bounds_optimal_allocation(BoundInputs(cancel_lo=1e-200, cancel_hi=1e-200, frob_m=1.0, frob_n=1.0, **kw))
+    assert pair.variance_bound == pytest.approx(1e120, rel=1e-14)
+    # A subnormal floor against a zero norm: 0, not inf * 0.
+    pair = bounds_score_allocation(
+        BoundInputs(c=1, fail_prob=0.1, prob_floor=1e-320, cancel_lo=0.2, cancel_hi=0.8, frob_m=0.0, frob_n=1.0)
+    )
+    assert pair == (0.0, 0.0)
+
+
 def test_bound_input_validation():
     ok = dict(c=10, fail_prob=0.1, prob_floor=0.5, cancel_lo=0.2, cancel_hi=0.8,
               frob_m=1.0, frob_n=1.0)

@@ -169,6 +169,16 @@ def test_two_step_equals_its_public_steps(kind, pilot):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("chunk", [1, 80])  # m * p = 20: one block per batch; four, then a short batch
+def test_two_step_pilot_norms_keep_their_bits_in_small_batches(kind, chunk, monkeypatch):
+    monkeypatch.setattr(estimators, "BLOCK_CHUNK", chunk)
+    M, N, part = _instance(kind)
+    for p0 in (uniform_probabilities(part), optimal_probabilities(M, N, part)):
+        plan = allocate_two_step(M, N, part, C, C0, p0, _rng())
+        assert plan.pilot_norms.tobytes() == _pilot_norms(M, N, part, p0, _rng()).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_estimate_product_equals_per_block_sketches(kind):
     M, N, part = _instance(kind)
     for plan in (allocate_by_score_sums(M, N, part, C), allocate_uniform(part, C)):
