@@ -33,7 +33,6 @@ from .plan import (
     _floor_ratio,
     _optimal_probabilities,
     _optimal_weights,
-    _product_norms,
     _profile,
     _Profile,
 )
@@ -98,7 +97,7 @@ def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=
     p = plan.probs.values
     per_index = np.divide(prof.index**2, p, out=np.zeros_like(p), where=p > 0)
     term1 = np.add.reduceat(per_index, part.offsets[:-1])
-    numerator = term1 - _product_norms(prof) ** 2
+    numerator = term1 - prof.product_norms**2
     for k in np.flatnonzero(b == 0).tolist():
         _check_zero_budget(k, term1[k], numerator[k])
     live = b > 0
@@ -111,7 +110,7 @@ def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition
     if isinstance(c, (bool, np.bool_)) or not (math.isfinite(c) and c > 0):
         raise ValueError(f"budget c must be finite and > 0, got {c!r}")
     prof = _profile(M, N, part)
-    w = _optimal_weights(prof.sums, _product_norms(prof))
+    w = _optimal_weights(prof.sums, prof.product_norms)
     return float(np.ldexp(w.sum() ** 2 / c, -2 * prof.scale))
 
 
@@ -150,7 +149,7 @@ def cancellation_stats(
     if pilot_norms is not None:
         g = as_nonneg("pilot_norms", pilot_norms, (part.num_blocks,))
         return _cancellation(prof.sums, np.ldexp(g, prof.scale), exact=False)
-    return _cancellation(prof.sums, _product_norms(prof), exact=True)
+    return _cancellation(prof.sums, prof.product_norms, exact=True)
 
 
 def _cancellation(s: np.ndarray, g: np.ndarray, exact: bool) -> CancellationStats:
@@ -294,7 +293,7 @@ def bound_inputs_for_plan(
     variance-minimizing probabilities plus cancellation statistics (pilot
     statistics when the plan carries pilot norms)."""
     prof = _profile(M, N, plan.partition)
-    exact_stats = _cancellation(prof.sums, _product_norms(prof), exact=True)
+    exact_stats = _cancellation(prof.sums, prof.product_norms, exact=True)
     floor = _floor_ratio(plan.probs.values, _optimal_probabilities(prof))
     if plan._pilot is not None:
         values, e = plan._pilot

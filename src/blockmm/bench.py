@@ -8,6 +8,12 @@ time split into a plan phase (probabilities + sizes; for OPL this includes
 the exact block products, for ONC it does not — that asymmetry is the whole
 cost argument) and a sample phase (drawing + combining).
 
+The instance is fixed, so every replication on one partition shares its
+passes, each made and timed once: the scoring pass with its probabilities,
+OPL's block products and SSM's block norms.  A pass's time is added to the
+plan time of every replication that reads it, so a plan time still says
+what that replication's plan costs from scratch.
+
 Output is a raw CSV (one row per replication) and a summary CSV (per-method
 aggregates, plot-ready).  With ``record_timing`` off the time columns are
 written as 0.0, making the raw CSV byte-reproducible from (config, seed).
@@ -18,6 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -25,17 +32,18 @@ import numpy as np
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
 from .estimators import (
-    _two_step_plan,
+    _allocate_two_step,
     estimate_product,
     estimate_product_block_sampling,
 )
 from .matrix import BlockPartition, as_int, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
-    allocate_by_score_sums,
-    allocate_optimal,
+    _allocate,
+    _profile,
     allocate_uniform,
     block_norm_probabilities,
+    uniform_probabilities,
 )
 
 SWEEPABLE = ("K", "c", "c0")
@@ -97,9 +105,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _normalize_knob(name, getattr(self, name)))
         swept = [name for name in SWEEPABLE if isinstance(getattr(self, name), tuple)]
         if len(swept) != 1:
-            raise ValueError(
-                f"exactly one of {SWEEPABLE} must be a sweep list, got {swept or 'none'}"
-            )
+            raise ValueError(f"exactly one of {SWEEPABLE} must be a sweep list, got {swept or 'none'}")
         if self.location not in ("ones", "zero"):
             raise ValueError("location must be 'ones' or 'zero'")
         if not isinstance(self.record_timing, bool):
@@ -117,17 +123,13 @@ class ExperimentConfig:
             for value in self.sweep_values:
                 K, c, _ = self.resolved(value)
                 if c < K:
-                    raise ValueError(
-                        f"c={c} below K={K}: {column_samplers} draw at least once per block"
-                    )
+                    raise ValueError(f"c={c} below K={K}: {column_samplers} draw at least once per block")
         two_step = {"ONU", "ONMCNR"} & set(self.methods)
         if two_step:
             for c0 in self._values("c0"):
                 for K in self._values("K"):
                     if c0 < K:
-                        raise ValueError(
-                            f"c0={c0} below K={K}: no pilot draws for {sorted(two_step)}"
-                        )
+                        raise ValueError(f"c0={c0} below K={K}: no pilot draws for {sorted(two_step)}")
 
     def _values(self, name: str) -> tuple[int, ...]:
         v = getattr(self, name)
@@ -216,10 +218,38 @@ def replication_rng(seed: int, sweep_index: int, method: str, rep: int) -> np.ra
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+_SCORED = ("OPL", "ONC", "ONU", "ONMCNR")
+
+# The passes shared by every replication on one partition, in the order they
+# are made: each one's maker and the methods that read it.
+_PASSES = {
+    "prof": (lambda s: _profile(s.M, s.N, s.part), _SCORED),
+    "probs": (lambda s: s.prof.probs, _SCORED),
+    "g": (lambda s: s.prof.product_norms, ("OPL",)),
+    "q": (lambda s: block_norm_probabilities(s.M, s.N, s.part), ("SSM",)),
+}
+
+
+def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence[str]) -> SimpleNamespace:
+    """What the METHODS entries read: the caller's M and N, which estimates
+    sample, the partition, and each pass that ``methods`` read, made once
+    and timed; ``charge[tag]`` is the seconds of the passes ``tag`` reads."""
+    s = SimpleNamespace(M=M, N=N, part=part, prof=None, q=None, charge=dict.fromkeys(methods, 0.0))
+    for name, (make, readers) in _PASSES.items():
+        readers = [tag for tag in methods if tag in readers]
+        if readers:
+            t0 = time.process_time()
+            setattr(s, name, make(s))
+            seconds = time.process_time() - t0
+            for tag in readers:
+                s.charge[tag] += seconds
+    return s
+
+
 def _plan_then_sample(allocate: Callable) -> Callable:
-    def prepare(M, N, part, c, c0, rng):
-        plan = allocate(M, N, part, c)
-        return lambda: estimate_product(M, N, plan, rng)[1]
+    def prepare(s, c, c0, rng):
+        plan = allocate(s, c)
+        return lambda: estimate_product(s.M, s.N, plan, rng)[1]
 
     return prepare
 
@@ -227,82 +257,61 @@ def _plan_then_sample(allocate: Callable) -> Callable:
 def _two_step(pilot: str) -> Callable:
     """``estimate_product_two_step`` split into its plan and sample phases."""
 
-    def prepare(M, N, part, c, c0, rng):
-        plan, main_rng = _two_step_plan(M, N, part, c, c0, pilot, rng)
-        return lambda: estimate_product(M, N, plan, main_rng)[1]
+    def prepare(s, c, c0, rng):
+        pilot_rng, main_rng = rng.spawn(2)
+        p0 = uniform_probabilities(s.part) if pilot == "uniform" else None
+        plan = _allocate_two_step(s.prof, c, c0, p0, pilot_rng)
+        return lambda: estimate_product(s.M, s.N, plan, main_rng)[1]
 
     return prepare
 
 
-def _whole_blocks(M, N, part, c, c0, rng):
-    q = block_norm_probabilities(M, N, part)
+def _whole_blocks(s, c, c0, rng):
     # Budget parity with the column samplers: b blocks of n/K columns
     # each cost about as much as c column draws.
-    draws = max(1, round(c * part.num_blocks / part.total))
-    return lambda: estimate_product_block_sampling(M, N, part, draws, rng, probs=q)[1]
+    draws = max(1, round(c * s.part.num_blocks / s.part.total))
+    return lambda: estimate_product_block_sampling(s.M, s.N, s.part, draws, rng, probs=s.q)[1]
 
 
-# Tag -> prepare(M, N, part, c, c0, rng), which builds the plan and returns the
-# zero-argument sampling step.  In METHOD_TAGS order, which keys the streams.
+# Tag -> prepare(shared, c, c0, rng), which plans from the shared passes and
+# returns the zero-argument sampling step.  In METHOD_TAGS order, which keys the streams.
 METHODS: dict[str, Callable] = {
-    "OPL": _plan_then_sample(allocate_optimal),
-    "ONC": _plan_then_sample(allocate_by_score_sums),
+    "OPL": _plan_then_sample(lambda s, c: _allocate(s.prof, c, "OPL")),
+    "ONC": _plan_then_sample(lambda s, c: _allocate(s.prof, c, "ONC")),
     "ONU": _two_step("uniform"),
     "ONMCNR": _two_step("norm"),
-    "UU": _plan_then_sample(lambda M, N, part, c: allocate_uniform(part, c)),
+    "UU": _plan_then_sample(lambda s, c: allocate_uniform(s.part, c)),
     "SSM": _whole_blocks,
 }
-
-
-def run_method_once(
-    M: np.ndarray,
-    N: np.ndarray,
-    part: BlockPartition,
-    method: str,
-    c: int,
-    c0: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, float]:
-    """One replication of one method: (estimate, plan seconds, sample seconds).
-    ``method`` is a tag validated by ``ExperimentConfig``."""
-    t0 = time.process_time()
-    sample = METHODS[method](M, N, part, c, c0, rng)
-    t1 = time.process_time()
-    estimate = sample()
-    return estimate, t1 - t0, time.process_time() - t1
 
 
 def run(config: ExperimentConfig) -> tuple[list[RawRecord], list[SummaryRecord]]:
     """Execute the configured sweep; deterministic given (config, seed)."""
     need = estimate_bytes(config)
     if need > config.max_bytes:
-        raise ResourceCapError(
-            f"estimated {need} bytes exceeds the cap of {config.max_bytes}"
-        )
+        raise ResourceCapError(f"estimated {need} bytes exceeds the cap of {config.max_bytes}")
     M, N = make_instance(config)
     exact = multiply_exact(M, N)
     raw: list[RawRecord] = []
+    shared = None
     for si, value in enumerate(config.sweep_values):
         K, c, c0 = config.resolved(value)
-        part = BlockPartition.equal(config.n, K)
+        if shared is None or shared.part.num_blocks != K:
+            shared = _share(M, N, BlockPartition.equal(config.n, K), config.methods)
         for method in config.methods:
             for rep in range(config.reps):
                 rng = replication_rng(config.seed, si, method, rep)
-                estimate, plan_t, sample_t = run_method_once(M, N, part, method, c, c0, rng)
+                t0 = time.process_time()
+                sample = METHODS[method](shared, c, c0, rng)
+                t1 = time.process_time()
+                estimate = sample()
+                plan_t, sample_t = t1 - t0 + shared.charge[method], time.process_time() - t1
                 if not config.record_timing:
                     plan_t = sample_t = 0.0
-                raw.append(
-                    RawRecord(
-                        case=config.case,
-                        method=method,
-                        sweep_var=config.sweep_var,
-                        sweep_value=value,
-                        rep=rep,
-                        rel_error=relative_error(estimate, exact),
-                        plan_time_s=plan_t,
-                        sample_time_s=sample_t,
-                    )
-                )
+                raw.append(RawRecord(
+                    case=config.case, method=method, sweep_var=config.sweep_var, sweep_value=value, rep=rep,
+                    rel_error=relative_error(estimate, exact), plan_time_s=plan_t, sample_time_s=sample_t,
+                ))
     return raw, summarize(raw)
 
 

@@ -36,8 +36,8 @@ from .plan import (
     SamplingPlan,
     _allocate,
     _block_sq_sums,
-    _optimal_probabilities,
     _profile,
+    _Profile,
     block_norm_probabilities,
     uniform_probabilities,
 )
@@ -183,6 +183,49 @@ def estimate_product(
     return pair, pair.C @ pair.D, log
 
 
+def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockProbabilities]) -> tuple[int, int]:
+    """c and the pilot draws per block, floor(c0/K), checked with p0's partition."""
+    c = as_int("c", c)
+    if not 1 <= c <= part.total:
+        raise ValueError(f"budget c={c} must lie in [1, {part.total}]")
+    K = part.num_blocks
+    pilot_count = as_int("c0", c0) // K
+    if pilot_count < 1:
+        raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
+    if p0 is not None and p0.partition != part:
+        raise ValueError("pilot probabilities are built on a different partition")
+    return c, pilot_count
+
+
+def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbabilities], rng) -> SamplingPlan:
+    """``allocate_two_step`` on a scoring profile; c, c0 and the block
+    floors are checked before the pilot."""
+    part, K = prof.part, prof.part.num_blocks
+    c, pilot_count = _two_step_counts(part, c, c0, p0)
+    live = prof.sums > 0
+    floors, caps = int(live.sum()), int(np.array(part.sizes)[live].sum())
+    if floors and not floors <= c <= caps:
+        raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
+    p0 = prof.probs if p0 is None else p0
+    counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
+    pair, _ = _sketch(prof.M, prof.N, p0, counts, rng.spawn(K))
+    # Every live block has pilot_count draws: batched matmuls of column-major
+    # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
+    # and norms with the bits of np.linalg.norm.  A batch holds about
+    # BLOCK_CHUNK product entries, or one block's.
+    m, p, pc = prof.M.shape[0], prof.N.shape[1], pilot_count
+    sq = np.zeros(int((counts > 0).sum()))
+    per = max(1, BLOCK_CHUNK // max(1, m * p))
+    for k in range(0, sq.size, per):
+        cols, n = slice(k * pc, (k + per) * pc), min(per, sq.size - k)
+        C = np.asfortranarray(pair.C[:, cols]).T.reshape(n, pc, m).transpose(0, 2, 1)
+        sq[k : k + n] = _block_sq_sums(np.matmul(C, pair.D[cols].reshape(n, pc, p)))
+    pilot_norms = np.zeros(K)
+    pilot_norms[counts > 0] = np.sqrt(sq)
+    method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
+    return _allocate(prof, c, method, pilot_norms=pilot_norms)
+
+
 def allocate_two_step(
     M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int, c0: int, p0: Optional[BlockProbabilities], rng
 ) -> SamplingPlan:
@@ -198,53 +241,8 @@ def allocate_two_step(
     follows the pilot's rule: ONU for "uniform", ONMCNR for "optimal", and
     none for any other pilot.  c and c0 are checked before any scoring.
     """
-    c = as_int("c", c)
-    if not 1 <= c <= part.total:
-        raise ValueError(f"budget c={c} must lie in [1, {part.total}]")
-    K = part.num_blocks
-    pilot_count = as_int("c0", c0) // K
-    if pilot_count < 1:
-        raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
-    if p0 is not None and p0.partition != part:
-        raise ValueError("pilot probabilities are built on a different partition")
-    prof = _profile(M, N, part)
-    live = prof.sums > 0
-    floors, caps = int(live.sum()), int(np.array(part.sizes)[live].sum())
-    if floors and not floors <= c <= caps:
-        raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
-    probs = BlockProbabilities(_optimal_probabilities(prof), part, rule="optimal")
-    p0 = probs if p0 is None else p0
-    counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pair, _ = _sketch(prof.M, prof.N, p0, counts, rng.spawn(K))
-    # Every live block has pilot_count draws: batched matmuls of column-major
-    # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
-    # and norms with the bits of np.linalg.norm.  A batch holds about
-    # BLOCK_CHUNK product entries, or one block's.
-    m, p, pc = M.shape[0], N.shape[1], pilot_count
-    sq = np.zeros(int((counts > 0).sum()))
-    per = max(1, BLOCK_CHUNK // max(1, m * p))
-    for k in range(0, sq.size, per):
-        cols, n = slice(k * pc, (k + per) * pc), min(per, sq.size - k)
-        C = np.asfortranarray(pair.C[:, cols]).T.reshape(n, pc, m).transpose(0, 2, 1)
-        sq[k : k + n] = _block_sq_sums(np.matmul(C, pair.D[cols].reshape(n, pc, p)))
-    pilot_norms = np.zeros(K)
-    pilot_norms[counts > 0] = np.sqrt(sq)
-    method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
-    return _allocate(prof, c, method, probs, pilot_norms=pilot_norms)
-
-
-def _two_step_plan(
-    M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int, c0: int, pilot: str, rng: np.random.Generator
-) -> tuple[SamplingPlan, np.random.Generator]:
-    """The plan phase of the two-step estimator: pilot probabilities
-    "uniform" (tag ONU) or "norm", the norm-product ones (tag ONMCNR), then
-    ``allocate_two_step`` on the first of two child streams of ``rng``.
-    Returns the plan and the second stream, which the sampling phase uses."""
-    if pilot not in ("uniform", "norm"):
-        raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
-    pilot_rng, main_rng = rng.spawn(2)
-    p0 = uniform_probabilities(part) if pilot == "uniform" else None
-    return allocate_two_step(M, N, part, c, c0, p0, pilot_rng), main_rng
+    _two_step_counts(part, c, c0, p0)
+    return _allocate_two_step(_profile(M, N, part), c, c0, p0, rng)
 
 
 class TwoStepResult(NamedTuple):
@@ -269,7 +267,11 @@ def estimate_product_two_step(
     for the norm-product probabilities (tag ONMCNR).  The pilot and the
     main pass use independent child streams of ``rng``.
     """
-    plan, main_rng = _two_step_plan(M, N, part, c, c0, pilot, rng)
+    if pilot not in ("uniform", "norm"):
+        raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
+    pilot_rng, main_rng = rng.spawn(2)
+    p0 = uniform_probabilities(part) if pilot == "uniform" else None
+    plan = allocate_two_step(M, N, part, c, c0, p0, pilot_rng)
     pair, product, log = estimate_product(M, N, plan, main_rng)
     return TwoStepResult(pair, product, log, plan)
 

@@ -162,11 +162,7 @@ def _scaled_norms(X: np.ndarray, norms, name: str):
     return Xs, v, e
 
 
-class _Profile(NamedTuple):
-    """One validated scoring pass: the factors scaled by powers of two whose
-    exponents sum to ``scale``, and in their units the per-index scores
-    ||M column i|| * ||N row i|| and block sums s_k; ``frob_*`` are unscaled."""
-
+class _Fields(NamedTuple):
     M: np.ndarray
     N: np.ndarray
     part: BlockPartition
@@ -175,6 +171,22 @@ class _Profile(NamedTuple):
     scale: int
     frob_m: float
     frob_n: float
+
+
+class _Profile(_Fields):
+    """One validated scoring pass: the factors scaled by powers of two whose
+    exponents sum to ``scale``, and in their units the per-index scores
+    ||M column i|| * ||N row i|| and block sums s_k; ``frob_*`` are unscaled.
+    g_k and the optimal probabilities are built on first use and kept for
+    every plan on the profile.  Tuple fields keep it frozen and cheap to build."""
+
+    @cached_property
+    def product_norms(self) -> np.ndarray:
+        return _product_norms(self)
+
+    @cached_property
+    def probs(self) -> BlockProbabilities:
+        return BlockProbabilities(_optimal_probabilities(self), self.part, rule="optimal")
 
 
 def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
@@ -246,7 +258,7 @@ def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockSco
     exact product itself; it backs the optimal allocator only.
     """
     prof = _profile(M, N, part)
-    return BlockScores(np.ldexp(prof.sums, -prof.scale), np.ldexp(_product_norms(prof), -prof.scale))
+    return BlockScores(np.ldexp(prof.sums, -prof.scale), np.ldexp(prof.product_norms, -prof.scale))
 
 
 def _optimal_probabilities(prof: _Profile) -> np.ndarray:
@@ -259,7 +271,7 @@ def _optimal_probabilities(prof: _Profile) -> np.ndarray:
 def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockProbabilities:
     """Variance-minimizing within-block probabilities: p_i proportional to
     ||M column i|| * ||N row i||, normalized per block."""
-    return BlockProbabilities(_optimal_probabilities(_profile(M, N, part)), part, rule="optimal")
+    return _profile(M, N, part).probs
 
 
 def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
@@ -418,32 +430,31 @@ def _optimal_weights(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 def optimal_size_weights(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Real-valued optimal-size weights sqrt(s_k^2 - g_k^2) with exact g_k."""
     prof = _profile(M, N, part)
-    return np.ldexp(_optimal_weights(prof.sums, _product_norms(prof)), -prof.scale)
+    return np.ldexp(_optimal_weights(prof.sums, prof.product_norms), -prof.scale)
 
 
 def real_optimal_budgets(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> np.ndarray:
     """Pre-integerization optimal sizes c * w_k / sum(w)."""
     prof = _profile(M, N, part)
-    w = _optimal_weights(prof.sums, _product_norms(prof))
+    w = _optimal_weights(prof.sums, prof.product_norms)
     if w.sum() == 0.0:
         raise ValueError("all optimal size weights are zero")
     return c * w / w.sum()
 
 
-def _allocate(prof: _Profile, c: int, method: str, probs=None, exact_norms=None, pilot_norms=None):
-    """The allocation shared by OPL, ONC and the two-step plans, all with
-    ``probs``, the optimal probabilities of ``prof`` (built here if None).
-    Sizes are proportional to the score sums s (ONC), to sqrt(s^2 - g^2)
-    with the exact block product norms g (OPL), or to sqrt(|s^2 - g^2|)
-    with pilot norms g, which may overshoot s (ONU/ONMCNR), g in the
-    profile's units.
+def _allocate(prof: _Profile, c: int, method: str, pilot_norms=None) -> SamplingPlan:
+    """The allocation shared by OPL, ONC and the two-step plans, all with the
+    profile's optimal probabilities.  Sizes are proportional to the score
+    sums s (ONC), to sqrt(s^2 - g^2) with the exact block product norms g
+    (OPL), or to sqrt(|s^2 - g^2|) with pilot norms g in the profile's
+    units, which may overshoot s (ONU/ONMCNR).
     Zero-score blocks get no draws; every other block gets at least one and
     at most its column count."""
     s, part = prof.sums, prof.part
     if s.sum() == 0.0:
         raise ValueError("all blocks have zero score: nothing to sample")
-    if exact_norms is not None:
-        w, rule = _optimal_weights(s, exact_norms), "optimal"
+    if method == "OPL":
+        w, rule = _optimal_weights(s, prof.product_norms), "optimal"
     elif pilot_norms is not None:
         w, rule = np.sqrt(np.abs(s**2 - pilot_norms**2)), "pilot"
     else:
@@ -456,17 +467,14 @@ def _allocate(prof: _Profile, c: int, method: str, probs=None, exact_norms=None,
         notes = (f"{rule} size weights all zero; fell back to score-sum sizes",)
     caps = np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0)
     budgets = integerize(w, c, caps=caps, floor=s > 0)
-    if probs is None:
-        probs = BlockProbabilities(_optimal_probabilities(prof), part, rule="optimal")
     pilot = None if pilot_norms is None else (pilot_norms, prof.scale)
-    return SamplingPlan(part, probs, budgets, method=method, notes=notes, _pilot=pilot)
+    return SamplingPlan(part, prof.probs, budgets, method=method, notes=notes, _pilot=pilot)
 
 
 def allocate_optimal(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
     """Variance-minimizing plan (tag OPL): optimal probabilities, sizes
     proportional to sqrt(s_k^2 - g_k^2).  Forms every exact block product."""
-    prof = _profile(M, N, part)
-    return _allocate(prof, c, "OPL", exact_norms=_product_norms(prof))
+    return _allocate(_profile(M, N, part), c, "OPL")
 
 
 def allocate_by_score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:

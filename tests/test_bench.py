@@ -16,10 +16,18 @@ from blockmm import (
     BlockPartition,
     ExperimentConfig,
     ResourceCapError,
+    allocate_by_score_sums,
+    allocate_optimal,
+    allocate_uniform,
+    block_norm_probabilities,
+    estimate_product,
+    estimate_product_block_sampling,
     estimate_product_two_step,
+    multiply_exact,
+    relative_error,
     run,
 )
-from blockmm import cli
+from blockmm import bench, cli, plan as plan_module
 from blockmm.bench import (
     METHODS,
     RAW_HEADER,
@@ -28,6 +36,7 @@ from blockmm.bench import (
     config_from_dict,
     estimate_bytes,
     make_instance,
+    replication_rng,
     summarize,
     write_records,
     write_results,
@@ -139,14 +148,69 @@ def test_method_table_follows_method_tags():
     assert tuple(METHODS) == METHOD_TAGS
 
 
-@pytest.mark.parametrize("tag, pilot", [("ONU", "uniform"), ("ONMCNR", "norm")])
+def _public_estimate(tag, pilot, M, N, part, c, c0, rng):
+    """One replication of ``tag`` through the public calls alone."""
+    if pilot is not None:
+        return estimate_product_two_step(M, N, part, c, c0, rng, pilot=pilot).product
+    if tag == "SSM":
+        draws = max(1, round(c * part.num_blocks / part.total))
+        return estimate_product_block_sampling(M, N, part, draws, rng, probs=block_norm_probabilities(M, N, part))[1]
+    allocate = {
+        "OPL": lambda: allocate_optimal(M, N, part, c),
+        "ONC": lambda: allocate_by_score_sums(M, N, part, c),
+        "UU": lambda: allocate_uniform(part, c),
+    }[tag]
+    return estimate_product(M, N, allocate(), rng)[1]
+
+
+@pytest.mark.parametrize(
+    "tag, pilot",
+    [("OPL", None), ("ONC", None), ("ONU", "uniform"), ("ONMCNR", "norm"), ("UU", None), ("SSM", None)],
+)
 def test_method_table_two_step_matches_library(tag, pilot):
-    M, N = make_instance(small_config())
-    part = BlockPartition.equal(24, 3)
-    rng = lambda: np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1, 2)))
-    estimate = METHODS[tag](M, N, part, 12, 6, rng())()
-    ref = estimate_product_two_step(M, N, part, 12, 6, rng(), pilot=pilot).product
-    assert estimate.tobytes() == ref.tobytes()
+    """Every method, not only the two-step ones: on a c, a K and a c0 sweep
+    of all six methods, each of ``tag``'s rows has the relative error of the
+    public chain on the same replication stream, bit for bit, though the
+    sweep plans from passes shared by every row on a partition."""
+    for knobs in (dict(c=(6, 12, 24)), dict(K=(2, 3, 6), c=12), dict(c=12, c0=(6, 12, 24))):
+        cfg = small_config(reps=2, **knobs)
+        M, N = make_instance(cfg)
+        exact = multiply_exact(M, N)
+        rows = [r for r in run(cfg)[0] if r.method == tag]
+        assert len(rows) == 3 * 2
+        for r in rows:
+            K, c, c0 = cfg.resolved(r.sweep_value)
+            rng = replication_rng(cfg.seed, cfg.sweep_values.index(r.sweep_value), tag, r.rep)
+            estimate = _public_estimate(tag, pilot, M, N, BlockPartition.equal(cfg.n, K), c, c0, rng)
+            assert r.rel_error == relative_error(estimate, exact), (knobs, r)
+
+
+def test_plan_time_charges_the_shared_passes(monkeypatch):
+    """A clock that moves only inside the shared passes: every row's plan
+    time is the seconds of the passes its method reads, on every rep, though
+    each pass is made once per partition."""
+    clock = [0.0]
+    monkeypatch.setattr(bench.time, "process_time", lambda: clock[0])
+
+    def costs(module, name, seconds):
+        original = getattr(module, name)
+
+        def call(*args):
+            clock[0] += seconds
+            return original(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    costs(plan_module, "column_norms", 1.0)  # the scoring pass
+    costs(plan_module, "_optimal_probabilities", 10.0)
+    costs(plan_module, "_product_norms", 100.0)  # OPL's block products
+    costs(bench, "block_norm_probabilities", 1000.0)  # SSM's block norms
+    raw, summary = run(small_config(record_timing=True, reps=3))
+    charge = {"OPL": 111.0, "ONC": 11.0, "ONU": 11.0, "ONMCNR": 11.0, "UU": 0.0, "SSM": 1000.0}
+    assert len(raw) == 2 * 6 * 3
+    assert [(r.method, r.plan_time_s, r.sample_time_s) for r in raw] == [(r.method, charge[r.method], 0.0) for r in raw]
+    assert [s.plan_time_mean_s for s in summary] == [charge[s.method] for s in summary]
+    assert clock[0] == 1111.0  # c is swept: one partition, each pass made once
 
 
 def test_cli_method_help_lists_the_table(monkeypatch):

@@ -1,7 +1,8 @@
 """Guards of the single scoring pass: every composite call equals, bit for
 bit, its public steps, computes the column and row norms exactly once and
-forms the block products at most once, and every plan is unchanged, bit for
-bit, when a factor is scaled by a power of two.  The sampler draws from one
+forms the block products at most once, a benchmark sweep does each of those
+once per partition, and every plan is unchanged, bit for bit, when a factor
+is scaled by a power of two.  The sampler draws from one
 table of per-block running sums per call and still equals the per-block
 ``sketch_columns`` bit for bit.  The whole-block baseline's probabilities
 come from one batched norm pass with the bits of the per-block norms."""
@@ -320,6 +321,14 @@ def norm_calls(monkeypatch):
     return calls
 
 
+def _sweep(methods=plan_module.METHOD_TAGS, **knobs):
+    """A ``bench.run`` sweep, by default c over three points, every method
+    and two replications, on a 5 x 120 x 4 instance with K = 6."""
+    config = dict(case="II", m=5, n=120, p=4, K=6, c=(C, 60, 120), c0=C0, reps=2, seed=201, record_timing=False)
+    config = bench.ExperimentConfig(**{**config, "methods": methods, **knobs})
+    return lambda: bench.run(config)
+
+
 def _scored_calls():
     M, N, part = _instance("zero-blocks")
     onc = allocate_by_score_sums(M, N, part, C)
@@ -336,10 +345,8 @@ def _scored_calls():
         "expected_sq_error": lambda: expected_sq_error(M, N, onc),
         "elementwise_variance": lambda: elementwise_variance(M, N, onc),
         "cancellation_stats": lambda: cancellation_stats(M, N, part),
-        **{
-            f"bench.METHODS[{tag}]": (lambda tag=tag: bench.METHODS[tag](M, N, part, C, C0, _rng()))
-            for tag in ("OPL", "ONC", "ONU", "ONMCNR")
-        },
+        # The method's three-point c sweep: its passes are shared by every row.
+        **{f"bench.METHODS[{tag}]": _sweep((tag,)) for tag in ("OPL", "ONC", "ONU", "ONMCNR")},
     }
 
 
@@ -366,7 +373,8 @@ def probability_builds(monkeypatch):
         return original(*args)
 
     for module in (plan_module, estimators, analysis):
-        monkeypatch.setattr(module, "_optimal_probabilities", counted)
+        if hasattr(module, "_optimal_probabilities"):
+            monkeypatch.setattr(module, "_optimal_probabilities", counted)
     return calls
 
 
@@ -470,6 +478,30 @@ def test_block_products_formed_once_or_never(name, product_calls):
     product_calls.clear()
     call()
     assert product_calls["formed"] == (1 if name in FORMS_PRODUCTS else 0)
+
+
+# ---------------------------------------------------------------------------
+# a benchmark sweep: each pass once per partition, shared by every row
+
+
+@pytest.mark.parametrize("sweep, partitions", [(_sweep(), 1), (_sweep(K=(4, 6, 12), c=C), 3)], ids=["c", "K"])
+def test_one_pass_of_each_kind_per_partition_in_a_sweep(
+    sweep, partitions, norm_calls, probability_builds, product_calls, monkeypatch
+):
+    """All six methods, three sweep points, two replications each."""
+    block_norms = Counter()
+    original = bench.block_norm_probabilities
+
+    def counted(*args):
+        block_norms["built"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(bench, "block_norm_probabilities", counted)
+    sweep()
+    assert norm_calls == {"column_norms": partitions, "row_norms": partitions}
+    assert probability_builds == {"built": partitions}
+    assert product_calls == {"formed": partitions}
+    assert block_norms == {"built": partitions}
 
 
 @pytest.mark.parametrize("sizes", [(20,) * 6, (30, 10, 25, 15, 40)])
