@@ -10,9 +10,10 @@ cost argument) and a sample phase (drawing + combining).
 
 The instance is fixed, so every replication on one partition shares its
 passes, each made and timed once: the scoring pass with its probabilities,
-OPL's block products and SSM's block norms.  A pass's time is added to the
-plan time of every replication that reads it, so a plan time still says
-what that replication's plan costs from scratch.
+OPL's block products, SSM's block norms and the uniform probabilities of UU
+and ONU's pilot.  A pass's time is added to the plan time of every
+replication that reads it, so a plan time still says what that
+replication's plan costs from scratch.
 
 Output is a raw CSV (one row per replication) and a summary CSV (per-method
 aggregates, plot-ready).  With ``record_timing`` off the time columns are
@@ -227,6 +228,7 @@ _PASSES = {
     "probs": (lambda s: s.prof.probs, _SCORED),
     "g": (lambda s: s.prof.product_norms, ("OPL",)),
     "q": (lambda s: block_norm_probabilities(s.M, s.N, s.part), ("SSM",)),
+    "uniform": (lambda s: uniform_probabilities(s.part), ("ONU", "UU")),
 }
 
 
@@ -234,7 +236,7 @@ def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence
     """What the METHODS entries read: the caller's M and N, which estimates
     sample, the partition, and each pass that ``methods`` read, made once
     and timed; ``charge[tag]`` is the seconds of the passes ``tag`` reads."""
-    s = SimpleNamespace(M=M, N=N, part=part, prof=None, q=None, charge=dict.fromkeys(methods, 0.0))
+    s = SimpleNamespace(M=M, N=N, part=part, prof=None, q=None, uniform=None, charge=dict.fromkeys(methods, 0.0))
     for name, (make, readers) in _PASSES.items():
         readers = [tag for tag in methods if tag in readers]
         if readers:
@@ -259,7 +261,7 @@ def _two_step(pilot: str) -> Callable:
 
     def prepare(s, c, c0, rng):
         pilot_rng, main_rng = rng.spawn(2)
-        p0 = uniform_probabilities(s.part) if pilot == "uniform" else None
+        p0 = s.uniform if pilot == "uniform" else None
         plan = _allocate_two_step(s.prof, c, c0, p0, pilot_rng)
         return lambda: estimate_product(s.M, s.N, plan, main_rng)[1]
 

@@ -2,8 +2,9 @@
 
 Every sampler draws by one rule, inverse-CDF importance sampling: in each
 block with a positive count, one ``random`` call and one binary search in
-the block's slice of one table of running sums, built once per call.
-The probabilities are a validated ``BlockProbabilities``, so a negative or
+the block's slice of one table of running sums, built once per call; a
+partition's uniform vector, shared and read-only, carries its own.  The
+probabilities are a validated ``BlockProbabilities``, so a negative or
 non-finite entry, or a block that sums to neither 1 nor 0, is rejected
 before any draw.  The blocked estimator then gathers every drawn
 column/row pair of its plan at once, scales each by 1/sqrt(count * p) in
@@ -35,25 +36,13 @@ from .plan import (
     BlockProbabilities,
     SamplingPlan,
     _allocate,
+    _block_cumsums,
     _block_sq_sums,
     _profile,
     _Profile,
     block_norm_probabilities,
     uniform_probabilities,
 )
-
-
-def _block_cumsums(probs: BlockProbabilities) -> np.ndarray:
-    """Every block's running probability sums, as one n-vector: one row-wise
-    cumsum for an equal partition (it adds in sequence, the same bits as one
-    cumsum per block), else one cumsum per block.  Built per call: kept on
-    every probability vector, one more long-lived n-vector each, it raised
-    the desk-heavy benchmark's peak RSS by 3-6% through heap fragmentation."""
-    part = probs.partition
-    K, b = part.num_blocks, part.sizes[0]
-    if part.sizes == (b,) * K:
-        return probs.values.reshape(K, b).cumsum(axis=1).ravel()
-    return np.concatenate([np.cumsum(v) for v in probs.per_block])
 
 
 def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.ndarray]:

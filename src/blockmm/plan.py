@@ -58,6 +58,7 @@ class BlockProbabilities:
     partition: BlockPartition
     rule: str = "explicit"
     _zero: np.ndarray = field(init=False, repr=False)  # per block: flagged all zero
+    _cum: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # see _block_cumsums
 
     def __post_init__(self):
         p = as_nonneg("probabilities", self.values, (self.partition.total,))
@@ -274,9 +275,36 @@ def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) ->
     return _profile(M, N, part).probs
 
 
+def _block_cumsums(probs: BlockProbabilities) -> np.ndarray:
+    """Every block's running probability sums, as one n-vector: one row-wise
+    cumsum for an equal partition (it adds in sequence, the same bits as one
+    cumsum per block), else one cumsum per block.  Only a partition's uniform
+    vector carries its table; any other is built per call: in a prototype,
+    tables kept on every vector raised desk-heavy peak RSS 66.0 -> 74.5 MB."""
+    if probs._cum is not None:
+        return probs._cum
+    part = probs.partition
+    K, b = part.num_blocks, part.sizes[0]
+    if part.sizes == (b,) * K:
+        return probs.values.reshape(K, b).cumsum(axis=1).ravel()
+    return np.concatenate([np.cumsum(v) for v in probs.per_block])
+
+
 def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
-    sizes = np.array(part.sizes)
-    return BlockProbabilities(np.repeat(1.0 / sizes, sizes), part, rule="uniform")
+    """1/n_k over every block k: one read-only object per partition object,
+    shared by every UU plan and uniform pilot on it, built on first use with
+    its running sums and kept on the partition, like its offsets.  Its
+    ``partition`` is an equal copy: a reference cycle would keep a dead
+    partition's arrays until a cyclic collection (+1.6 MB desk-heavy peak RSS)."""
+    u = part.__dict__.get("_uniform")
+    if u is None:
+        sizes = np.array(part.sizes)
+        u = BlockProbabilities(np.repeat(1.0 / sizes, sizes), BlockPartition(part.sizes), rule="uniform")
+        cum = _block_cumsums(u)
+        cum.flags.writeable = False
+        object.__setattr__(u, "_cum", cum)
+        object.__setattr__(part, "_uniform", u)
+    return u
 
 
 def prob_floor_ratio(probs: BlockProbabilities, reference: BlockProbabilities) -> float:

@@ -205,12 +205,13 @@ def test_plan_time_charges_the_shared_passes(monkeypatch):
     costs(plan_module, "_optimal_probabilities", 10.0)
     costs(plan_module, "_product_norms", 100.0)  # OPL's block products
     costs(bench, "block_norm_probabilities", 1000.0)  # SSM's block norms
+    costs(bench, "uniform_probabilities", 10000.0)  # the uniform vector of UU and ONU's pilot
     raw, summary = run(small_config(record_timing=True, reps=3))
-    charge = {"OPL": 111.0, "ONC": 11.0, "ONU": 11.0, "ONMCNR": 11.0, "UU": 0.0, "SSM": 1000.0}
+    charge = {"OPL": 111.0, "ONC": 11.0, "ONU": 10011.0, "ONMCNR": 11.0, "UU": 10000.0, "SSM": 1000.0}
     assert len(raw) == 2 * 6 * 3
     assert [(r.method, r.plan_time_s, r.sample_time_s) for r in raw] == [(r.method, charge[r.method], 0.0) for r in raw]
     assert [s.plan_time_mean_s for s in summary] == [charge[s.method] for s in summary]
-    assert clock[0] == 1111.0  # c is swept: one partition, each pass made once
+    assert clock[0] == 11111.0  # c is swept: one partition, each pass made once
 
 
 def test_cli_method_help_lists_the_table(monkeypatch):

@@ -4,11 +4,15 @@ forms the block products at most once, a benchmark sweep does each of those
 once per partition, and every plan is unchanged, bit for bit, when a factor
 is scaled by a power of two.  The sampler draws from one
 table of per-block running sums per call and still equals the per-block
-``sketch_columns`` bit for bit.  The whole-block baseline's probabilities
+``sketch_columns`` bit for bit; a partition's uniform vector is one
+read-only constant that carries its table and gives the bits of a fresh
+vector.  The whole-block baseline's probabilities
 come from one batched norm pass with the bits of the per-block norms."""
 
 import dataclasses
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -253,13 +257,75 @@ def test_sketch_columns_and_block_sampling_draw_like_the_reference(probs):
         np.testing.assert_array_equal(log.column, want)
 
 
+def _fresh_uniform(part):
+    """The uniform probabilities as a new vector, which carries no table."""
+    sizes = np.array(part.sizes)
+    return BlockProbabilities(np.repeat(1 / sizes, sizes), part, rule="uniform")
+
+
 @pytest.mark.parametrize("part", [BlockPartition.equal(120, 6), UNEQUAL])
 def test_block_cumsums_equal_one_cumsum_per_block(part):
+    """Per-call tables, and the table the partition's uniform constant carries."""
     M, N, _ = _instance("zero-blocks")
-    for probs in (optimal_probabilities(M, N, part), uniform_probabilities(part)):
+    for probs in (optimal_probabilities(M, N, part), _fresh_uniform(part), uniform_probabilities(part)):
         cum = estimators._block_cumsums(probs)
         off = part.offsets
         assert [cum[a:b].tobytes() for a, b in zip(off, off[1:])] == [np.cumsum(p).tobytes() for p in probs.per_block]
+    assert estimators._block_cumsums(uniform_probabilities(part)) is uniform_probabilities(part)._cum
+
+
+@pytest.mark.parametrize("part", [BlockPartition.equal(120, 6), UNEQUAL], ids=["equal", "unequal"])
+def test_uniform_probabilities_are_one_read_only_constant_per_partition(part):
+    u = uniform_probabilities(part)
+    assert uniform_probabilities(part) is u and allocate_uniform(part, C).probs is u
+    assert uniform_probabilities(BlockPartition(part.sizes)) is not u  # an equal partition object has its own
+    assert u.partition == part
+    assert u.values.tobytes() == _fresh_uniform(part).values.tobytes()
+    for array in (u.values, estimators._block_cumsums(u)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    # No other vector keeps a table, not even after a draw.
+    M, N, _ = _instance("heavy")
+    onc = allocate_by_score_sums(M, N, part, C)
+    estimate_product(M, N, onc, _rng())
+    estimate_product_block_sampling(M, N, part, 3, _rng())
+    assert onc.probs._cum is None and _fresh_uniform(part)._cum is None
+
+
+def test_uniform_constant_dies_with_its_partition():
+    """No reference cycle: the constant's arrays go with the last reference
+    to its partition, not at a later cyclic collection."""
+    gc.disable()
+    try:
+        part = BlockPartition.equal(120, 6)
+        constant = weakref.ref(uniform_probabilities(part))
+        del part
+        assert constant() is None
+    finally:
+        gc.enable()
+
+
+def _estimate_bytes(pair, product, log):
+    return (pair.C, pair.D, pair.offsets, product, [getattr(log, f) for f in LOG_FIELDS])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("part", [BlockPartition.equal(120, 6), UNEQUAL], ids=["equal", "unequal"])
+def test_uniform_constant_estimates_equal_a_fresh_vector(kind, part):
+    """UU and the uniform-pilot two-step plan through the partition's
+    constant equal, bit for bit, the same calls on a fresh uniform vector."""
+    M, N, _ = _instance(kind)
+    for _ in range(2):  # the call that builds the constant, then one that reuses it
+        uu = allocate_uniform(part, C)
+        fresh = SamplingPlan(part, _fresh_uniform(part), uu.budgets, method="UU")
+        _assert_same_estimate(*estimate_product(M, N, uu, _rng()), _estimate_bytes(*estimate_product(M, N, fresh, _rng())))
+
+        res = estimate_product_two_step(M, N, part, C, C0, _rng())
+        pilot_rng, main_rng = _rng().spawn(2)
+        plan = allocate_two_step(M, N, part, C, C0, _fresh_uniform(part), pilot_rng)
+        _assert_same_plan(res.plan, plan.probs, plan.budgets, plan.pilot_norms)
+        assert res.plan.method == plan.method == "ONU"
+        _assert_same_estimate(res.pair, res.product, res.log, _estimate_bytes(*estimate_product(M, N, plan, main_rng)))
 
 
 @pytest.fixture
@@ -269,9 +335,10 @@ def sampler_work(monkeypatch):
     calls = Counter()
     original_table, original_sketch, original_cumsum = estimators._block_cumsums, estimators._sketch, np.cumsum
 
-    def table(*args):
-        calls["tables"] += 1
-        return original_table(*args)
+    def table(probs):
+        out = original_table(probs)
+        calls["tables"] += out is not probs._cum  # a table the vector carries is not built
+        return out
 
     def cumsum(*args, **kwargs):
         calls["cumsum"] += 1
@@ -293,9 +360,11 @@ def sampler_work(monkeypatch):
 @pytest.mark.parametrize("pilot", ["uniform", "norm"])
 def test_each_sampler_call_builds_one_table_and_no_per_block_cumsum(pilot, sampler_work):
     M, N, part = _instance("zero-blocks")  # K = 6 equal blocks
+    uniform_probabilities(part)  # the partition's constant, with its table
     estimate_product_two_step(M, N, part, C, C0, _rng(), pilot=pilot)
     assert sampler_work["sketches"] == 2  # the pilot and the main pass
-    assert sampler_work["tables"] == 2
+    # The uniform pilot draws from the constant's table; the main pass builds its own.
+    assert sampler_work["tables"] == (1 if pilot == "uniform" else 2)
     assert sampler_work["most cumsums in one sketch"] <= 1  # the offsets only, none per block
 
 
@@ -489,19 +558,25 @@ def test_one_pass_of_each_kind_per_partition_in_a_sweep(
     sweep, partitions, norm_calls, probability_builds, product_calls, monkeypatch
 ):
     """All six methods, three sweep points, two replications each."""
-    block_norms = Counter()
-    original = bench.block_norm_probabilities
+    block_norms, uniform = Counter(), Counter()
+    original, vector = bench.block_norm_probabilities, plan_module.BlockProbabilities
 
     def counted(*args):
         block_norms["built"] += 1
         return original(*args)
 
+    def counted_vector(*args, **kwargs):
+        uniform["built"] += kwargs.get("rule") == "uniform"
+        return vector(*args, **kwargs)
+
     monkeypatch.setattr(bench, "block_norm_probabilities", counted)
+    monkeypatch.setattr(plan_module, "BlockProbabilities", counted_vector)
     sweep()
     assert norm_calls == {"column_norms": partitions, "row_norms": partitions}
     assert probability_builds == {"built": partitions}
     assert product_calls == {"formed": partitions}
     assert block_norms == {"built": partitions}
+    assert uniform == {"built": partitions}
 
 
 @pytest.mark.parametrize("sizes", [(20,) * 6, (30, 10, 25, 15, 40)])
