@@ -28,7 +28,6 @@ from .plan import (
     integerize,
     optimal_probabilities,
     optimal_size_weights,
-    prob_floor_ratio,
     real_optimal_budgets,
     score_sums,
     uniform_probabilities,

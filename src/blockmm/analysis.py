@@ -17,6 +17,9 @@ statistics:
 Blocks where cancellation is numerically total (ratio = 1 to rounding) are
 excluded from the lower cancellation statistic, else every bound would
 degenerate to infinity on instances containing a variance-free block.
+
+One call costs one scoring pass, one block-product pass and a few vector
+operations over the blocks or indices; only ``elementwise_variance`` loops.
 """
 
 from __future__ import annotations
@@ -40,16 +43,26 @@ from .plan import (
 DEGENERATE_TOL = 1e-12
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, inf of x's sign where that lies beyond float64."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets) -> np.ndarray:
     """The plan's budgets as floats, or the override; rejects a zero
     probability at a contributing column."""
     part = plan.partition
     K = part.num_blocks
     b = plan.budgets.astype(np.float64) if budgets is None else as_nonneg("budget override", budgets, (K,))
-    missed = (plan.probs.values == 0) & (prof.index > 0)
-    if missed.any():
-        k = int(np.argmax(np.logical_or.reduceat(missed, part.offsets[:-1])))
-        raise ValueError(f"block {k}: zero probability at a contributing column")
+    p = plan.probs.values
+    if not p.all():
+        missed = (p == 0) & (prof.index > 0)
+        if missed.any():
+            k = int(np.argmax(np.logical_or.reduceat(missed, part.offsets[:-1])))
+            raise ValueError(f"block {k}: zero probability at a contributing column")
     return b
 
 
@@ -84,24 +97,26 @@ def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budge
             _check_zero_budget(k, term1, numerator)
             continue
         var += numerator / b[k]
-    return np.ldexp(var, -2 * prof.scale)
+    with np.errstate(over="ignore"):  # an entry beyond float64 reads inf
+        return np.ldexp(var, -2 * prof.scale)
 
 
 def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> float:
     """E || exact product - estimate ||_F^2 under ``plan`` (the estimator is
     unbiased, so this is the summed entry variance), in closed form: the sum
-    over blocks of (sum_i s_i^2 / p_i - g_k^2) / c_k, s_i the index scores."""
+    over blocks of (sum_i s_i^2 / p_i - g_k^2) / c_k, s_i the index scores.
+    A column with p_i = 0 has s_i = 0 (checked), so it divides by 1 instead."""
     part = plan.partition
     prof = _profile(M, N, part)
     b = _checked_budgets(prof, plan, budgets)
     p = plan.probs.values
-    per_index = np.divide(prof.index**2, p, out=np.zeros_like(p), where=p > 0)
-    term1 = np.add.reduceat(per_index, part.offsets[:-1])
+    term1 = np.add.reduceat(prof.index**2 / np.where(p > 0, p, 1.0), part.offsets[:-1])
     numerator = term1 - prof.product_norms**2
-    for k in np.flatnonzero(b == 0).tolist():
-        _check_zero_budget(k, term1[k], numerator[k])
-    live = b > 0
-    return float(np.ldexp((numerator[live] / b[live]).sum(), -2 * prof.scale))
+    if not b.all():
+        for k in np.flatnonzero(b == 0).tolist():
+            _check_zero_budget(k, term1[k], numerator[k])
+        numerator, b = numerator[b > 0], b[b > 0]
+    return _ldexp(float((numerator / b).sum()), -2 * prof.scale)
 
 
 def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> float:
@@ -111,7 +126,7 @@ def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition
         raise ValueError(f"budget c must be finite and > 0, got {c!r}")
     prof = _profile(M, N, part)
     w = _optimal_weights(prof.sums, prof.product_norms)
-    return float(np.ldexp(w.sum() ** 2 / c, -2 * prof.scale))
+    return _ldexp(float(w.sum() ** 2 / c), -2 * prof.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,43 +161,42 @@ def cancellation_stats(
     absolute value there.
     """
     prof = _profile(M, N, part)
-    if pilot_norms is not None:
-        g = as_nonneg("pilot_norms", pilot_norms, (part.num_blocks,))
-        return _cancellation(prof.sums, np.ldexp(g, prof.scale), exact=False)
-    return _cancellation(prof.sums, prof.product_norms, exact=True)
-
-
-def _cancellation(s: np.ndarray, g: np.ndarray, exact: bool) -> CancellationStats:
-    """Cancellation statistics from score sums s and product norms g, exact
-    or pilot estimates, both checked vectors of one value per block."""
-    if (s == 0).all():
-        raise ValueError("all blocks have zero score")
-    ratios = np.full(s.size, np.nan)
-    included = s > 0
-    ratios[included] = g[included] / s[included]
-    cancel = 1.0 - ratios**2
+    s, exact = prof.sums, pilot_norms is None
     if exact:
-        degenerate = included & (ratios >= 1.0 - DEGENERATE_TOL)
+        g = prof.product_norms
     else:
-        cancel = np.abs(cancel)
-        degenerate = included & (cancel <= DEGENERATE_TOL)
-    usable = included & ~degenerate
-    hi = float(np.nanmax(cancel[included])) if included.any() else 0.0
-    if usable.any():
-        lo = float(cancel[usable].min())
-        lo_available = True
-    else:
-        lo, lo_available = 0.0, False
+        g = np.ldexp(as_nonneg("pilot_norms", pilot_norms, (part.num_blocks,)), prof.scale)
+    ratios, cancel, usable, lo, hi = _cancellation(s, g, exact)
     return CancellationStats(
         ratios=ratios,
         cancel=cancel,
         cancel_lo=lo,
-        cancel_hi=max(hi, 0.0),
-        lo_available=lo_available,
+        cancel_hi=hi,
+        lo_available=bool(usable.any()),
         exact=exact,
-        zero_score_blocks=tuple(np.where(~included)[0]),
-        degenerate_blocks=tuple(np.where(degenerate)[0]),
+        zero_score_blocks=tuple(np.where(s == 0)[0]),
+        degenerate_blocks=tuple(np.where((s > 0) & ~usable)[0]),
     )
+
+
+def _cancellation(s: np.ndarray, g: np.ndarray, exact: bool):
+    """(ratios, cancel, usable, lo, hi) from checked per-block score sums s
+    and product norms g, exact or pilot estimates.  Ratios and cancel are NaN
+    at zero-score blocks; ``usable`` marks the scored, non-degenerate blocks;
+    lo is their minimum cancel (0.0 if none), hi the maximum over scored
+    blocks and 0."""
+    if not s.any():
+        raise ValueError("all blocks have zero score")
+    scored = s > 0
+    ratios = np.divide(g, s, out=np.full(s.size, np.nan), where=scored)
+    cancel = 1.0 - ratios**2
+    if exact:
+        usable = ratios < 1.0 - DEGENERATE_TOL
+    else:
+        cancel = np.abs(cancel)
+        usable = cancel > DEGENERATE_TOL
+    lo = float(np.minimum.reduce(cancel, where=usable, initial=np.inf)) if usable.any() else 0.0
+    return ratios, cancel, usable, lo, float(np.maximum.reduce(cancel, where=scored, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,14 +240,6 @@ class BoundPair(NamedTuple):
     sq_error_bound: float  # bounds ||exact - estimate||_F^2 w.p. >= 1 - fail_prob
 
 
-def _ldexp(x: float, e: int) -> float:
-    """x * 2**e, inf where that lies beyond float64."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
-
-
 def _bound_pair(inp: BoundInputs, radicand: float, hi: float = 1.0, lo: float = 1.0) -> BoundPair:
     """The bound formula: phi = sqrt(radicand) / (hi * lo)^(1/4) and
     eta = phi + sqrt(hi / lo) * sqrt(8 log(1 / fail_prob) / floor), each
@@ -256,7 +262,7 @@ def _cancellation_bounds(inp: BoundInputs, hi_exact: float) -> BoundPair:
     lo, hi, floor = inp.cancel_lo, inp.cancel_hi, inp.prob_floor
     if floor <= 0.0 or lo <= 0.0:
         return BoundPair(math.inf, math.inf)
-    return _bound_pair(inp, hi - lo * floor + hi_exact * lo * floor, hi, lo)
+    return _bound_pair(inp, max(hi - lo * floor + hi_exact * lo * floor, 0.0), hi, lo)
 
 
 def bounds_optimal_allocation(inp: BoundInputs) -> BoundPair:
@@ -293,24 +299,21 @@ def bound_inputs_for_plan(
     variance-minimizing probabilities plus cancellation statistics (pilot
     statistics when the plan carries pilot norms)."""
     prof = _profile(M, N, plan.partition)
-    exact_stats = _cancellation(prof.sums, prof.product_norms, exact=True)
-    floor = _floor_ratio(plan.probs.values, _optimal_probabilities(prof))
+    ratios, _, _, lo, hi = _cancellation(prof.sums, prof.product_norms, exact=True)
+    hi_exact = None
     if plan._pilot is not None:
         values, e = plan._pilot
-        stats = _cancellation(prof.sums, np.ldexp(values, prof.scale - e), exact=False)
-        hi_exact = exact_stats.cancel_hi
-    else:
-        stats = exact_stats
-        hi_exact = None
+        hi_exact = hi
+        ratios, _, _, lo, hi = _cancellation(prof.sums, np.ldexp(values, prof.scale - e), exact=False)
     return BoundInputs(
         c=plan.total,
         fail_prob=fail_prob,
-        prob_floor=floor,
-        cancel_lo=stats.cancel_lo,
-        cancel_hi=stats.cancel_hi,
+        prob_floor=_floor_ratio(plan.probs.values, _optimal_probabilities(prof)),
+        cancel_lo=lo,
+        cancel_hi=hi,
         frob_m=prof.frob_m,
         frob_n=prof.frob_n,
-        ratios=stats.ratios,
+        ratios=ratios,
         cancel_hi_exact=hi_exact,
     )
 

@@ -199,7 +199,7 @@ def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
     M, col, e_m = _scaled_norms(M, column_norms, "M")
     N, row, e_n = _scaled_norms(N, row_norms, "N")
     index = col * row
-    frob_m, frob_n = float(np.ldexp(frobenius_norm(col), -e_m)), float(np.ldexp(frobenius_norm(row), -e_n))
+    frob_m, frob_n = float(np.ldexp(math.sqrt(col @ col), -e_m)), float(np.ldexp(math.sqrt(row @ row), -e_n))
     return _Profile(M, N, part, index, np.add.reduceat(index, part.offsets[:-1]), e_m + e_n, frob_m, frob_n)
 
 
@@ -307,19 +307,13 @@ def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
     return u
 
 
-def prob_floor_ratio(probs: BlockProbabilities, reference: BlockProbabilities) -> float:
-    """Largest factor beta in [0, 1] such that probs >= beta * reference
-    everywhere: the minimum ratio over reference's support, capped at 1.
-    It is 0.0 when probs vanishes somewhere reference is positive, i.e. when
-    there is no positive floor."""
-    if probs.partition != reference.partition:
-        raise ValueError("probabilities are built on different partitions")
-    return _floor_ratio(probs.values, reference.values)
-
-
 def _floor_ratio(values: np.ndarray, reference: np.ndarray) -> float:
-    sup = reference > 0
-    return float(np.min(values[sup] / reference[sup], initial=1.0))
+    """Largest factor beta in [0, 1] such that values >= beta * reference
+    everywhere: the minimum ratio over reference's support, capped at 1.
+    It is 0.0 when values vanish somewhere reference is positive, i.e. when
+    there is no positive floor."""
+    ratios = np.divide(values, reference, out=np.ones(values.size), where=reference > 0)
+    return float(np.minimum.reduce(ratios, initial=1.0))
 
 
 def integerize(

@@ -197,3 +197,45 @@ def inverse_cdf_draw(probs, count, rng):
     probs = np.asarray(probs, dtype=float)
     drawn = np.cumsum(probs).searchsorted(rng.random(count), side="right")
     return np.minimum(drawn, np.flatnonzero(probs > 0)[-1])
+
+
+def loop_cancellation(s, g, exact, tol=1e-12):
+    """Per-block cancellation statistics by a plain loop over score sums s
+    and product norms g (exact, or pilot estimates when ``exact`` is false):
+    (ratios, cancel, lo, hi, zero_score_blocks, degenerate_blocks).  A
+    zero-score block has ratio and cancellation NaN.  A scored block is
+    degenerate when its ratio is within tol of 1 (exact) or its cancellation
+    within tol of 0 (pilot, where cancel is |1 - ratio^2|).  lo is the
+    minimum cancellation over the other scored blocks (0.0 when there is
+    none), hi the maximum over all scored blocks and 0.0."""
+    ratios, cancel, zero, degenerate, usable = [], [], [], [], []
+    hi = 0.0
+    for k in range(len(s)):
+        sk, gk = float(s[k]), float(g[k])
+        if sk == 0.0:
+            ratios.append(math.nan)
+            cancel.append(math.nan)
+            zero.append(k)
+            continue
+        r = gk / sk
+        ck = 1.0 - r * r
+        if not exact:
+            ck = abs(ck)
+        ratios.append(r)
+        cancel.append(ck)
+        hi = max(hi, ck)
+        if (r >= 1.0 - tol) if exact else (ck <= tol):
+            degenerate.append(k)
+        else:
+            usable.append(ck)
+    lo = min(usable) if usable else 0.0
+    return np.array(ratios), np.array(cancel), lo, hi, tuple(zero), tuple(degenerate)
+
+
+def loop_floor_ratio(probs, reference):
+    """min over i with reference[i] > 0 of probs[i] / reference[i], and 1.0."""
+    floor = 1.0
+    for p, q in zip(probs, reference):
+        if q > 0:
+            floor = min(floor, float(p) / float(q))
+    return floor

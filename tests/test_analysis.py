@@ -28,9 +28,9 @@ from blockmm import (
     optimal_probabilities,
     relative_error,
 )
-from blockmm.plan import optimal_size_weights, real_optimal_budgets, score_sums
+from blockmm.plan import _profile, optimal_size_weights, real_optimal_budgets, score_sums, uniform_probabilities
 from montecarlo import _clopper_pearson, coverage_check, normality_diagnostic
-from oracles import blockwise_mean_var, loop_expected_sq_error
+from oracles import blockwise_mean_var, loop_cancellation, loop_expected_sq_error, loop_floor_ratio
 
 
 def random_instance(seed, m=3, n=6, p=3):
@@ -206,6 +206,77 @@ def test_cancellation_rejects_all_zero_scores():
         cancellation_stats(np.zeros((2, 2)), np.zeros((2, 2)), part)
 
 
+def _cancellation_instances():
+    """The hand cases above, then random Cauchy instances at scales 2**-200
+    to 2**200, with blocks of one to three columns and, in most, one
+    zero-score block; each with pilot norms of 0 to 2.5 times the score
+    sums, one block's exactly at its score sum."""
+    M, N = random_instance(8, m=2, n=4, p=2)
+    cases = [
+        (np.eye(2), np.eye(2), (2,)),
+        (np.array([[1.0, 1.0]]), np.array([[1.0], [-1.0]]), (2,)),
+        (M, N, (1, 3)),
+        (*random_instance(9, m=2, n=4, p=2), (2, 2)),
+    ]
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        sizes = tuple(int(x) for x in rng.integers(1, 4, int(rng.integers(2, 9))))
+        n = sum(sizes)
+        M = rng.standard_cauchy((int(rng.integers(1, 6)), n))
+        N = rng.standard_cauchy((n, int(rng.integers(1, 6))))
+        if rng.random() < 0.8:
+            k = int(rng.integers(len(sizes)))
+            M[:, sum(sizes[:k]) : sum(sizes[: k + 1])] = 0.0
+        cases.append((np.ldexp(M, int(rng.integers(-200, 201))), N, sizes))
+    for M, N, sizes in cases:
+        part = BlockPartition(sizes)
+        factors = rng.random(len(sizes)) * 2.5
+        factors[rng.integers(len(sizes))] = 1.0
+        yield M, N, part, score_sums(M, N, part) * factors
+
+
+def _assert_stats_equal(st, want, exact):
+    ratios, cancel, lo, hi, zero, degenerate = want
+    np.testing.assert_array_equal(st.ratios, ratios)
+    np.testing.assert_array_equal(st.cancel, cancel)
+    assert (st.cancel_lo, st.cancel_hi, st.exact) == (lo, hi, exact)
+    assert (st.zero_score_blocks, st.degenerate_blocks) == (zero, degenerate)
+    assert st.lo_available == (len(ratios) > len(zero) + len(degenerate))
+
+
+def test_cancellation_statistics_equal_the_loop_oracle():
+    """Exact equality, NaN in the same places, with a per-block loop over the
+    profile's score sums and product norms: ``cancellation_stats`` in both
+    forms, and the statistics and floor of ``bound_inputs_for_plan`` for the
+    ONC, OPL, UU and both two-step plans."""
+    seen = set()
+    for M, N, part, pilot in _cancellation_instances():
+        prof = _profile(M, N, part)
+        exact = loop_cancellation(prof.sums, prof.product_norms, exact=True)
+        _assert_stats_equal(cancellation_stats(M, N, part), exact, True)
+        est = loop_cancellation(prof.sums, np.ldexp(pilot, prof.scale), exact=False)
+        _assert_stats_equal(cancellation_stats(M, N, part, pilot_norms=pilot), est, False)
+        seen.update(("zero score",) * bool(exact[4]), ("degenerate",) * bool(exact[5]))
+        seen.update(("pilot overshoot",) * bool((est[0] > 1).any()), ("pilot degenerate",) * bool(est[5]))
+        c = int(np.array(part.sizes)[prof.sums > 0].sum())  # every scored column
+        rng = np.random.default_rng(c)
+        plans = [allocate_by_score_sums(M, N, part, c), allocate_optimal(M, N, part, c), allocate_uniform(part, part.total)]
+        for p0 in (uniform_probabilities(part), optimal_probabilities(M, N, part)):
+            plans.append(allocate_two_step(M, N, part, c, 2 * part.total, p0, rng))
+        for plan in plans:
+            inp = bound_inputs_for_plan(M, N, plan, fail_prob=0.1)
+            want = exact
+            if plan.pilot_norms is not None:
+                want = loop_cancellation(prof.sums, np.ldexp(plan.pilot_norms, prof.scale), exact=False)
+                assert inp.cancel_hi_exact == exact[3]
+            else:
+                assert inp.cancel_hi_exact is None
+            np.testing.assert_array_equal(inp.ratios, want[0])
+            assert (inp.cancel_lo, inp.cancel_hi) == want[2:4]
+            assert inp.prob_floor == loop_floor_ratio(plan.probs.values, optimal_probabilities(M, N, part).values)
+    assert seen == {"zero score", "degenerate", "pilot overshoot", "pilot degenerate"}
+
+
 # ---------------------------------------------------------------------------
 # closed-form bounds
 
@@ -353,6 +424,33 @@ def test_bounds_beyond_float64_read_inf_and_never_raise():
         BoundInputs(c=1, fail_prob=0.1, prob_floor=1e-320, cancel_lo=0.2, cancel_hi=0.8, frob_m=0.0, frob_n=1.0)
     )
     assert pair == (0.0, 0.0)
+    # The squared analytics of factors at 2**700 lie beyond float64 and read
+    # inf; at 2**-700 they underflow, finite.
+    rng = np.random.default_rng(12)
+    M, N = rng.standard_normal((3, 12)), rng.standard_normal((12, 2))
+    part = BlockPartition.equal(12, 3)
+    for e, beyond in ((700, True), (-700, False)):
+        Ms = np.ldexp(M, e)
+        plan = allocate_by_score_sums(Ms, N, part, c=6)
+        values = [expected_sq_error(Ms, N, plan), minimum_expected_sq_error(Ms, N, part, 6)]
+        var = elementwise_variance(Ms, N, plan)
+        assert [math.isinf(v) for v in values] == [beyond] * 2
+        assert np.isinf(var).all() if beyond else np.isfinite(var).all()
+        assert values[0] >= 0.0 and (var >= 0.0).all()
+        bound = bounds_score_allocation(bound_inputs_for_plan(Ms, N, plan, 0.1)).sq_error_bound
+        assert math.isinf(bound) == beyond
+
+
+def test_pilot_bound_clamps_a_radicand_below_zero():
+    """``BoundInputs`` lets cancel_hi lie up to 1e-15 below cancel_lo; the
+    radicand hi - lo * floor + hi_exact * lo * floor then falls below 0 and
+    is clamped to 0, as the score bound clamps its own."""
+    inp = BoundInputs(c=10, fail_prob=0.1, prob_floor=1.0, cancel_lo=0.5, cancel_hi=0.5 - 1e-16,
+                      frob_m=1.0, frob_n=1.0, cancel_hi_exact=0.0)
+    pair = bounds_pilot_allocation(inp)
+    assert pair.variance_bound == 0.0
+    eta = math.sqrt(inp.cancel_hi / inp.cancel_lo * 8.0 * math.log(10.0))
+    assert pair.sq_error_bound == pytest.approx(eta**2 / 10, rel=1e-14)
 
 
 def test_bound_input_validation():

@@ -10,6 +10,7 @@ from blockmm.matrix import BlockPartition, frobenius_norm
 from blockmm.plan import (
     BlockProbabilities,
     SamplingPlan,
+    _floor_ratio,
     allocate_by_score_sums,
     allocate_optimal,
     allocate_uniform,
@@ -18,7 +19,6 @@ from blockmm.plan import (
     integerize,
     optimal_probabilities,
     optimal_size_weights,
-    prob_floor_ratio,
     real_optimal_budgets,
     score_sums,
     uniform_probabilities,
@@ -166,9 +166,9 @@ def test_block_scores_hand_two_column_case():
 def test_prob_floor_ratio_identity_and_hand_case():
     part = BlockPartition((2,))
     opt = BlockProbabilities(np.array([0.75, 0.25]), part)
-    assert prob_floor_ratio(opt, opt) == pytest.approx(1.0)
+    assert _floor_ratio(opt.values, opt.values) == pytest.approx(1.0)
     uni = uniform_probabilities(part)
-    assert prob_floor_ratio(uni, opt) == pytest.approx(2.0 / 3.0)
+    assert _floor_ratio(uni.values, opt.values) == pytest.approx(2.0 / 3.0)
 
 
 def test_prob_floor_ratio_mixture_scan():
@@ -177,7 +177,7 @@ def test_prob_floor_ratio_mixture_scan():
     part = BlockPartition((6,))
     opt = BlockProbabilities(raw / raw.sum(), part)
     mix = BlockProbabilities(0.5 * opt[0] + 0.5 / 6, part)
-    ratio = prob_floor_ratio(mix, opt)
+    ratio = _floor_ratio(mix.values, opt.values)
     scan = min(mix[0][i] / opt[0][i] for i in range(6))
     assert ratio == pytest.approx(scan, rel=1e-12)
     assert ratio >= 0.5
@@ -187,7 +187,7 @@ def test_prob_floor_ratio_support_mismatch():
     part = BlockPartition((2,))
     opt = BlockProbabilities(np.array([0.5, 0.5]), part)
     degenerate = BlockProbabilities(np.array([1.0, 0.0]), part)
-    assert prob_floor_ratio(degenerate, opt) == 0.0
+    assert _floor_ratio(degenerate.values, opt.values) == 0.0
 
 
 # ---------------------------------------------------------------- integerize
