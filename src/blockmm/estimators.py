@@ -192,7 +192,7 @@ def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbab
     part, K = prof.part, prof.part.num_blocks
     c, pilot_count = _two_step_counts(part, c, c0, p0)
     live = prof.sums > 0
-    floors, caps = int(live.sum()), int(np.array(part.sizes)[live].sum())
+    floors, caps = int(live.sum()), int(part.size_array[live].sum())
     if floors and not floors <= c <= caps:
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0

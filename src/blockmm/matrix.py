@@ -105,6 +105,14 @@ class BlockPartition:
         return sum(self.sizes)
 
     @cached_property
+    def size_array(self) -> np.ndarray:
+        """``sizes`` as an int64 array, for the callers that compute with it.
+        Computed once and read-only, like ``offsets``."""
+        sizes = np.array(self.sizes, dtype=np.int64)
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
     def offsets(self) -> np.ndarray:
         """Prefix sums: offsets[k] is where block k starts, offsets[K] == n.
         Computed once and read-only, since every caller shares the array."""

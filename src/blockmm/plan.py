@@ -266,7 +266,7 @@ def _optimal_probabilities(prof: _Profile) -> np.ndarray:
     """The profile's per-index scores over their block sums, one vector over
     all n indices; a zero-score block divides by 1 and stays all zero."""
     sums = np.where(prof.sums > 0, prof.sums, 1.0)
-    return prof.index / np.repeat(sums, prof.part.sizes)
+    return prof.index / np.repeat(sums, prof.part.size_array)
 
 
 def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockProbabilities:
@@ -298,7 +298,7 @@ def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
     partition's arrays until a cyclic collection (+1.6 MB desk-heavy peak RSS)."""
     u = part.__dict__.get("_uniform")
     if u is None:
-        sizes = np.array(part.sizes)
+        sizes = part.size_array
         u = BlockProbabilities(np.repeat(1.0 / sizes, sizes), BlockPartition(part.sizes), rule="uniform")
         cum = _block_cumsums(u)
         cum.flags.writeable = False
@@ -333,18 +333,38 @@ def integerize(
       per block may not exceed the block's column count).
 
     The real split is clip(t * w, floor, cap) at the level t where it sums
-    to c, found from the sorted breakpoints floor/w and cap/w.  Whatever the
-    positive weights cannot take at their caps goes to the zero-weight
-    blocks, in index order.  The blocks inside their bounds share what the
-    others leave in proportion to their weights; a share that t leaves
-    within rounding of a bound is settled by that split's own test.  One
-    largest-remainder pass rounds the shares (ties go to the lower index).
+    to c.  The proportional split c * w / sum(w) comes first: when it lies
+    within every block's floor and cap, it is that split, and one
+    largest-remainder pass rounds it (ties go to the lower index).  When a
+    floor or cap binds, the level is found from the sorted breakpoints
+    floor/w and cap/w.  Whatever the positive weights cannot take at their
+    caps goes to the zero-weight blocks, in index order.  The blocks inside
+    their bounds share what the others leave in proportion to their
+    weights; a share that t leaves within rounding of a bound is settled by
+    that split's own test.  The same largest-remainder pass rounds the
+    shares.
+
+    This wrapper validates its inputs; the allocators, which build their
+    own weights, floors and caps, call the split directly and check only c.
     """
     w = as_nonneg("weights", weights)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty vector")
     if w.sum() == 0.0:
         raise ValueError("all weights are zero")
+    K = w.size
+    if floor is None:
+        floor = w > 0
+    floor = np.asarray(floor, dtype=bool)
+    if floor.shape != (K,):
+        raise ValueError("floor mask must have one entry per block")
+    return _integerize(w, c, floor.astype(np.int64), None if caps is None else as_ints("caps", caps, (K,)))
+
+
+def _integerize(w: np.ndarray, c, lo: np.ndarray, caps: Optional[np.ndarray]) -> np.ndarray:
+    """``integerize`` of the nonnegative float64 weights w, not all zero,
+    between the int64 floors lo (0 or 1 per block) and the int64 caps (None
+    for none); only c, which comes from the caller, is checked here."""
     c = as_int("c", c)
     if c < 0:
         raise ValueError("budget must be >= 0")
@@ -352,16 +372,7 @@ def integerize(
     if c * (K + 2) > 2**53:
         # Beyond this the float shares' rounding error can add up to a draw.
         raise ValueError(f"budget c={c} is too large to split over {K} blocks in float64")
-    if floor is None:
-        floor = w > 0
-    floor = np.asarray(floor, dtype=bool)
-    if floor.shape != (K,):
-        raise ValueError("floor mask must have one entry per block")
-    lo = floor.astype(np.int64)
-    if caps is None:
-        hi = np.full(K, c, dtype=np.int64)
-    else:
-        hi = np.minimum(as_ints("caps", caps, (K,)), c)
+    hi = np.full(K, c, dtype=np.int64) if caps is None else np.minimum(caps, c)
     if (hi < lo).any():
         raise ValueError("some cap lies below the required floor of 1")
     lo_sum = int(lo.sum())
@@ -369,6 +380,25 @@ def integerize(
         raise ValueError(f"budget c={c} is below the {lo_sum} required floors")
     if int(hi.sum()) < c:
         raise ValueError(f"budget c={c} exceeds the total caps {int(hi.sum())}")
+    # When every share passes the bounds test the level search settles on,
+    # the search ends at this split: round it directly.
+    r = c * w / w.sum()
+    if _outside(r, lo, hi).any():
+        return _level_split(w, c, lo, hi)
+    return _largest_remainder(r, c, hi)
+
+
+def _outside(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where a real share r fails the test an exact split passes: below its
+    floor lo, or above its cap hi by more than rounding."""
+    return (r < lo) | (r > hi + 1e-12)
+
+
+def _level_split(w: np.ndarray, c: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The general split of c between the floors lo and the caps hi (each at
+    most c), for any weights: the level search, its settling step, then the
+    largest-remainder pass."""
+    lo_sum = int(lo.sum())
     if c == lo_sum:
         return lo
 
@@ -406,7 +436,7 @@ def integerize(
     if r is not None:
         # The split's own rounding settles the shares the level left at a
         # bound, by the test an exact split passes: floor <= share <= cap.
-        settle = (r < lo[inside]) | (r > hi[inside] + 1e-12)
+        settle = _outside(r, lo[inside], hi[inside])
         if settle.any():
             idx = np.flatnonzero(inside)[settle]
             out[idx] = np.where(r[settle] < lo[idx], lo[idx], hi[idx])
@@ -420,13 +450,20 @@ def integerize(
         out[inside] = lo_in + np.minimum(room, np.maximum(rest - (room.cumsum() - room), 0))
         return out
     # (3) One largest-remainder pass.
+    out[inside] = _largest_remainder(r, budget, hi[inside])
+    return out
+
+
+def _largest_remainder(r: np.ndarray, budget: int, hi: np.ndarray) -> np.ndarray:
+    """The real shares r, summing to budget, rounded down, then one more
+    draw each for the largest remainders below their caps hi (ties go to
+    the lower index)."""
     base = np.floor(r)
     order = np.argsort(base - r, kind="stable")
-    order = order[(base < hi[inside])[order]]
+    order = order[(base < hi)[order]]
     base = base.astype(np.int64)
     base[order[: budget - int(base.sum())]] += 1
-    out[inside] = base
-    return out
+    return base
 
 
 def _proportional_split(w: np.ndarray, c: int, out: np.ndarray, inside: np.ndarray):
@@ -487,8 +524,8 @@ def _allocate(prof: _Profile, c: int, method: str, pilot_norms=None) -> Sampling
         # do not matter, use the score split.
         w = s
         notes = (f"{rule} size weights all zero; fell back to score-sum sizes",)
-    caps = np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0)
-    budgets = integerize(w, c, caps=caps, floor=s > 0)
+    live = s > 0
+    budgets = _integerize(w, c, live.astype(np.int64), np.where(live, part.size_array, 0))
     pilot = None if pilot_norms is None else (pilot_norms, prof.scale)
     return SamplingPlan(part, prof.probs, budgets, method=method, notes=notes, _pilot=pilot)
 
@@ -508,7 +545,7 @@ def allocate_by_score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition, c
 def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
     """Fully uniform plan (tag UU): 1/n_k probabilities, c/K sizes."""
     K = part.num_blocks
-    budgets = integerize(np.ones(K), c, caps=np.array(part.sizes, dtype=np.int64), floor=np.ones(K, bool))
+    budgets = _integerize(np.ones(K), c, np.ones(K, dtype=np.int64), part.size_array)
     return SamplingPlan(part, uniform_probabilities(part), budgets, method="UU")
 
 

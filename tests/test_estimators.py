@@ -2,6 +2,7 @@
 distribution checks, Monte Carlo unbiasedness, and audit-log consistency."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -451,3 +452,38 @@ def test_integer_arguments_are_not_truncated(name):
     for bad in (4.7, 4.0, True, "4"):
         with pytest.raises(ValueError, match="must be an integer"):
             call(bad)
+
+
+_BAD_BUDGETS = (-1, 2, 7, 10**18)  # negative, below the 3 floors, above the 6 caps, beyond the float64 split
+_SPLIT_MESSAGES = (
+    "budget must be >= 0",
+    "budget c=2 is below the 3 required floors",
+    "budget c=7 exceeds the total caps 6",
+    "budget c=1000000000000000000 is too large to split over 3 blocks in float64",
+)
+
+
+@pytest.mark.parametrize(
+    "name, messages",
+    [
+        ("allocate_optimal-c", _SPLIT_MESSAGES),
+        ("allocate_by_score_sums-c", _SPLIT_MESSAGES),
+        ("allocate_uniform-c", _SPLIT_MESSAGES),
+        (
+            "allocate_two_step-c",
+            (
+                "budget c=-1 must lie in [1, 6]",
+                "budget c=2 must lie between the 3 block floors and the total caps 6",
+                "budget c=7 must lie in [1, 6]",
+                "budget c=1000000000000000000 must lie in [1, 6]",
+            ),
+        ),
+    ],
+)
+def test_allocators_reject_out_of_range_budgets(name, messages):
+    """The allocators pass their own weights, floors and caps to the split
+    unchecked, but still check the caller's c."""
+    call = _integer_arguments()[name]
+    for c, message in zip(_BAD_BUDGETS, messages):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(c)

@@ -11,6 +11,7 @@ from blockmm.plan import (
     BlockProbabilities,
     SamplingPlan,
     _floor_ratio,
+    _level_split,
     allocate_by_score_sums,
     allocate_optimal,
     allocate_uniform,
@@ -341,6 +342,61 @@ def test_integerize_constrained_sweep():
         assert (out >= 0).all()
 
 
+def _split_case(rng):
+    """Weights, c, caps and floor for one integerize call whose inputs are
+    valid, and its floors as int64: Cauchy-squared, equal, integer (zeros
+    and remainder ties) or sparse weights; default, random or full floors;
+    no caps, or caps below, at or above each block's proportional share; c
+    anywhere between the floors and the caps, or at either end."""
+    K = int(rng.integers(1, 25))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        w = rng.standard_cauchy(K) ** 2
+    elif kind == 1:
+        w = np.full(K, rng.uniform(0.1, 10.0))
+    elif kind == 2:
+        w = rng.integers(0, 4, K).astype(float)
+    else:
+        w = rng.exponential(size=K) * (rng.random(K) < 0.7)
+    if w.sum() == 0.0:
+        w[rng.integers(K)] = 1.0
+    floor = (None, rng.random(K) < 0.5, np.ones(K, bool))[int(rng.integers(3))]
+    lo = (w > 0 if floor is None else floor).astype(np.int64)
+    c = int(rng.integers(0, 8 * K + 2))
+    caps = None
+    if rng.random() < 0.6:
+        share = c * w / w.sum()
+        scale = rng.choice([0.5, 1.0, 2.0], K)  # below, at, above the share
+        caps = np.maximum(np.round(share * scale).astype(np.int64) + rng.integers(-1, 2, K), lo)
+    hi_sum = np.inf if caps is None else int(caps.sum())
+    end = int(rng.integers(4))
+    if end == 0:
+        c = int(lo.sum())
+    elif end == 1 and caps is not None:
+        c = hi_sum
+    else:
+        c = int(min(max(c, lo.sum()), hi_sum))
+    return w, c, caps, floor, lo
+
+
+def test_integerize_short_path_matches_level_search():
+    """The proportional split rounded directly, when no floor or cap binds,
+    gives the level search's budgets bit for bit; so does every call where a
+    bound binds, which runs the level search itself."""
+    rng = np.random.default_rng(151)
+    paths = {False: 0, True: 0}
+    for _ in range(10_000):
+        w, c, caps, floor, lo = _split_case(rng)
+        hi = np.full(w.size, c, dtype=np.int64) if caps is None else np.minimum(caps, c)
+        r = c * w / w.sum()
+        paths[bool(((r < lo) | (r > hi + 1e-12)).any())] += 1
+        out = integerize(w, c, caps=caps, floor=floor)
+        ref = _level_split(w, c, lo, hi)
+        assert out.dtype == ref.dtype == np.int64
+        np.testing.assert_array_equal(out, ref)
+    assert min(paths.values()) >= 1_000, paths  # both paths are exercised
+
+
 # ---------------------------------------------------------------- allocators
 
 
@@ -440,6 +496,14 @@ def test_allocate_uniform():
     assert plan.method == "UU"
     plan = allocate_uniform(BlockPartition((4, 4, 4)), 10)
     assert list(plan.budgets) == [4, 3, 3]
+    # The small block's cap binds: the level search gives the rest away.
+    assert list(allocate_uniform(BlockPartition((1, 10, 10)), 21).budgets) == [1, 10, 10]
+    # No cap binds on an equal partition: c // K, plus one on the first c % K blocks.
+    for K in (1, 3, 10, 60):
+        part = BlockPartition.equal(5 * K, K)
+        for c in range(K, part.total + 1):
+            expected = np.full(K, c // K) + (np.arange(K) < c % K)
+            np.testing.assert_array_equal(allocate_uniform(part, c).budgets, expected)
 
 
 def test_allocate_two_step_deterministic_pilot():
