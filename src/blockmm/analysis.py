@@ -19,7 +19,8 @@ excluded from the lower cancellation statistic, else every bound would
 degenerate to infinity on instances containing a variance-free block.
 
 One call costs one scoring pass, one block-product pass and a few vector
-operations over the blocks or indices; only ``elementwise_variance`` loops.
+operations over the blocks or indices; ``elementwise_variance`` adds one
+product of the squared factors.  None has a loop over blocks of its own.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, as_nonneg, block_view, frobenius_norm
+from .matrix import BlockPartition, as_int, as_nonneg, frobenius_norm
 from .plan import (
     SamplingPlan,
+    _block_products,
     _floor_ratio,
     _optimal_probabilities,
     _optimal_weights,
@@ -51,9 +53,11 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets) -> np.ndarray:
-    """The plan's budgets as floats, or the override; rejects a zero
-    probability at a contributing column."""
+def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets, g2: np.ndarray):
+    """(b, numerator): the plan's budgets as floats, or the override, and per
+    block sum_i s_i^2 / p_i - g_k^2, g2 holding the g_k^2.  It is 0 exactly
+    when the block has no variance; a zero budget must fall there.  A zero
+    p_i needs s_i = 0 (checked), and divides by 1 instead."""
     part = plan.partition
     K = part.num_blocks
     b = plan.budgets.astype(np.float64) if budgets is None else as_nonneg("budget override", budgets, (K,))
@@ -63,13 +67,13 @@ def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets) -> np.ndarray:
         if missed.any():
             k = int(np.argmax(np.logical_or.reduceat(missed, part.offsets[:-1])))
             raise ValueError(f"block {k}: zero probability at a contributing column")
-    return b
-
-
-def _check_zero_budget(k: int, term1, numerator) -> None:
-    """A zero budget is allowed only on a block without sampling variance."""
-    if np.max(np.abs(numerator), initial=0.0) > 1e-12 * max(1.0, float(np.max(term1, initial=0.0))):
-        raise ValueError(f"block {k}: zero budget on a block with sampling variance")
+    term1 = np.add.reduceat(prof.index**2 / np.where(p > 0, p, 1.0), part.offsets[:-1])
+    numerator = term1 - g2
+    if not b.all():
+        bad = (b == 0) & (np.abs(numerator) > 1e-12 * np.maximum(term1, 1.0))
+        if bad.any():
+            raise ValueError(f"block {int(np.argmax(bad))}: zero budget on a block with sampling variance")
+    return b, numerator
 
 
 def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> np.ndarray:
@@ -77,26 +81,26 @@ def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budge
 
     For entry (h, f): sum over blocks of
     (1/c_k) * [ sum_i M_hi^2 N_if^2 / p_i  -  (block product)_hf^2 ].
+    The first terms of all blocks are one product (M^2 * w) @ N^2, with
+    w_i = 1 / (c_k p_i), or 0 where p_i or c_k is 0; the second come from
+    the stack of block products.  Memory: one squared copy of each factor
+    and the K block products (m x p each), held at once.
 
     ``budgets`` optionally overrides the plan's integer sizes with real
     values (the pre-integerization optimum).  Entries are exact up to
     rounding and may dip to -1e-12 * scale below zero.
     """
-    part = plan.partition
-    prof = _profile(M, N, part)
-    b = _checked_budgets(prof, plan, budgets)
-    var = np.zeros((M.shape[0], N.shape[1]))
-    for k in range(part.num_blocks):
-        Mk = block_view(prof.M, part, k)
-        Nk = block_view(prof.N, part, k, "rows")
-        p = plan.probs[k]
-        pos = p > 0
-        term1 = (Mk[:, pos] ** 2 / p[pos]) @ (Nk[pos, :] ** 2)
-        numerator = term1 - (Mk @ Nk) ** 2
-        if b[k] == 0:
-            _check_zero_budget(k, term1, numerator)
-            continue
-        var += numerator / b[k]
+    prof = _profile(M, N, plan.partition)
+    G = _block_products(prof)
+    G *= G
+    b, _ = _checked_budgets(prof, plan, budgets, G.sum(axis=(1, 2)))
+    inv_b = np.divide(1.0, b, out=np.zeros(b.size), where=b > 0)
+    p = plan.probs.values
+    w = np.divide(np.repeat(inv_b, plan.partition.size_array), p, out=np.zeros(p.size), where=p > 0)
+    M2, N2 = np.square(prof.M), np.square(prof.N)
+    M2 *= w
+    var = M2 @ N2
+    var -= np.tensordot(inv_b, G, axes=1)
     with np.errstate(over="ignore"):  # an entry beyond float64 reads inf
         return np.ldexp(var, -2 * prof.scale)
 
@@ -104,17 +108,10 @@ def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budge
 def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> float:
     """E || exact product - estimate ||_F^2 under ``plan`` (the estimator is
     unbiased, so this is the summed entry variance), in closed form: the sum
-    over blocks of (sum_i s_i^2 / p_i - g_k^2) / c_k, s_i the index scores.
-    A column with p_i = 0 has s_i = 0 (checked), so it divides by 1 instead."""
-    part = plan.partition
-    prof = _profile(M, N, part)
-    b = _checked_budgets(prof, plan, budgets)
-    p = plan.probs.values
-    term1 = np.add.reduceat(prof.index**2 / np.where(p > 0, p, 1.0), part.offsets[:-1])
-    numerator = term1 - prof.product_norms**2
+    over blocks of (sum_i s_i^2 / p_i - g_k^2) / c_k, s_i the index scores."""
+    prof = _profile(M, N, plan.partition)
+    b, numerator = _checked_budgets(prof, plan, budgets, prof.product_norms**2)
     if not b.all():
-        for k in np.flatnonzero(b == 0).tolist():
-            _check_zero_budget(k, term1[k], numerator[k])
         numerator, b = numerator[b > 0], b[b > 0]
     return _ldexp(float((numerator / b).sum()), -2 * prof.scale)
 

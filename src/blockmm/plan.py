@@ -30,7 +30,6 @@ from .matrix import (
     as_nonneg,
     check_factors,
     column_norms,
-    frobenius_norm,
     row_norms,
 )
 
@@ -183,7 +182,8 @@ class _Profile(_Fields):
 
     @cached_property
     def product_norms(self) -> np.ndarray:
-        return _product_norms(self)
+        G = _block_products(self)
+        return np.sqrt(np.einsum("kij,kij->k", G, G))
 
     @cached_property
     def probs(self) -> BlockProbabilities:
@@ -203,17 +203,16 @@ def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
     return _Profile(M, N, part, index, np.add.reduceat(index, part.offsets[:-1]), e_m + e_n, frob_m, frob_n)
 
 
-def _product_norms(prof: _Profile) -> np.ndarray:
-    """Exact block product norms g_k = ||M_k N_k||_F in the profile's units,
-    the one place a block product is formed: one batched matmul over
-    (K, m, n/K) and (K, n/K, p) views for an equal partition, else a loop."""
+def _block_products(prof: _Profile) -> np.ndarray:
+    """The (K, m, p) stack of exact block products M_k N_k in the profile's
+    units, the one place a block product is formed: one batched matmul over
+    (K, m, n/K) and (K, n/K, p) views for an equal partition, else K matmuls."""
     M, N, part = prof.M, prof.N, prof.part
     K, b = part.num_blocks, part.sizes[0]
     if part.sizes == (b,) * K:
-        G = np.matmul(M.reshape(M.shape[0], K, b).transpose(1, 0, 2), N.reshape(K, b, N.shape[1]))
-        return np.sqrt(np.einsum("kij,kij->k", G, G))
+        return np.matmul(M.reshape(M.shape[0], K, b).transpose(1, 0, 2), N.reshape(K, b, N.shape[1]))
     off = part.offsets.tolist()
-    return np.array([frobenius_norm(M[:, a:b] @ N[a:b]) for a, b in zip(off, off[1:])])
+    return np.stack([M[:, a:z] @ N[a:z] for a, z in zip(off, off[1:])])
 
 
 BLOCK_CHUNK = 2**15  # entries per copy of M's column blocks, small enough to stay in cache
@@ -372,12 +371,12 @@ def _integerize(w: np.ndarray, c, lo: np.ndarray, caps: Optional[np.ndarray]) ->
     if c * (K + 2) > 2**53:
         # Beyond this the float shares' rounding error can add up to a draw.
         raise ValueError(f"budget c={c} is too large to split over {K} blocks in float64")
-    hi = np.full(K, c, dtype=np.int64) if caps is None else np.minimum(caps, c)
-    if (hi < lo).any():
-        raise ValueError("some cap lies below the required floor of 1")
     lo_sum = int(lo.sum())
     if lo_sum > c:
         raise ValueError(f"budget c={c} is below the {lo_sum} required floors")
+    hi = np.full(K, c, dtype=np.int64) if caps is None else np.minimum(caps, c)
+    if (hi < lo).any():
+        raise ValueError("some cap lies below the required floor of 1")
     if int(hi.sum()) < c:
         raise ValueError(f"budget c={c} exceeds the total caps {int(hi.sum())}")
     # When every share passes the bounds test the level search settles on,

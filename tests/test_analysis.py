@@ -96,6 +96,25 @@ def test_variance_budget_override_and_zero_budget_guard():
         elementwise_variance(M, N, plan, budgets=np.array([2.0, -1.0]))
 
 
+def test_variance_on_an_unequal_partition_matches_enumeration():
+    """Unequal blocks form their products one by one; block 0 is a single
+    column (no variance), block 2 scores zero and gets no draws."""
+    M, N = random_instance(6, m=2, n=6, p=3)
+    M[:, 4:] = 0.0
+    part = BlockPartition((1, 3, 2))
+    plans = [allocate_by_score_sums(M, N, part, c=4), allocate_optimal(M, N, part, c=3)]
+    for plan, budgets in [(plans[0], None), (plans[1], None), (plans[0], [0, 3, 0])]:
+        sizes = plan.budgets if budgets is None else budgets
+        assert sizes[2] == 0
+        _, var_enum = blockwise_mean_var(M, N, part.sizes, sizes, plan.probs.per_block)
+        var = elementwise_variance(M, N, plan, budgets=budgets)
+        np.testing.assert_allclose(var, var_enum, rtol=0, atol=1e-10)
+        assert expected_sq_error(M, N, plan, budgets=budgets) == pytest.approx(var.sum(), rel=1e-12)
+    for call in (elementwise_variance, expected_sq_error):
+        with pytest.raises(ValueError, match="^block 1: zero budget on a block with sampling variance$"):
+            call(M, N, plans[0], budgets=[1, 0, 0])
+
+
 def test_variance_rejects_zero_prob_at_contributing_column():
     M, N = random_instance(5, m=2, n=2, p=2)
     part = BlockPartition(sizes=(2,))

@@ -203,7 +203,7 @@ def test_plan_time_charges_the_shared_passes(monkeypatch):
 
     costs(plan_module, "column_norms", 1.0)  # the scoring pass
     costs(plan_module, "_optimal_probabilities", 10.0)
-    costs(plan_module, "_product_norms", 100.0)  # OPL's block products
+    costs(plan_module, "_block_products", 100.0)  # OPL's block products
     costs(bench, "block_norm_probabilities", 1000.0)  # SSM's block norms
     costs(bench, "uniform_probabilities", 10000.0)  # the uniform vector of UU and ONU's pilot
     raw, summary = run(small_config(record_timing=True, reps=3))

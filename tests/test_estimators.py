@@ -487,3 +487,15 @@ def test_allocators_reject_out_of_range_budgets(name, messages):
     for c, message in zip(_BAD_BUDGETS, messages):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(c)
+
+
+@pytest.mark.parametrize("name", ["integerize-c", "allocate_optimal-c", "allocate_by_score_sums-c", "allocate_uniform-c"])
+def test_a_zero_budget_is_reported_below_the_floors(name):
+    """c = 0 also lies below every cap clipped to c; the fault is the floors."""
+    with pytest.raises(ValueError, match=f"^{re.escape('budget c=0 is below the 3 required floors')}$"):
+        _integer_arguments()[name](0)
+
+
+def test_a_cap_below_its_floor_is_reported_as_such():
+    with pytest.raises(ValueError, match="^some cap lies below the required floor of 1$"):
+        integerize([1.0, 1.0], 3, caps=[0, 5], floor=[True, True])
