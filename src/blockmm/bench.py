@@ -32,11 +32,7 @@ import numpy as np
 
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
-from .estimators import (
-    _allocate_two_step,
-    estimate_product,
-    estimate_product_block_sampling,
-)
+from .estimators import _two_step_plan, estimate_product, estimate_product_block_sampling
 from .matrix import BlockPartition, as_int, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
@@ -67,7 +63,8 @@ def _normalize_knob(name: str, value) -> IntOrSweep:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark run.  Exactly one of K, c, c0 must be a sweep list."""
+    """One benchmark run.  Exactly one of K, c, c0 must be a sweep list;
+    ``methods`` may also be one comma-separated string of tags."""
 
     case: str = "II"
     methods: tuple[str, ...] = METHOD_TAGS
@@ -81,13 +78,15 @@ class ExperimentConfig:
     seed: int = 12345
     out: str = "bench_results"
     record_timing: bool = True
-    location: str = "ones"
     max_bytes: int = 2**31
 
     def __post_init__(self):
         if self.case not in ("I", "II"):
             raise ValueError(f"case must be 'I' or 'II', got {self.case!r}")
-        methods = tuple(self.methods)
+        methods = self.methods
+        if isinstance(methods, str):  # "OPL, SSM", as a config file or the CLI writes it
+            methods = [t.strip() for t in methods.split(",") if t.strip()]
+        methods = tuple(methods)
         if not methods:
             raise ValueError("methods must be a nonempty subset of " + ", ".join(METHOD_TAGS))
         for tag in methods:
@@ -96,45 +95,29 @@ class ExperimentConfig:
         if len(set(methods)) != len(methods):
             raise ValueError("duplicate method names")
         object.__setattr__(self, "methods", methods)
-        for name in ("m", "n", "p", "reps"):
+        for name, low in (("m", 1), ("n", 1), ("p", 1), ("reps", 1), ("seed", 0), ("max_bytes", 1)):
             value = as_int(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", as_int("seed", self.seed))
         for name in SWEEPABLE:
             object.__setattr__(self, name, _normalize_knob(name, getattr(self, name)))
         swept = [name for name in SWEEPABLE if isinstance(getattr(self, name), tuple)]
         if len(swept) != 1:
             raise ValueError(f"exactly one of {SWEEPABLE} must be a sweep list, got {swept or 'none'}")
-        if self.location not in ("ones", "zero"):
-            raise ValueError("location must be 'ones' or 'zero'")
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
-        if as_int("max_bytes", self.max_bytes) < 1:
-            raise ValueError(f"max_bytes must be an integer >= 1, got {self.max_bytes!r}")
-        for K in self._values("K"):
+        column_samplers = [tag for tag in methods if tag != "SSM"]
+        two_step = sorted({"ONU", "ONMCNR"} & set(methods))
+        for K, c, c0 in map(self.resolved, self.sweep_values):
             if K < 1 or self.n % K != 0:
                 raise ValueError(f"n={self.n} must be divisible by K={K} (equal blocks)")
-        for c in self._values("c"):
             if not 1 <= c <= self.n:
                 raise ValueError(f"c={c} must lie in [1, n={self.n}]")
-        column_samplers = [tag for tag in self.methods if tag != "SSM"]
-        if column_samplers:
-            for value in self.sweep_values:
-                K, c, _ = self.resolved(value)
-                if c < K:
-                    raise ValueError(f"c={c} below K={K}: {column_samplers} draw at least once per block")
-        two_step = {"ONU", "ONMCNR"} & set(self.methods)
-        if two_step:
-            for c0 in self._values("c0"):
-                for K in self._values("K"):
-                    if c0 < K:
-                        raise ValueError(f"c0={c0} below K={K}: no pilot draws for {sorted(two_step)}")
-
-    def _values(self, name: str) -> tuple[int, ...]:
-        v = getattr(self, name)
-        return v if isinstance(v, tuple) else (v,)
+            if column_samplers and c < K:
+                raise ValueError(f"c={c} below K={K}: {column_samplers} draw at least once per block")
+            if two_step and c0 < K:
+                raise ValueError(f"c0={c0} below K={K}: no pilot draws for {two_step}")
 
     @property
     def sweep_var(self) -> str:
@@ -159,22 +142,25 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "methods" in doc and isinstance(doc["methods"], str):
-        doc = dict(doc)
-        doc["methods"] = tuple(t.strip() for t in doc["methods"].split(",") if t.strip())
     return ExperimentConfig(**doc)
 
 
 def estimate_bytes(config: ExperimentConfig) -> int:
-    """Rough peak footprint: instance + exact product + largest sketch."""
-    c_max = max(config._values("c"))
+    """Rough peak footprint: instance + exact product + largest sketch, plus
+    OPL's stack of block products and the two-step pilot sketch."""
+    m, n, p = config.m, config.n, config.p
+    K, c, c0 = (max(v) for v in zip(*map(config.resolved, config.sweep_values)))
     floats = (
-        config.m * config.n
-        + config.n * config.p
-        + 3 * config.m * config.p
-        + c_max * (config.m + config.p)
-        + 4 * config.n  # norms, probabilities, cumulative sums
+        m * n
+        + n * p
+        + 3 * m * p
+        + c * (m + p)
+        + 4 * n  # norms, probabilities, cumulative sums
     )
+    if "OPL" in config.methods:
+        floats += K * m * p
+    if {"ONU", "ONMCNR"} & set(config.methods):
+        floats += c0 * (m + p)
     return 8 * floats
 
 
@@ -209,7 +195,7 @@ def make_instance(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     if config.case == "I":
         return gen_normal_instance(config.m, config.n, config.p, rng)
-    return gen_heavy_tail_instance(config.m, config.n, config.p, rng, location=config.location)
+    return gen_heavy_tail_instance(config.m, config.n, config.p, rng)
 
 
 def replication_rng(seed: int, sweep_index: int, method: str, rep: int) -> np.random.Generator:
@@ -248,24 +234,8 @@ def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence
     return s
 
 
-def _plan_then_sample(allocate: Callable) -> Callable:
-    def prepare(s, c, c0, rng):
-        plan = allocate(s, c)
-        return lambda: estimate_product(s.M, s.N, plan, rng)[1]
-
-    return prepare
-
-
-def _two_step(pilot: str) -> Callable:
-    """``estimate_product_two_step`` split into its plan and sample phases."""
-
-    def prepare(s, c, c0, rng):
-        pilot_rng, main_rng = rng.spawn(2)
-        p0 = s.uniform if pilot == "uniform" else None
-        plan = _allocate_two_step(s.prof, c, c0, p0, pilot_rng)
-        return lambda: estimate_product(s.M, s.N, plan, main_rng)[1]
-
-    return prepare
+def _sample(s, plan, rng) -> Callable:
+    return lambda: estimate_product(s.M, s.N, plan, rng)[1]
 
 
 def _whole_blocks(s, c, c0, rng):
@@ -276,13 +246,15 @@ def _whole_blocks(s, c, c0, rng):
 
 
 # Tag -> prepare(shared, c, c0, rng), which plans from the shared passes and
-# returns the zero-argument sampling step.  In METHOD_TAGS order, which keys the streams.
+# returns the zero-argument sampling step.  In METHOD_TAGS order, which keys
+# the streams.  The uniform pilot reads the vector the shared pass cached on
+# the partition.
 METHODS: dict[str, Callable] = {
-    "OPL": _plan_then_sample(lambda s, c: _allocate(s.prof, c, "OPL")),
-    "ONC": _plan_then_sample(lambda s, c: _allocate(s.prof, c, "ONC")),
-    "ONU": _two_step("uniform"),
-    "ONMCNR": _two_step("norm"),
-    "UU": _plan_then_sample(lambda s, c: allocate_uniform(s.part, c)),
+    "OPL": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "OPL"), rng),
+    "ONC": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "ONC"), rng),
+    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "uniform")),
+    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "norm")),
+    "UU": lambda s, c, c0, rng: _sample(s, allocate_uniform(s.part, c), rng),
     "SSM": _whole_blocks,
 }
 

@@ -2,8 +2,9 @@
 
 Configuration comes from an optional JSON file plus flag overrides; flags
 win.  Sweeps are written as comma-separated lists (exactly one of --K, --c,
---c0 may be a list).  Exit codes: 0 success, 1 configuration error, 2
-resource cap exceeded.
+--c0 may be a list).  Exit codes: 0 success (``--help`` included), 1 any
+bad flag or configuration value (argparse's own exit code 2 is mapped to
+1), 2 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int, help="replications per sweep point and method")
     parser.add_argument("--seed", type=int, help="root seed; fixes instance and all draws")
     parser.add_argument("--out", help="output directory for raw.csv and summary.csv")
-    parser.add_argument("--location", choices=["ones", "zero"], help="case II location vector")
     parser.add_argument(
         "--no-timing",
         action="store_true",
@@ -63,13 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a bad flag; 2 means the resource cap here
+        return 1 if e.code else 0
     doc: dict = {}
     try:
         if args.config is not None:
             doc.update(json.loads(args.config.read_text()))
-        for key in ("case", "m", "n", "p", "K", "c", "c0", "reps", "seed", "out",
-                    "location", "max_bytes"):
+        for key in ("case", "m", "n", "p", "K", "c", "c0", "reps", "seed", "out", "max_bytes"):
             value = getattr(args, key)
             if value is not None:
                 doc[key] = value

@@ -234,6 +234,15 @@ def allocate_two_step(
     return _allocate_two_step(_profile(M, N, part), c, c0, p0, rng)
 
 
+def _two_step_plan(prof: _Profile, c: int, c0: int, rng, pilot: str) -> tuple[SamplingPlan, np.random.Generator]:
+    """The two-step recipe on a scoring profile: the plan piloted under the
+    ``pilot`` rule on the first of two child streams of ``rng``, and the
+    second stream, which the main pass draws on."""
+    pilot_rng, main_rng = rng.spawn(2)
+    p0 = uniform_probabilities(prof.part) if pilot == "uniform" else None
+    return _allocate_two_step(prof, c, c0, p0, pilot_rng), main_rng
+
+
 class TwoStepResult(NamedTuple):
     pair: SketchPair
     product: np.ndarray
@@ -258,9 +267,8 @@ def estimate_product_two_step(
     """
     if pilot not in ("uniform", "norm"):
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
-    pilot_rng, main_rng = rng.spawn(2)
-    p0 = uniform_probabilities(part) if pilot == "uniform" else None
-    plan = allocate_two_step(M, N, part, c, c0, p0, pilot_rng)
+    _two_step_counts(part, c, c0, None)
+    plan, main_rng = _two_step_plan(_profile(M, N, part), c, c0, rng, pilot)
     pair, product, log = estimate_product(M, N, plan, main_rng)
     return TwoStepResult(pair, product, log, plan)
 

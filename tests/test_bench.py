@@ -101,9 +101,10 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         small_config(c0=2)  # below K with two-step methods present
     with pytest.raises(ValueError):
-        small_config(location="twos")
-    with pytest.raises(ValueError):
         small_config(reps=0)
+    with pytest.raises(ValueError, match="seed"):
+        small_config(seed=-1)
+    assert small_config(seed=0).seed == 0
     # without two-step methods a small pilot budget is irrelevant
     cfg = small_config(c0=2, methods=("OPL", "UU", "SSM"))
     assert cfg.c0 == 2
@@ -127,9 +128,29 @@ def test_config_from_dict():
                methods="OPL, SSM")
     cfg = config_from_dict(doc)
     assert cfg.methods == ("OPL", "SSM")
+    # the config splits a comma string itself
+    assert ExperimentConfig(methods="OPL, SSM") == config_from_dict({"methods": "OPL, SSM"})
     assert cfg.c == (6, 12)
     with pytest.raises(ValueError):
         config_from_dict({**doc, "budget": 7})
+
+
+def test_estimate_bytes_counts_the_block_products_and_the_pilot_sketch():
+    base = dict(m=5, n=24, p=3, K=(2, 3, 6), c=12, c0=6)
+    alone = estimate_bytes(small_config(methods=("ONC",), **base))
+    # OPL forms the (K, m, p) stack of block products, at the largest K
+    assert estimate_bytes(small_config(methods=("ONC", "OPL"), **base)) - alone == 8 * 6 * 5 * 3
+    # a two-step method holds its pilot sketch, c0 columns of M and rows of N
+    assert estimate_bytes(small_config(methods=("ONC", "ONU"), **base)) - alone == 8 * 6 * (5 + 3)
+    assert estimate_bytes(small_config(methods=("ONC", "ONU", "ONMCNR"), **base)) - alone == 8 * 6 * (5 + 3)
+    # each term is read at the largest value of its knob
+    opl = dict(methods=("OPL",), m=5, n=24, p=3, c=12, c0=6)
+    assert estimate_bytes(small_config(K=(2, 3, 6), **opl)) == estimate_bytes(small_config(K=(6,), **opl))
+    onu = dict(methods=("ONU",), m=5, n=24, p=3, K=3, c=12)
+    assert estimate_bytes(small_config(c0=(6, 12, 24), **onu)) == estimate_bytes(small_config(c0=(24,), **onu))
+    # 1,000 blocks of 256 x 256 products: the stack alone is 524 MB
+    wide = ExperimentConfig(case="I", m=256, p=256, n=20000, K=1000, c=(2000,), methods=("OPL",))
+    assert estimate_bytes(wide) > 8 * 1000 * 256 * 256
 
 
 def test_resource_cap():
@@ -407,6 +428,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # resource cap
     assert main(cli_args(tmp_path, "--max-bytes", "16")) == 2
     assert "resource cap" in capsys.readouterr().err
+    # a bad flag exits 1, not argparse's 2, which would read as the resource cap
+    for flags in (("--case", "III"), ("--c", "abc"), ("--location", "zero")):
+        assert main(cli_args(tmp_path, *flags)) == 1
+        assert "usage: blockmm-bench" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: blockmm-bench" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -417,8 +444,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"record_timing": "false"}, ()),  # a truthy string
         ({}, ("--K", "12", "--c0", "12")),  # c=6 leaves blocks without a draw
         ({"max_bytes": 1e11}, ()),  # JSON reads 1e11 as a float
+        ({}, ("--seed", "-1")),  # SeedSequence would reject it mid-run, without naming the seed
     ],
-    ids=["max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float"],
+    ids=["max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float", "seed-negative"],
 )
 def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, flags):
     cfg_path = tmp_path / "cfg.json"
