@@ -22,6 +22,7 @@ written as 0.0, making the raw CSV byte-reproducible from (config, seed).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,7 +33,7 @@ import numpy as np
 
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
-from .estimators import _two_step_plan, estimate_product, estimate_product_block_sampling
+from .estimators import _main_pass, _two_step_plan, estimate_product, estimate_product_block_sampling
 from .matrix import BlockPartition, as_int, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
@@ -107,6 +108,8 @@ class ExperimentConfig:
             raise ValueError(f"exactly one of {SWEEPABLE} must be a sweep list, got {swept or 'none'}")
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"out must be a directory path, got {self.out!r}")
         column_samplers = [tag for tag in methods if tag != "SSM"]
         two_step = sorted({"ONU", "ONMCNR"} & set(methods))
         for K, c, c0 in map(self.resolved, self.sweep_values):
@@ -234,8 +237,8 @@ def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence
     return s
 
 
-def _sample(s, plan, rng) -> Callable:
-    return lambda: estimate_product(s.M, s.N, plan, rng)[1]
+def _sample(s, plan, rng, estimate=estimate_product) -> Callable:
+    return lambda: estimate(s.M, s.N, plan, rng)[1]
 
 
 def _whole_blocks(s, c, c0, rng):
@@ -248,12 +251,12 @@ def _whole_blocks(s, c, c0, rng):
 # Tag -> prepare(shared, c, c0, rng), which plans from the shared passes and
 # returns the zero-argument sampling step.  In METHOD_TAGS order, which keys
 # the streams.  The uniform pilot reads the vector the shared pass cached on
-# the partition.
+# the partition; a two-step plan's main pass draws on its own main stream.
 METHODS: dict[str, Callable] = {
     "OPL": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "OPL"), rng),
     "ONC": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "ONC"), rng),
-    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "uniform")),
-    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "norm")),
+    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "uniform"), _main_pass),
+    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "norm"), _main_pass),
     "UU": lambda s, c, c0, rng: _sample(s, allocate_uniform(s.part, c), rng),
     "SSM": _whole_blocks,
 }

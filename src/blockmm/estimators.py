@@ -18,15 +18,20 @@ their pilot runs: ``allocate_two_step`` sizes the blocks from pilot-sampled
 block product norms, each taken from the block's slice of one pilot sketch.
 
 Randomness discipline: every estimator takes a ``numpy.random.Generator``;
-the blocked ones spawn one child stream per block, so results are
+the blocked ones draw each block on its own child stream, so results are
 reproducible from a single seed and invariant to the order blocks are
-processed in.
+processed in.  A caller's rng is split by ``rng.spawn``, which also moves
+its spawn counter.  The two-step plans split the caller's rng into a pilot
+and a main stream, and nothing outside this module sees those two, so their
+K children come from ``_own_streams``: the streams ``spawn`` would give,
+computed for all K children at once, and no counter moved.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,6 +68,86 @@ def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.nd
     for i in np.flatnonzero(idx == part.offsets[block + 1]).tolist():
         idx[i] = off[block[i]] + np.flatnonzero(probs[block[i]])[-1]
     return block, idx
+
+
+# The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.cache
+def _hash_run(start: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 values start·mult^j mod 2^32 that SeedSequence's hash
+    constant steps through, as uint32."""
+    h = [start]
+    for _ in range(n):
+        h.append(h[-1] * mult % 2**32)
+    out = np.array(h, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _hash(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of words ``x``, the j-th under constants h[j], h[j + 1]."""
+    x = (x ^ h[:-1]) * h[1:]
+    x ^= x >> np.uint32(16)
+    return x
+
+
+@functools.cache
+def _row_seed() -> type:
+    """A seed sequence that hands a bit generator one precomputed row.  Made
+    on first use, so that importing this module does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        def __init__(self, rows: Callable, k: int):
+            self.rows, self.k = rows, k
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.rows(n_words, dtype)[self.k]
+
+    return RowSeed
+
+
+def _own_streams(rng, K: int) -> list:
+    """The K generators ``rng.spawn(K)`` returns, draw for draw, without
+    building K child SeedSequences, and without moving ``rng``'s spawn
+    counter: only for an rng this module spawned and nobody else reads.
+
+    A child's entropy is its parent's plus one word, its index (numpy keeps
+    the spawn counter in 32 bits), so its pool is the parent's pool mixed
+    with that word, under the hash constant stepped pool_size·L times,
+    L = max(entropy words, pool_size) + spawn-key words.  Each (n_words,
+    dtype) of seeding words is hashed for all K pools at once.  An rng whose
+    seed sequence is not exactly numpy's SeedSequence is spawned."""
+    ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
+    if type(ss) is not np.random.SeedSequence:
+        return rng.spawn(K)
+    from numpy.random.bit_generator import _coerce_to_uint32_array as words
+
+    size, first = ss.pool_size, ss.n_children_spawned
+    L = max(len(words(ss.entropy)), size) + len(words(ss.spawn_key))
+    index = np.arange(first, first + K, dtype=np.uint32)[:, None]
+    mixed = _hash(index, _hash_run(_INIT_A * pow(_MULT_A, size * L, 2**32) % 2**32, _MULT_A, size))
+    pools = ss.pool * np.uint32(_MIX_L) - mixed * np.uint32(_MIX_R)
+    pools ^= pools >> np.uint32(16)
+    cache = {}
+
+    def rows(n_words, dtype):
+        dtype = np.dtype(dtype)
+        if dtype not in (np.uint32, np.uint64):
+            raise ValueError("only support uint32 or uint64")
+        if (n_words, dtype) not in cache:
+            n = n_words * dtype.itemsize // 4
+            out = _hash(pools[:, np.arange(n) % size], _hash_run(_INIT_B, _MULT_B, n))
+            if dtype == np.uint64:  # little-endian word pairs, as SeedSequence reads them
+                out = out.astype("<u4", order="C").view("<u8").astype(np.uint64)
+            cache[n_words, dtype] = out
+        return cache[n_words, dtype]
+
+    seed, bits = _row_seed(), type(rng.bit_generator)
+    return [type(rng)(bits(seed(rows, k))) for k in range(K)]
 
 
 def _one_block(probs, size: int) -> BlockProbabilities:
@@ -168,8 +253,18 @@ def estimate_product(
     exactly zero to the true product as well.
     """
     plan.partition.check_length(check_factors(M, N), "inner dimension")
-    pair, log = _sketch(M, N, plan.probs, plan.budgets, rng.spawn(plan.partition.num_blocks))
+    return _estimate(M, N, plan, rng.spawn(plan.partition.num_blocks))
+
+
+def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, streams) -> tuple[SketchPair, np.ndarray, SampleLog]:
+    pair, log = _sketch(M, N, plan.probs, plan.budgets, streams)
     return pair, pair.C @ pair.D, log
+
+
+def _main_pass(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, main_rng) -> tuple[SketchPair, np.ndarray, SampleLog]:
+    """``estimate_product`` of a two-step plan on its main stream, which
+    ``_two_step_plan`` spawned: the same draws, from ``_own_streams``."""
+    return _estimate(M, N, plan, _own_streams(main_rng, plan.partition.num_blocks))
 
 
 def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockProbabilities]) -> tuple[int, int]:
@@ -186,9 +281,12 @@ def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockPr
     return c, pilot_count
 
 
-def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbabilities], rng) -> SamplingPlan:
-    """``allocate_two_step`` on a scoring profile; c, c0 and the block
-    floors are checked before the pilot."""
+def _allocate_two_step(
+    prof: _Profile, c: int, c0: int, p0: Optional[BlockProbabilities], spawn: Callable[[int], list]
+) -> SamplingPlan:
+    """``allocate_two_step`` on a scoring profile, its pilot drawn on the K
+    streams ``spawn(K)`` returns; c, c0 and the block floors are checked
+    before the pilot."""
     part, K = prof.part, prof.part.num_blocks
     c, pilot_count = _two_step_counts(part, c, c0, p0)
     live = prof.sums > 0
@@ -197,7 +295,7 @@ def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbab
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pair, _ = _sketch(prof.M, prof.N, p0, counts, rng.spawn(K))
+    pair, _ = _sketch(prof.M, prof.N, p0, counts, spawn(K))
     # Every live block has pilot_count draws: batched matmuls of column-major
     # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
     # and norms with the bits of np.linalg.norm.  A batch holds about
@@ -231,16 +329,16 @@ def allocate_two_step(
     none for any other pilot.  c and c0 are checked before any scoring.
     """
     _two_step_counts(part, c, c0, p0)
-    return _allocate_two_step(_profile(M, N, part), c, c0, p0, rng)
+    return _allocate_two_step(_profile(M, N, part), c, c0, p0, rng.spawn)
 
 
 def _two_step_plan(prof: _Profile, c: int, c0: int, rng, pilot: str) -> tuple[SamplingPlan, np.random.Generator]:
     """The two-step recipe on a scoring profile: the plan piloted under the
     ``pilot`` rule on the first of two child streams of ``rng``, and the
-    second stream, which the main pass draws on."""
+    second stream, which ``_main_pass`` draws on."""
     pilot_rng, main_rng = rng.spawn(2)
     p0 = uniform_probabilities(prof.part) if pilot == "uniform" else None
-    return _allocate_two_step(prof, c, c0, p0, pilot_rng), main_rng
+    return _allocate_two_step(prof, c, c0, p0, functools.partial(_own_streams, pilot_rng)), main_rng
 
 
 class TwoStepResult(NamedTuple):
@@ -269,8 +367,7 @@ def estimate_product_two_step(
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
     _two_step_counts(part, c, c0, None)
     plan, main_rng = _two_step_plan(_profile(M, N, part), c, c0, rng, pilot)
-    pair, product, log = estimate_product(M, N, plan, main_rng)
-    return TwoStepResult(pair, product, log, plan)
+    return TwoStepResult(*_main_pass(M, N, plan, main_rng), plan)
 
 
 def estimate_product_block_sampling(

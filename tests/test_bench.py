@@ -445,13 +445,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({}, ("--K", "12", "--c0", "12")),  # c=6 leaves blocks without a draw
         ({"max_bytes": 1e11}, ()),  # JSON reads 1e11 as a float
         ({}, ("--seed", "-1")),  # SeedSequence would reject it mid-run, without naming the seed
+        ({"out": 5}, ()),  # write_results would reject it after the whole sweep
+        ({"out": None}, ()),
     ],
-    ids=["max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float", "seed-negative"],
+    ids=[
+        "max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float", "seed-negative",
+        "out-int", "out-null",
+    ],
 )
 def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
-    assert main(["--config", str(cfg_path), *cli_args(tmp_path, *flags)]) == 1
+    args = cli_args(tmp_path, *flags)
+    if "out" in doc:  # the --out flag would override the file's value
+        del args[args.index("--out") : args.index("--out") + 2]
+    assert main(["--config", str(cfg_path), *args]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -473,3 +481,12 @@ def test_importing_the_package_cli_and_bench_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    """numpy.random loads only when a run makes its first generator: the
+    two-step plans' stream helper imports its parts on first use."""
+    code = "import sys, blockmm.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,14 @@
 """Estimator tests: exactness in degenerate regimes, enumeration-backed
 distribution checks, Monte Carlo unbiasedness, and audit-log consistency."""
 
+import copy
 import csv
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockmm import (
     BlockPartition,
@@ -24,6 +27,8 @@ from blockmm import (
     sketch_columns,
     uniform_probabilities,
 )
+from blockmm.bench import METHODS, _share
+from blockmm.estimators import _own_streams
 from blockmm.matrix import write_csv
 from oracles import (
     block_outcomes,
@@ -315,6 +320,92 @@ def test_two_step_reproducible_and_tagged():
         estimate_product_two_step(M, N, part, c=6, c0=4, rng=np.random.default_rng(1), pilot="x")
     with pytest.raises(ValueError):
         estimate_product_two_step(M, N, part, c=6, c0=1, rng=np.random.default_rng(1))
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
+ENTROPY = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32),
+    st.integers(2**64, 2**200),
+    st.lists(st.integers(0, 2**70), max_size=10),
+    arrays(np.uint32, st.integers(0, 12)),
+    st.none(),  # OS entropy, as default_rng() draws it
+)
+
+
+def _same_streams(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and type(a.bit_generator) is type(b.bit_generator)
+        assert a.bit_generator.random_raw(5).tobytes() == b.bit_generator.random_raw(5).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entropy=ENTROPY,
+    spawn_key=st.lists(st.integers(0, 2**70), max_size=12).map(tuple),  # empty, long, words >= 2**32
+    pool_size=st.sampled_from([4, 8]),
+    spawned=st.sampled_from([0, 1, 3, 2**32 - 16]),  # numpy's spawn counter is 32 bits
+    bits=st.sampled_from(BIT_GENERATORS),
+    K=st.integers(0, 12),
+)
+def test_own_streams_draw_what_spawn_draws(entropy, spawn_key, pool_size, spawned, bits, K):
+    seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned)
+    rng = np.random.Generator(bits(seed))
+    rng.spawn(2)  # a parent that has already spawned children
+    before = seed.n_children_spawned
+    _same_streams(_own_streams(rng, K), copy.deepcopy(rng).spawn(K))
+    assert seed.n_children_spawned == before
+
+
+def test_own_streams_of_a_default_rng_and_of_its_spawned_children():
+    rng = np.random.default_rng()
+    for r in (rng, *rng.spawn(2), np.random.default_rng(201).spawn(2)[1]):
+        _same_streams(_own_streams(r, 60), copy.deepcopy(r).spawn(60))
+
+
+class _SubclassSeed(np.random.SeedSequence):
+    pass
+
+
+class _WordsOnly(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that cannot spawn."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.arange(1, n_words + 1, dtype=dtype)
+
+
+def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
+    rng = np.random.Generator(np.random.PCG64(_SubclassSeed(5, spawn_key=(2,))))
+    got, want = _own_streams(copy.deepcopy(rng), 4), copy.deepcopy(rng).spawn(4)
+    _same_streams(got, want)
+    assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in got)
+    rng = np.random.Generator(np.random.PCG64(_WordsOnly()))
+    with pytest.raises(TypeError) as spawned:
+        rng.spawn(3)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
+        _own_streams(rng, 3)
+
+
+def test_callers_spawn_counter_moves_as_before():
+    """The caller's rng is still spawned: by K in estimate_product and
+    allocate_two_step, by 2 in the two-step estimate and the bench's
+    two-step entries; the two inner streams' children are computed."""
+    M, N = tiny_instance(18, m=3, n=12, p=3)
+    part = BlockPartition.equal(12, 3)
+
+    def moved(call):
+        rng = np.random.default_rng(21)
+        call(rng)
+        return rng.bit_generator.seed_seq.n_children_spawned
+
+    assert moved(lambda r: estimate_product(M, N, allocate_uniform(part, 6), r)) == 3
+    assert moved(lambda r: allocate_two_step(M, N, part, 6, 6, uniform_probabilities(part), r)) == 3
+    for pilot in ("uniform", "norm"):
+        assert moved(lambda r: estimate_product_two_step(M, N, part, 6, 6, r, pilot=pilot)) == 2
+    shared = _share(M, N, part, ("ONU", "ONMCNR"))
+    for tag in ("ONU", "ONMCNR"):
+        assert moved(lambda r: METHODS[tag](shared, 6, 6, r)()) == 2
 
 
 def test_two_step_single_block_gets_everything():
