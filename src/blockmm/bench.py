@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
-from .estimators import _main_pass, _two_step_plan, estimate_product, estimate_product_block_sampling
+from .estimators import _main_pass, _two_step_plan, estimate_product_block_sampling
 from .matrix import BlockPartition, as_int, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
@@ -237,8 +237,8 @@ def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence
     return s
 
 
-def _sample(s, plan, rng, estimate=estimate_product) -> Callable:
-    return lambda: estimate(s.M, s.N, plan, rng)[1]
+def _sample(s, plan, rng) -> Callable:
+    return lambda: _main_pass(s.M, s.N, plan, rng)[1]
 
 
 def _whole_blocks(s, c, c0, rng):
@@ -251,12 +251,14 @@ def _whole_blocks(s, c, c0, rng):
 # Tag -> prepare(shared, c, c0, rng), which plans from the shared passes and
 # returns the zero-argument sampling step.  In METHOD_TAGS order, which keys
 # the streams.  The uniform pilot reads the vector the shared pass cached on
-# the partition; a two-step plan's main pass draws on its own main stream.
+# the partition.  The replication's rng is the bench's own, so a column
+# sampler's block streams come from ``_main_pass``, without a spawn: on the
+# replication's rng, or on a two-step plan's main stream.
 METHODS: dict[str, Callable] = {
     "OPL": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "OPL"), rng),
     "ONC": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "ONC"), rng),
-    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "uniform"), _main_pass),
-    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "norm"), _main_pass),
+    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "uniform")),
+    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "norm")),
     "UU": lambda s, c, c0, rng: _sample(s, allocate_uniform(s.part, c), rng),
     "SSM": _whole_blocks,
 }

@@ -17,14 +17,19 @@ The two-step plans (tags ONU / ONMCNR) live here too, next to the sampler
 their pilot runs: ``allocate_two_step`` sizes the blocks from pilot-sampled
 block product norms, each taken from the block's slice of one pilot sketch.
 
-Randomness discipline: every estimator takes a ``numpy.random.Generator``;
-the blocked ones draw each block on its own child stream, so results are
-reproducible from a single seed and invariant to the order blocks are
-processed in.  A caller's rng is split by ``rng.spawn``, which also moves
-its spawn counter.  The two-step plans split the caller's rng into a pilot
-and a main stream, and nothing outside this module sees those two, so their
-K children come from ``_own_streams``: the streams ``spawn`` would give,
-computed for all K children at once, and no counter moved.
+Randomness discipline: every estimator takes a ``numpy.random.Generator``
+(an rng without the methods a call uses is rejected by name); the blocked
+ones draw each block on its own child stream, so results are reproducible
+from a single seed and invariant to the order blocks are processed in.
+Every child stream is the one ``rng.spawn`` would give, seeded by one
+kernel, ``_seeded``, from the K children's pools at once.  A caller's rng
+is spawned as a SeedSequence (``_spawn``), which moves its spawn counter as
+``rng.spawn`` does and is the only way to move it; the kernel then seeds
+the K generators without a ``generate_state`` call per child.  An rng whose
+counter nobody reads (the pilot and main streams that the two-step plans
+split from the caller's rng, the bench's replication rngs) gets its
+children's pools from ``_own_streams``, computed from its own pool, with no
+child SeedSequence built and no counter moved.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ from .plan import (
 )
 
 
+_NO_DRAWS = np.empty(0, np.int64)
+
+
 def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.ndarray]:
     """The one draw rule: ``counts[k]`` uniforms on ``streams[k]`` in every
     block k with a positive count, each looked up in the block's running
@@ -62,10 +70,10 @@ def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.nd
     blocks = zip(off, off[1:], counts, streams)
     local = [cum[a:b].searchsorted(rng.random(ck), side="right") for a, b, ck, rng in blocks if ck > 0]
     block = np.repeat(np.arange(part.num_blocks), counts)
-    idx = np.concatenate([np.empty(0, np.int64), *local]) + part.offsets[block]
+    idx = np.concatenate([_NO_DRAWS, *local]) + part.offsets[block]
     # u may reach a block's last sum by float rounding, and the draw then
     # lands one past the block; clamp it onto the block's last positive column.
-    for i in np.flatnonzero(idx == part.offsets[block + 1]).tolist():
+    for i in np.flatnonzero(idx == part.offsets[1:][block]).tolist():
         idx[i] = off[block[i]] + np.flatnonzero(probs[block[i]])[-1]
     return block, idx
 
@@ -73,55 +81,119 @@ def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.nd
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SHIFT = np.uint32(16)
 
 
 @functools.cache
-def _hash_run(start: int, mult: int, n: int) -> np.ndarray:
-    """The n + 1 values start·mult^j mod 2^32 that SeedSequence's hash
-    constant steps through, as uint32."""
+def _hash_run(start: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants SeedSequence's hash steps through on n words, from
+    start, as a uint32 pair (lo, hi): word j is hashed under lo[j] =
+    start·mult^j and hi[j] = start·mult^(j+1) mod 2^32."""
     h = [start]
     for _ in range(n):
         h.append(h[-1] * mult % 2**32)
     out = np.array(h, dtype=np.uint32)
     out.flags.writeable = False
-    return out
+    return out[:-1], out[1:]
 
 
-def _hash(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of words ``x``, the j-th under constants h[j], h[j + 1]."""
-    x = (x ^ h[:-1]) * h[1:]
-    x ^= x >> np.uint32(16)
+def _hash(x: np.ndarray, run: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hash of words ``x`` under the constants ``run``."""
+    x = x ^ run[0]
+    x *= run[1]
+    x ^= x >> _SHIFT
     return x
 
 
 @functools.cache
+def _state_words(n_words: int, dtype, size: int) -> tuple[np.ndarray, tuple, bool]:
+    """What ``SeedSequence.generate_state(n_words, dtype)`` reads from a
+    pool of ``size`` words: the pool word that each uint32 seeding word is
+    hashed from, the constants it is hashed under, and whether the words
+    are paired into uint64."""
+    kind = np.dtype(dtype)
+    if kind not in (np.uint32, np.uint64):
+        raise ValueError("only support uint32 or uint64")
+    n = n_words * kind.itemsize // 4
+    return np.arange(n) % size, _hash_run(_INIT_B, _MULT_B, n), kind == np.uint64
+
+
+class _SeedWords(dict):
+    """The seeding words of K child pools (rows of ``pools``), keyed by the
+    (n_words, dtype) a bit generator asks for: each key hashed for all K
+    pools at once, on first ask, as ``SeedSequence.generate_state`` hashes
+    one pool."""
+
+    def __init__(self, pools: np.ndarray):
+        self.pools = pools
+
+    def __missing__(self, key):
+        idx, run, wide = _state_words(*key, self.pools.shape[1])
+        out = _hash(self.pools.take(idx, axis=1), run)  # C order: a row is one block of memory
+        if wide:  # little-endian word pairs, as SeedSequence reads them
+            out = out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        self[key] = out
+        return out
+
+
+@functools.cache
 def _row_seed() -> type:
-    """A seed sequence that hands a bit generator one precomputed row.  Made
-    on first use, so that importing this module does not load numpy.random."""
+    """A seed sequence that hands a bit generator child k's row of seeding
+    words.  Made on first use, so that importing this module does not load
+    numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
 
     class RowSeed(ISeedSequence):
-        def __init__(self, rows: Callable, k: int):
-            self.rows, self.k = rows, k
+        """``seq`` is the child SeedSequence the row was hashed from, when
+        there is one, so that the stream can be a parent."""
+
+        __slots__ = ("words", "k", "seq")
+
+        def __init__(self, words: _SeedWords, k: int, seq):
+            self.words, self.k, self.seq = words, k, seq
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.rows(n_words, dtype)[self.k]
+            return self.words[n_words, dtype][self.k]
 
     return RowSeed
+
+
+def _seeded(rng, pools: np.ndarray, seqs) -> list:
+    """The seeding kernel: a generator of ``rng``'s types for each of K
+    child pools (rows of ``pools``), drawing what a generator seeded by a
+    SeedSequence with that pool draws; ``seqs`` holds each child's
+    SeedSequence, or None where there is none."""
+    words, seed, bits, gen = _SeedWords(pools), _row_seed(), type(rng.bit_generator), type(rng)
+    return [gen(bits(seed(words, k, seq))) for k, seq in enumerate(seqs)]
+
+
+def _spawn(rng, K: int) -> list:
+    """``rng.spawn(K)``, draw for draw, and moving ``rng``'s spawn counter by
+    K as it does: the K child SeedSequences are spawned, and the kernel
+    seeds the generators from their pools.  An rng whose seed sequence is
+    not exactly numpy's SeedSequence is spawned."""
+    ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
+    if type(ss) is not np.random.SeedSequence:
+        return rng.spawn(K)
+    kids = ss.spawn(K)
+    return _seeded(rng, np.array([kid.pool for kid in kids], np.uint32), kids)
 
 
 def _own_streams(rng, K: int) -> list:
     """The K generators ``rng.spawn(K)`` returns, draw for draw, without
     building K child SeedSequences, and without moving ``rng``'s spawn
-    counter: only for an rng this module spawned and nobody else reads.
+    counter: only for an rng this module or the bench made, which nobody
+    else spawns.
 
     A child's entropy is its parent's plus one word, its index (numpy keeps
     the spawn counter in 32 bits), so its pool is the parent's pool mixed
     with that word, under the hash constant stepped pool_size·L times,
-    L = max(entropy words, pool_size) + spawn-key words.  Each (n_words,
-    dtype) of seeding words is hashed for all K pools at once.  An rng whose
-    seed sequence is not exactly numpy's SeedSequence is spawned."""
+    L = max(entropy words, pool_size) + spawn-key words.  The pools of all
+    K children are mixed at once.  A stream ``_spawn`` made stands for the
+    SeedSequence it was hashed from; an rng with any other seed sequence
+    is spawned."""
     ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
+    ss = ss.seq if type(ss) is _row_seed() else ss
     if type(ss) is not np.random.SeedSequence:
         return rng.spawn(K)
     from numpy.random.bit_generator import _coerce_to_uint32_array as words
@@ -131,23 +203,16 @@ def _own_streams(rng, K: int) -> list:
     index = np.arange(first, first + K, dtype=np.uint32)[:, None]
     mixed = _hash(index, _hash_run(_INIT_A * pow(_MULT_A, size * L, 2**32) % 2**32, _MULT_A, size))
     pools = ss.pool * np.uint32(_MIX_L) - mixed * np.uint32(_MIX_R)
-    pools ^= pools >> np.uint32(16)
-    cache = {}
+    pools ^= pools >> _SHIFT
+    return _seeded(rng, pools, [None] * K)
 
-    def rows(n_words, dtype):
-        dtype = np.dtype(dtype)
-        if dtype not in (np.uint32, np.uint64):
-            raise ValueError("only support uint32 or uint64")
-        if (n_words, dtype) not in cache:
-            n = n_words * dtype.itemsize // 4
-            out = _hash(pools[:, np.arange(n) % size], _hash_run(_INIT_B, _MULT_B, n))
-            if dtype == np.uint64:  # little-endian word pairs, as SeedSequence reads them
-                out = out.astype("<u4", order="C").view("<u8").astype(np.uint64)
-            cache[n_words, dtype] = out
-        return cache[n_words, dtype]
 
-    seed, bits = _row_seed(), type(rng.bit_generator)
-    return [type(rng)(bits(seed(rows, k))) for k in range(K)]
+def _check_rng(rng, split: bool = True) -> None:
+    """Reject an rng without the methods the call uses: ``random``, and
+    ``spawn`` where its streams are split."""
+    for name in ("spawn", "random") if split else ("random",):
+        if not callable(getattr(rng, name, None)):
+            raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__} (it has no {name!r})")
 
 
 def _one_block(probs, size: int) -> BlockProbabilities:
@@ -211,8 +276,9 @@ def _sketch(
     draws."""
     block, idx = _draw(probs, counts, streams)
     p = probs.values[idx]
-    C, D, scales = _gather(M, N, idx, np.repeat(counts, counts), p)
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    C, D, scales = _gather(M, N, idx, counts[block], p)
+    offsets = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
     draw = np.arange(idx.size) - offsets[block]
     return SketchPair(C, D, offsets), SampleLog(block, draw, idx, p, scales)
 
@@ -229,6 +295,7 @@ def sketch_columns(
     Returns thin factors C (m x count) and D (count x p) whose product has
     expectation Mb @ Nb, plus the per-draw log.
     """
+    _check_rng(rng, split=False)
     n = check_factors(Mb, Nb)
     count = as_int("count", count)
     if count < 1:
@@ -252,8 +319,9 @@ def estimate_product(
     Zero-budget blocks (flagged zero-score) are skipped; they contribute
     exactly zero to the true product as well.
     """
+    _check_rng(rng)
     plan.partition.check_length(check_factors(M, N), "inner dimension")
-    return _estimate(M, N, plan, rng.spawn(plan.partition.num_blocks))
+    return _estimate(M, N, plan, _spawn(rng, plan.partition.num_blocks))
 
 
 def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, streams) -> tuple[SketchPair, np.ndarray, SampleLog]:
@@ -261,10 +329,11 @@ def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, streams) -> tupl
     return pair, pair.C @ pair.D, log
 
 
-def _main_pass(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, main_rng) -> tuple[SketchPair, np.ndarray, SampleLog]:
-    """``estimate_product`` of a two-step plan on its main stream, which
-    ``_two_step_plan`` spawned: the same draws, from ``_own_streams``."""
-    return _estimate(M, N, plan, _own_streams(main_rng, plan.partition.num_blocks))
+def _main_pass(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, rng) -> tuple[SketchPair, np.ndarray, SampleLog]:
+    """``estimate_product`` on an rng whose spawn counter nobody reads (a
+    two-step plan's main stream, a bench replication's rng): the same
+    draws, from ``_own_streams``."""
+    return _estimate(M, N, plan, _own_streams(rng, plan.partition.num_blocks))
 
 
 def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockProbabilities]) -> tuple[int, int]:
@@ -328,15 +397,16 @@ def allocate_two_step(
     follows the pilot's rule: ONU for "uniform", ONMCNR for "optimal", and
     none for any other pilot.  c and c0 are checked before any scoring.
     """
+    _check_rng(rng)
     _two_step_counts(part, c, c0, p0)
-    return _allocate_two_step(_profile(M, N, part), c, c0, p0, rng.spawn)
+    return _allocate_two_step(_profile(M, N, part), c, c0, p0, functools.partial(_spawn, rng))
 
 
 def _two_step_plan(prof: _Profile, c: int, c0: int, rng, pilot: str) -> tuple[SamplingPlan, np.random.Generator]:
     """The two-step recipe on a scoring profile: the plan piloted under the
     ``pilot`` rule on the first of two child streams of ``rng``, and the
     second stream, which ``_main_pass`` draws on."""
-    pilot_rng, main_rng = rng.spawn(2)
+    pilot_rng, main_rng = _spawn(rng, 2)
     p0 = uniform_probabilities(prof.part) if pilot == "uniform" else None
     return _allocate_two_step(prof, c, c0, p0, functools.partial(_own_streams, pilot_rng)), main_rng
 
@@ -363,6 +433,7 @@ def estimate_product_two_step(
     for the norm-product probabilities (tag ONMCNR).  The pilot and the
     main pass use independent child streams of ``rng``.
     """
+    _check_rng(rng)
     if pilot not in ("uniform", "norm"):
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
     _two_step_counts(part, c, c0, None)
@@ -382,6 +453,7 @@ def estimate_product_block_sampling(
     with probability proportional to the blocks' norm product (or ``probs``)
     and stack the rescaled blocks themselves into the sketch.  The log has
     one row per sketch column; its ``draw`` is the block draw it came from."""
+    _check_rng(rng, split=False)
     part.check_length(check_factors(M, N), "inner dimension")
     q = block_norm_probabilities(M, N, part) if probs is None else probs
     q = _one_block(q, part.num_blocks)

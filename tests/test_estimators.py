@@ -28,7 +28,7 @@ from blockmm import (
     uniform_probabilities,
 )
 from blockmm.bench import METHODS, _share
-from blockmm.estimators import _own_streams
+from blockmm.estimators import _own_streams, _spawn
 from blockmm.matrix import write_csv
 from oracles import (
     block_outcomes,
@@ -356,6 +356,13 @@ def test_own_streams_draw_what_spawn_draws(entropy, spawn_key, pool_size, spawne
     before = seed.n_children_spawned
     _same_streams(_own_streams(rng, K), copy.deepcopy(rng).spawn(K))
     assert seed.n_children_spawned == before
+    # A stream _spawn makes is a parent too, as the two-step split uses it.
+    want = copy.deepcopy(rng).spawn(2)[1].spawn(K)
+    _same_streams(_own_streams(_spawn(copy.deepcopy(rng), 2)[1], K), want)
+    # The caller source: the same streams, and the counter moved by K.
+    want = copy.deepcopy(rng).spawn(K)
+    _same_streams(_spawn(rng, K), want)
+    assert seed.n_children_spawned == before + K
 
 
 def test_own_streams_of_a_default_rng_and_of_its_spawned_children():
@@ -376,21 +383,24 @@ class _WordsOnly(np.random.bit_generator.ISeedSequence):
 
 
 def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
-    rng = np.random.Generator(np.random.PCG64(_SubclassSeed(5, spawn_key=(2,))))
-    got, want = _own_streams(copy.deepcopy(rng), 4), copy.deepcopy(rng).spawn(4)
-    _same_streams(got, want)
-    assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in got)
-    rng = np.random.Generator(np.random.PCG64(_WordsOnly()))
-    with pytest.raises(TypeError) as spawned:
-        rng.spawn(3)
-    with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
-        _own_streams(rng, 3)
+    """For the library's own streams and for a caller's alike."""
+    for streams in (_own_streams, _spawn):
+        rng = np.random.Generator(np.random.PCG64(_SubclassSeed(5, spawn_key=(2,))))
+        got, want = streams(copy.deepcopy(rng), 4), copy.deepcopy(rng).spawn(4)
+        _same_streams(got, want)
+        assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in got)
+        rng = np.random.Generator(np.random.PCG64(_WordsOnly()))
+        with pytest.raises(TypeError) as spawned:
+            rng.spawn(3)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
+            streams(rng, 3)
 
 
 def test_callers_spawn_counter_moves_as_before():
     """The caller's rng is still spawned: by K in estimate_product and
-    allocate_two_step, by 2 in the two-step estimate and the bench's
-    two-step entries; the two inner streams' children are computed."""
+    allocate_two_step, and by 2 in the two-step estimate and the bench's
+    two-step entries; the two inner streams' children are computed.  The
+    bench's other entries sample on its replication rng without a spawn."""
     M, N = tiny_instance(18, m=3, n=12, p=3)
     part = BlockPartition.equal(12, 3)
 
@@ -403,9 +413,35 @@ def test_callers_spawn_counter_moves_as_before():
     assert moved(lambda r: allocate_two_step(M, N, part, 6, 6, uniform_probabilities(part), r)) == 3
     for pilot in ("uniform", "norm"):
         assert moved(lambda r: estimate_product_two_step(M, N, part, 6, 6, r, pilot=pilot)) == 2
-    shared = _share(M, N, part, ("ONU", "ONMCNR"))
-    for tag in ("ONU", "ONMCNR"):
-        assert moved(lambda r: METHODS[tag](shared, 6, 6, r)()) == 2
+    shared = _share(M, N, part, tuple(METHODS))
+    for tag in METHODS:
+        assert moved(lambda r: METHODS[tag](shared, 6, 6, r)()) == (2 if tag in ("ONU", "ONMCNR") else 0)
+
+
+def test_an_rng_without_the_methods_a_call_uses_is_rejected():
+    """A call that splits its rng into streams needs ``spawn`` and
+    ``random``; one that draws on it directly needs only ``random``, so a
+    RandomState still works there."""
+    M, N = tiny_instance(23, m=3, n=12, p=3)
+    part = BlockPartition.equal(12, 3)
+    splitting = [
+        lambda r: estimate_product(M, N, allocate_uniform(part, 6), r),
+        lambda r: estimate_product_two_step(M, N, part, 6, 6, r),
+        lambda r: allocate_two_step(M, N, part, 6, 6, None, r),
+    ]
+    drawing = [
+        lambda r: estimate_product_block_sampling(M, N, part, 2, r),
+        lambda r: sketch_columns(M, N, 2, np.full(12, 1 / 12), r),
+    ]
+    for call in splitting:
+        for bad, name in ((7, "int"), (None, "NoneType"), (np.random.RandomState(0), "RandomState")):
+            with pytest.raises(ValueError, match=f"rng must be a numpy.random.Generator, got {name}"):
+                call(bad)
+    for call in drawing:
+        for bad, name in ((7, "int"), (None, "NoneType"), (object(), "object")):
+            with pytest.raises(ValueError, match=f"rng must be a numpy.random.Generator, got {name}"):
+                call(bad)
+        assert np.isfinite(call(np.random.RandomState(0))[1]).all()
 
 
 def test_two_step_single_block_gets_everything():
