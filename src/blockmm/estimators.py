@@ -22,14 +22,15 @@ Randomness discipline: every estimator takes a ``numpy.random.Generator``
 ones draw each block on its own child stream, so results are reproducible
 from a single seed and invariant to the order blocks are processed in.
 Every child stream is the one ``rng.spawn`` would give, seeded by one
-kernel, ``_seeded``, from the K children's pools at once.  A caller's rng
-is spawned as a SeedSequence (``_spawn``), which moves its spawn counter as
-``rng.spawn`` does and is the only way to move it; the kernel then seeds
-the K generators without a ``generate_state`` call per child.  An rng whose
-counter nobody reads (the pilot and main streams that the two-step plans
-split from the caller's rng, the bench's replication rngs) gets its
-children's pools from ``_own_streams``, computed from its own pool, with no
-child SeedSequence built and no counter moved.
+kernel, ``_seeded``, from the K children's pools, which ``_child_pools``
+computes from the parent's pool in one NumPy pass; no child SeedSequence is
+built.  A caller's rng (``_spawn``) then has its spawn counter moved by K,
+as ``rng.spawn`` moves it: its SeedSequence is initialized again on its own
+int entropy and spawn key, which mixes the same pool.  An rng whose counter
+nobody reads (the pilot and main streams that the two-step plans split from
+the caller's rng, the bench's replication rngs) gets its streams from
+``_own_streams``, with no counter moved.  Any other rng (a SeedSequence
+subclass, a list or array entropy, a custom seed sequence) is spawned.
 """
 
 from __future__ import annotations
@@ -122,10 +123,11 @@ class _SeedWords(dict):
     """The seeding words of K child pools (rows of ``pools``), keyed by the
     (n_words, dtype) a bit generator asks for: each key hashed for all K
     pools at once, on first ask, as ``SeedSequence.generate_state`` hashes
-    one pool."""
+    one pool.  ``L`` is each child's entropy length, as ``_child_pools``
+    reads it when a child is a parent."""
 
-    def __init__(self, pools: np.ndarray):
-        self.pools = pools
+    def __init__(self, pools: np.ndarray, L: int):
+        self.pools, self.L = pools, L
 
     def __missing__(self, key):
         idx, run, wide = _state_words(*key, self.pools.shape[1])
@@ -144,13 +146,13 @@ def _row_seed() -> type:
     from numpy.random.bit_generator import ISeedSequence
 
     class RowSeed(ISeedSequence):
-        """``seq`` is the child SeedSequence the row was hashed from, when
-        there is one, so that the stream can be a parent."""
+        """Child k of a family: its pool is ``words.pools[k]``, and it has
+        spawned no children."""
 
-        __slots__ = ("words", "k", "seq")
+        __slots__ = ("words", "k")
 
-        def __init__(self, words: _SeedWords, k: int, seq):
-            self.words, self.k, self.seq = words, k, seq
+        def __init__(self, words: _SeedWords, k: int):
+            self.words, self.k = words, k
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words[n_words, dtype][self.k]
@@ -158,53 +160,89 @@ def _row_seed() -> type:
     return RowSeed
 
 
-def _seeded(rng, pools: np.ndarray, seqs) -> list:
+def _seeded(rng, pools: np.ndarray, L: int) -> list:
     """The seeding kernel: a generator of ``rng``'s types for each of K
     child pools (rows of ``pools``), drawing what a generator seeded by a
-    SeedSequence with that pool draws; ``seqs`` holds each child's
-    SeedSequence, or None where there is none."""
-    words, seed, bits, gen = _SeedWords(pools), _row_seed(), type(rng.bit_generator), type(rng)
-    return [gen(bits(seed(words, k, seq))) for k, seq in enumerate(seqs)]
+    SeedSequence with that pool draws; ``L`` is each child's entropy
+    length."""
+    words, seed, bits, gen = _SeedWords(pools, L), _row_seed(), type(rng.bit_generator), type(rng)
+    return [gen(bits(seed(words, k))) for k in range(len(pools))]
+
+
+def _n_words(x) -> int:
+    """How many uint32 words SeedSequence turns x, an entropy or a spawn-key
+    word, into."""
+    if type(x) is int:
+        return max(1, -(-x.bit_length() // 32))
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+
+    return len(_coerce_to_uint32_array(x))
+
+
+def _seed_seq(rng, K: int):
+    """``rng``'s seed sequence, checked for K more children: numpy's spawn
+    loops on a 32-bit index that wraps, so it never returns once its
+    counter would reach 2**32."""
+    ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
+    if isinstance(ss, np.random.SeedSequence) and ss.n_children_spawned + K >= 2**32:
+        raise ValueError(
+            f"rng's SeedSequence has n_children_spawned={ss.n_children_spawned}: {K} more children "
+            "would pass numpy's 32-bit spawn counter"
+        )
+    return ss
+
+
+def _child_pools(ss, K: int):
+    """The pools of the K children ``ss.spawn(K)`` would make next, and
+    their entropy length; None unless ``ss`` is exactly numpy's
+    SeedSequence or a seed the kernel made.
+
+    A child's entropy is its parent's plus one word, its index (numpy keeps
+    the spawn counter in 32 bits), so its pool is the parent's pool mixed
+    with that word, under the hash constant stepped pool_size·L times,
+    L = max(entropy words, pool_size) + spawn-key words; all K at once."""
+    if type(ss) is _row_seed():
+        pool, size, L, first = ss.words.pools[ss.k], ss.words.pools.shape[1], ss.words.L, 0
+    elif type(ss) is np.random.SeedSequence:
+        pool, size, first = ss.pool, ss.pool_size, ss.n_children_spawned
+        L = max(_n_words(ss.entropy), size) + sum(map(_n_words, ss.spawn_key))
+    else:
+        return None
+    index = np.arange(first, first + K, dtype=np.uint32)[:, None]
+    mixed = _hash(index, _hash_run(_INIT_A * pow(_MULT_A, size * L, 2**32) % 2**32, _MULT_A, size))
+    pools = pool * np.uint32(_MIX_L) - mixed * np.uint32(_MIX_R)
+    pools ^= pools >> _SHIFT
+    return pools, L + 1
 
 
 def _spawn(rng, K: int) -> list:
     """``rng.spawn(K)``, draw for draw, and moving ``rng``'s spawn counter by
-    K as it does: the K child SeedSequences are spawned, and the kernel
-    seeds the generators from their pools.  An rng whose seed sequence is
-    not exactly numpy's SeedSequence is spawned."""
-    ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
-    if type(ss) is not np.random.SeedSequence:
+    K as it does, without building a child SeedSequence: the kernel seeds
+    the K generators from the pools ``_child_pools`` computes, and the
+    caller's SeedSequence is initialized again on its own entropy, spawn
+    key and pool size with the counter moved by K, which mixes the same
+    pool.  So it must be exactly numpy's SeedSequence with an int entropy
+    and int spawn-key words: a list or array can change after the pool was
+    mixed from it, and ``spawn`` reads it again.  Any other rng is
+    spawned."""
+    ss = _seed_seq(rng, K)
+    if type(ss) is not np.random.SeedSequence or not (
+        type(ss.entropy) is int and all(type(x) is int for x in ss.spawn_key)
+    ):
         return rng.spawn(K)
-    kids = ss.spawn(K)
-    return _seeded(rng, np.array([kid.pool for kid in kids], np.uint32), kids)
+    streams, moved = _seeded(rng, *_child_pools(ss, K)), ss.n_children_spawned + K
+    np.random.SeedSequence.__init__(ss, ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size, n_children_spawned=moved)
+    return streams
 
 
 def _own_streams(rng, K: int) -> list:
     """The K generators ``rng.spawn(K)`` returns, draw for draw, without
     building K child SeedSequences, and without moving ``rng``'s spawn
     counter: only for an rng this module or the bench made, which nobody
-    else spawns.
-
-    A child's entropy is its parent's plus one word, its index (numpy keeps
-    the spawn counter in 32 bits), so its pool is the parent's pool mixed
-    with that word, under the hash constant stepped pool_size·L times,
-    L = max(entropy words, pool_size) + spawn-key words.  The pools of all
-    K children are mixed at once.  A stream ``_spawn`` made stands for the
-    SeedSequence it was hashed from; an rng with any other seed sequence
-    is spawned."""
-    ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
-    ss = ss.seq if type(ss) is _row_seed() else ss
-    if type(ss) is not np.random.SeedSequence:
-        return rng.spawn(K)
-    from numpy.random.bit_generator import _coerce_to_uint32_array as words
-
-    size, first = ss.pool_size, ss.n_children_spawned
-    L = max(len(words(ss.entropy)), size) + len(words(ss.spawn_key))
-    index = np.arange(first, first + K, dtype=np.uint32)[:, None]
-    mixed = _hash(index, _hash_run(_INIT_A * pow(_MULT_A, size * L, 2**32) % 2**32, _MULT_A, size))
-    pools = ss.pool * np.uint32(_MIX_L) - mixed * np.uint32(_MIX_R)
-    pools ^= pools >> _SHIFT
-    return _seeded(rng, pools, [None] * K)
+    else spawns.  A stream ``_spawn`` or this function made is a parent
+    too; an rng whose children's pools cannot be computed is spawned."""
+    family = _child_pools(_seed_seq(rng, K), K)
+    return rng.spawn(K) if family is None else _seeded(rng, *family)
 
 
 def _check_rng(rng, split: bool = True) -> None:
@@ -215,10 +253,10 @@ def _check_rng(rng, split: bool = True) -> None:
             raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__} (it has no {name!r})")
 
 
-def _one_block(probs, size: int) -> BlockProbabilities:
-    """``probs`` validated as the probabilities of one block of ``size``
-    items, which must not be all zero."""
-    q = BlockProbabilities(probs, BlockPartition((size,)))
+def _one_block(probs, part: BlockPartition) -> BlockProbabilities:
+    """``probs`` validated as the probabilities of the one block of
+    ``part``, which must not be all zero."""
+    q = BlockProbabilities(probs, part)
     if q._zero[0]:
         raise ValueError("probabilities are all zero: nothing to sample")
     return q
@@ -300,7 +338,7 @@ def sketch_columns(
     count = as_int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    pair, log = _sketch(Mb, Nb, _one_block(probs, n), np.array([count]), [rng])
+    pair, log = _sketch(Mb, Nb, _one_block(probs, BlockPartition((n,))), np.array([count]), [rng])
     # Column-major, like each pilot block: BLAS rounds small products
     # differently by operand layout, and the pilot replays multiply this C.
     return np.asfortranarray(pair.C), pair.D, log
@@ -456,7 +494,7 @@ def estimate_product_block_sampling(
     _check_rng(rng, split=False)
     part.check_length(check_factors(M, N), "inner dimension")
     q = block_norm_probabilities(M, N, part) if probs is None else probs
-    q = _one_block(q, part.num_blocks)
+    q = _one_block(q, part._as_one_block)
     draws = as_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")

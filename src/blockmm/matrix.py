@@ -120,6 +120,12 @@ class BlockPartition:
         off.flags.writeable = False
         return off
 
+    @cached_property
+    def _as_one_block(self) -> "BlockPartition":
+        """The K blocks as the K items of one block, whose probabilities the
+        whole-block baseline draws from; computed once."""
+        return BlockPartition((self.num_blocks,))
+
     def block_slice(self, k: int) -> slice:
         if not 0 <= k < self.num_blocks:
             raise IndexError(f"block index {k} out of range for K={self.num_blocks}")

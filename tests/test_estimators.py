@@ -3,7 +3,9 @@ distribution checks, Monte Carlo unbiasedness, and audit-log consistency."""
 
 import copy
 import csv
+import gc
 import re
+import types
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from blockmm import (
     sketch_columns,
     uniform_probabilities,
 )
+from blockmm import estimators
 from blockmm.bench import METHODS, _share
 from blockmm.estimators import _own_streams, _spawn
 from blockmm.matrix import write_csv
@@ -359,10 +362,118 @@ def test_own_streams_draw_what_spawn_draws(entropy, spawn_key, pool_size, spawne
     # A stream _spawn makes is a parent too, as the two-step split uses it.
     want = copy.deepcopy(rng).spawn(2)[1].spawn(K)
     _same_streams(_own_streams(_spawn(copy.deepcopy(rng), 2)[1], K), want)
-    # The caller source: the same streams, and the counter moved by K.
-    want = copy.deepcopy(rng).spawn(K)
-    _same_streams(_spawn(rng, K), want)
+    # The caller source: the same streams, and the caller left as spawn leaves it.
+    twin = copy.deepcopy(rng)
+    _same_streams(_spawn(rng, K), twin.spawn(K))
     assert seed.n_children_spawned == before + K
+    _same_caller(rng, twin)
+
+
+def _same_caller(rng, twin):
+    """The caller's SeedSequence equals its twin's field for field, and the
+    two draw the same from here on (one more child: the counter may be
+    2**32 - 2, and numpy's spawn never returns past 2**32 - 1)."""
+    a, b = rng.bit_generator.seed_seq, twin.bit_generator.seed_seq
+    assert type(a.entropy) is type(b.entropy) and np.array_equal(a.entropy, b.entropy)
+    assert (a.spawn_key, a.pool_size, a.n_children_spawned) == (b.spawn_key, b.pool_size, b.n_children_spawned)
+    assert a.pool.dtype == b.pool.dtype and a.pool.tobytes() == b.pool.tobytes()
+    _same_streams(rng.spawn(1), twin.spawn(1))
+    assert rng.random(4).tobytes() == twin.random(4).tobytes()
+
+
+def _holds_seed_sequence(obj, depth=4) -> bool:
+    """Whether obj is, or refers to within ``depth`` steps, a SeedSequence
+    (classes and modules are not followed)."""
+    if isinstance(obj, np.random.SeedSequence):
+        return True
+    return depth > 0 and any(
+        _holds_seed_sequence(x, depth - 1) for x in gc.get_referents(obj) if not isinstance(x, (type, types.ModuleType))
+    )
+
+
+def test_a_callers_streams_build_no_child_seed_sequence(monkeypatch):
+    """estimate_product on default_rng(int) at K = 60: no stream's seed is,
+    or holds, a SeedSequence, none is left alive beyond the caller's, and
+    the caller's counter moves by K."""
+    M, N = tiny_instance(24, m=3, n=120, p=3)
+    part = BlockPartition.equal(120, 60)
+    plan = allocate_by_score_sums(M, N, part, 120)
+    seen = []
+    sketch = estimators._sketch
+    monkeypatch.setattr(estimators, "_sketch", lambda *a: seen.append(a[-1]) or sketch(*a))
+    rng, twin = np.random.default_rng(25), np.random.default_rng(25)
+
+    def alive():
+        return sum(isinstance(x, np.random.SeedSequence) for x in gc.get_objects())
+
+    before = alive()
+    got = estimate_product(M, N, plan, rng)
+    (streams,) = seen
+    assert len(streams) == 60 and alive() == before
+    assert not any(_holds_seed_sequence(g.bit_generator.seed_seq) for g in streams)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 60
+    pair, _ = sketch(M, N, plan.probs, plan.budgets, twin.spawn(60))
+    assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
+    _same_caller(rng, twin)
+
+
+class _NoSpawn(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError("spawned")
+
+
+def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
+    """A list or array entropy, one changed after the pool was mixed, a
+    list in the spawn key, and a SeedSequence subclass: _spawn draws what
+    rng.spawn draws and leaves the caller as spawn leaves it."""
+    changed_list, changed_array, key_word = [5, 6], np.array([5, 6], np.uint32), [3]
+    seeds = [
+        np.random.SeedSequence([5, 2**40]),
+        np.random.SeedSequence(np.array([5, 6], np.uint32), spawn_key=(1, 2)),
+        np.random.SeedSequence(changed_list, n_children_spawned=3),
+        np.random.SeedSequence(changed_array),
+        np.random.SeedSequence(5, spawn_key=(key_word,)),
+        _SubclassSeed(5, spawn_key=(2,)),
+    ]
+    changed_list.append(7)
+    changed_array[0] = 9
+    key_word[0] = 4
+    for seed in seeds:
+        for bits in BIT_GENERATORS:
+            rng = np.random.Generator(bits(copy.deepcopy(seed)))
+            twin = copy.deepcopy(rng)
+            _same_streams(_spawn(rng, 7), twin.spawn(7))
+            _same_caller(rng, twin)
+
+
+def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
+    """numpy's spawn never returns once n_children_spawned + K reaches
+    2**32; every call that splits a caller's rng raises first, and leaves
+    the rng as it was.  The subclass's spawn fails loudly, so a missed
+    check cannot reach numpy's."""
+    M, N = tiny_instance(26, m=2, n=4, p=2)
+    part = BlockPartition.equal(4, 2)
+    calls = [
+        lambda r: _spawn(r, 2),
+        lambda r: _own_streams(r, 2),
+        lambda r: estimate_product(M, N, allocate_uniform(part, 2), r),
+        lambda r: allocate_two_step(M, N, part, 2, 2, None, r),
+        lambda r: estimate_product_two_step(M, N, part, 2, 2, r),
+    ]
+    for make in (np.random.SeedSequence, _NoSpawn):
+        for call in calls:
+            seed = make(7, spawn_key=(1,), n_children_spawned=2**32 - 2)
+            rng = np.random.default_rng(seed)
+            pool, state = seed.pool.copy(), rng.bit_generator.state
+            with pytest.raises(ValueError, match=r"n_children_spawned=4294967294: 2 more children"):
+                call(rng)
+            assert seed.n_children_spawned == 2**32 - 2 and (seed.pool == pool).all()
+            assert rng.bit_generator.state == state
+    # One short of the bound still splits.
+    rng = np.random.default_rng(np.random.SeedSequence(7, n_children_spawned=2**32 - 3))
+    twin = copy.deepcopy(rng)
+    _same_streams(_spawn(rng, 2), twin.spawn(2))
+    assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
 
 
 def test_own_streams_of_a_default_rng_and_of_its_spawned_children():
@@ -546,6 +657,24 @@ def test_block_sampling_pair_contract_and_validation():
         estimate_product_block_sampling(
             M, N, part, 2, np.random.default_rng(31), probs=np.array([0.7, 0.2, 0.2])
         )
+
+
+def test_block_sampling_keeps_its_one_block_partition_and_checks_probs_every_call():
+    """The K block probabilities are validated on a one-block partition kept
+    on the caller's partition, which it does not refer back to; a bad
+    ``probs`` is still rejected after good ones."""
+    M, N = tiny_instance(32, m=3, n=6, p=2)
+    part = BlockPartition.equal(6, 3)
+    q = np.array([0.5, 0.3, 0.2])
+    first = estimate_product_block_sampling(M, N, part, 4, np.random.default_rng(33), probs=q)[1]
+    one = part._as_one_block
+    again = estimate_product_block_sampling(M, N, part, 4, np.random.default_rng(33), probs=q)[1]
+    assert part._as_one_block is one and one.sizes == (3,) and part.sizes == (2, 2, 2)
+    assert first.tobytes() == again.tobytes()
+    assert not any(x is part for x in vars(one).values())
+    for bad in ([0.5, 0.3, 0.3], [0.0, 0.0, 0.0], [0.5, np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            estimate_product_block_sampling(M, N, part, 2, np.random.default_rng(34), probs=np.array(bad))
 
 
 # ---------------------------------------------------------------------------
