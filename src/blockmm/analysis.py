@@ -40,6 +40,7 @@ from .plan import (
     _optimal_weights,
     _profile,
     _Profile,
+    _check_real_budget,
 )
 
 DEGENERATE_TOL = 1e-12
@@ -119,8 +120,7 @@ def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=
 def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> float:
     """Closed-form minimum of ``expected_sq_error`` over probabilities and
     real-valued sizes at total budget c: (sum_k sqrt(s_k^2 - g_k^2))^2 / c."""
-    if isinstance(c, (bool, np.bool_)) or not (math.isfinite(c) and c > 0):
-        raise ValueError(f"budget c must be finite and > 0, got {c!r}")
+    _check_real_budget(c)
     prof = _profile(M, N, part)
     w = _optimal_weights(prof.sums, prof.product_norms)
     return _ldexp(float(w.sum() ** 2 / c), -2 * prof.scale)

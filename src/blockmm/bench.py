@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
-from .estimators import _main_pass, _two_step_plan, estimate_product_block_sampling
+from .estimators import _two_step_plan, estimate_product, estimate_product_block_sampling
 from .matrix import BlockPartition, as_int, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
@@ -238,7 +238,7 @@ def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence
 
 
 def _sample(s, plan, rng) -> Callable:
-    return lambda: _main_pass(s.M, s.N, plan, rng)[1]
+    return lambda: estimate_product(s.M, s.N, plan, rng)[1]
 
 
 def _whole_blocks(s, c, c0, rng):
@@ -251,9 +251,8 @@ def _whole_blocks(s, c, c0, rng):
 # Tag -> prepare(shared, c, c0, rng), which plans from the shared passes and
 # returns the zero-argument sampling step.  In METHOD_TAGS order, which keys
 # the streams.  The uniform pilot reads the vector the shared pass cached on
-# the partition.  The replication's rng is the bench's own, so a column
-# sampler's block streams come from ``_main_pass``, without a spawn: on the
-# replication's rng, or on a two-step plan's main stream.
+# the partition.  A column sampler splits the replication's rng, or a
+# two-step plan's main stream, into its block streams.
 METHODS: dict[str, Callable] = {
     "OPL": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "OPL"), rng),
     "ONC": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "ONC"), rng),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import as_int
+from .matrix import as_int, check_rng
 
 
 def _covariance(dim: int, scale: float) -> np.ndarray:
@@ -37,6 +37,7 @@ def gen_normal_instance(m: int, n: int, p: int, rng: np.random.Generator) -> tup
     """M (m x n) with i.i.d. centered normal columns, N (n x p) with i.i.d.
     centered normal rows.  Draw order is fixed (M then N), so the output is
     a pure function of (dims, rng state)."""
+    check_rng(rng, "standard_normal")
     m, n, p, L_left, L_right = _setup(m, n, p)
     M = L_left @ rng.standard_normal((m, n))
     N = np.ascontiguousarray((L_right @ rng.standard_normal((p, n))).T)
@@ -51,24 +52,13 @@ def _chi_square_1(rng: np.random.Generator, n: int) -> np.ndarray:
     return w
 
 
-def gen_heavy_tail_instance(
-    m: int,
-    n: int,
-    p: int,
-    rng: np.random.Generator,
-    location: str = "ones",
-) -> tuple[np.ndarray, np.ndarray]:
+def gen_heavy_tail_instance(m: int, n: int, p: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Heavy-tailed counterpart of ``gen_normal_instance``: each column/row
-    is location + (normal draw) / sqrt(chi-square(1) draw), i.e. a
-    multivariate t with one degree of freedom.
-
-    ``location`` is "ones" (default) or "zero"; the reference experiments
-    use the all-ones location.
-    """
+    is 1 + (normal draw) / sqrt(chi-square(1) draw), i.e. a multivariate t
+    with one degree of freedom at the all-ones location of the reference
+    experiments."""
+    check_rng(rng, "standard_normal", "chisquare")
     m, n, p, L_left, L_right = _setup(m, n, p)
-    if location not in ("ones", "zero"):
-        raise ValueError("location must be 'ones' or 'zero'")
-    loc = 1.0 if location == "ones" else 0.0
-    M = loc + (L_left @ rng.standard_normal((m, n))) / np.sqrt(_chi_square_1(rng, n))
-    N_cols = loc + (L_right @ rng.standard_normal((p, n))) / np.sqrt(_chi_square_1(rng, n))
+    M = 1.0 + (L_left @ rng.standard_normal((m, n))) / np.sqrt(_chi_square_1(rng, n))
+    N_cols = 1.0 + (L_right @ rng.standard_normal((p, n))) / np.sqrt(_chi_square_1(rng, n))
     return M, np.ascontiguousarray(N_cols.T)

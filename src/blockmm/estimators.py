@@ -21,27 +21,29 @@ Randomness discipline: every estimator takes a ``numpy.random.Generator``
 (an rng without the methods a call uses is rejected by name); the blocked
 ones draw each block on its own child stream, so results are reproducible
 from a single seed and invariant to the order blocks are processed in.
-Every child stream is the one ``rng.spawn`` would give, seeded by one
-kernel, ``_seeded``, from the K children's pools, which ``_child_pools``
-computes from the parent's pool in one NumPy pass; no child SeedSequence is
-built.  A caller's rng (``_spawn``) then has its spawn counter moved by K,
-as ``rng.spawn`` moves it: its SeedSequence is initialized again on its own
-int entropy and spawn key, which mixes the same pool.  An rng whose counter
-nobody reads (the pilot and main streams that the two-step plans split from
-the caller's rng, the bench's replication rngs) gets its streams from
-``_own_streams``, with no counter moved.  Any other rng (a SeedSequence
-subclass, a list or array entropy, a custom seed sequence) is spawned.
+One function splits an rng, ``_spawn``: every child stream is the one
+``rng.spawn`` would give, seeded by one kernel, ``_seeded``, from the K
+children's pools, which ``_child_pools`` computes from the parent's pool in
+one NumPy pass; no child SeedSequence is built.  A SeedSequence's spawn
+counter then moves by K, as ``rng.spawn`` moves it, through its pickle
+state, which leaves the pool as it is.  The pools are computed only for
+exactly numpy's SeedSequence with an int entropy and int spawn-key words,
+and for a stream the kernel made, which has no counter and is split only
+once; any other rng (a SeedSequence subclass, a list or array entropy, a
+custom seed sequence) is spawned.  The caller's rng, the two-step plans'
+pilot and main streams and the bench's replication rngs are all split
+this way.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, check_factors
+from .matrix import BlockPartition, as_int, check_factors, check_rng
 from .plan import (
     BLOCK_CHUNK,
     BlockProbabilities,
@@ -169,33 +171,18 @@ def _seeded(rng, pools: np.ndarray, L: int) -> list:
     return [gen(bits(seed(words, k))) for k in range(len(pools))]
 
 
-def _n_words(x) -> int:
-    """How many uint32 words SeedSequence turns x, an entropy or a spawn-key
-    word, into."""
-    if type(x) is int:
-        return max(1, -(-x.bit_length() // 32))
-    from numpy.random.bit_generator import _coerce_to_uint32_array
-
-    return len(_coerce_to_uint32_array(x))
-
-
-def _seed_seq(rng, K: int):
-    """``rng``'s seed sequence, checked for K more children: numpy's spawn
-    loops on a 32-bit index that wraps, so it never returns once its
-    counter would reach 2**32."""
-    ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
-    if isinstance(ss, np.random.SeedSequence) and ss.n_children_spawned + K >= 2**32:
-        raise ValueError(
-            f"rng's SeedSequence has n_children_spawned={ss.n_children_spawned}: {K} more children "
-            "would pass numpy's 32-bit spawn counter"
-        )
-    return ss
+def _n_words(x: int) -> int:
+    """How many uint32 words SeedSequence turns the int x, an entropy or a
+    spawn-key word, into."""
+    return max(1, -(-x.bit_length() // 32))
 
 
 def _child_pools(ss, K: int):
     """The pools of the K children ``ss.spawn(K)`` would make next, and
-    their entropy length; None unless ``ss`` is exactly numpy's
-    SeedSequence or a seed the kernel made.
+    their entropy length; None unless ``ss`` is a seed the kernel made or
+    exactly numpy's SeedSequence with an int entropy and int spawn-key
+    words: a list or array can change after the pool was mixed from it,
+    and ``spawn`` reads it again.
 
     A child's entropy is its parent's plus one word, its index (numpy keeps
     the spawn counter in 32 bits), so its pool is the parent's pool mixed
@@ -203,7 +190,7 @@ def _child_pools(ss, K: int):
     L = max(entropy words, pool_size) + spawn-key words; all K at once."""
     if type(ss) is _row_seed():
         pool, size, L, first = ss.words.pools[ss.k], ss.words.pools.shape[1], ss.words.L, 0
-    elif type(ss) is np.random.SeedSequence:
+    elif type(ss) is np.random.SeedSequence and type(ss.entropy) is int and all(type(x) is int for x in ss.spawn_key):
         pool, size, first = ss.pool, ss.pool_size, ss.n_children_spawned
         L = max(_n_words(ss.entropy), size) + sum(map(_n_words, ss.spawn_key))
     else:
@@ -216,41 +203,30 @@ def _child_pools(ss, K: int):
 
 
 def _spawn(rng, K: int) -> list:
-    """``rng.spawn(K)``, draw for draw, and moving ``rng``'s spawn counter by
-    K as it does, without building a child SeedSequence: the kernel seeds
-    the K generators from the pools ``_child_pools`` computes, and the
-    caller's SeedSequence is initialized again on its own entropy, spawn
-    key and pool size with the counter moved by K, which mixes the same
-    pool.  So it must be exactly numpy's SeedSequence with an int entropy
-    and int spawn-key words: a list or array can change after the pool was
-    mixed from it, and ``spawn`` reads it again.  Any other rng is
-    spawned."""
-    ss = _seed_seq(rng, K)
-    if type(ss) is not np.random.SeedSequence or not (
-        type(ss.entropy) is int and all(type(x) is int for x in ss.spawn_key)
-    ):
+    """``rng.spawn(K)``, draw for draw, without building a child
+    SeedSequence: the kernel seeds the K generators from the pools
+    ``_child_pools`` computes.  A SeedSequence's spawn counter then moves by
+    K, as ``spawn`` moves it, through its pickle state: the pool is not
+    mixed again.  A stream the kernel made has no counter, so a second
+    split of it gives the same streams again: split such a stream only
+    once.  An rng whose children's pools cannot be computed is spawned.
+    A SeedSequence is first checked for K more children: numpy's spawn
+    loops on a 32-bit index that wraps, so it never returns once its
+    counter would reach 2**32."""
+    ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
+    if isinstance(ss, np.random.SeedSequence) and ss.n_children_spawned + K >= 2**32:
+        raise ValueError(
+            f"rng's SeedSequence has n_children_spawned={ss.n_children_spawned}: {K} more children "
+            "would pass numpy's 32-bit spawn counter"
+        )
+    family = _child_pools(ss, K)
+    if family is None:
         return rng.spawn(K)
-    streams, moved = _seeded(rng, *_child_pools(ss, K)), ss.n_children_spawned + K
-    np.random.SeedSequence.__init__(ss, ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size, n_children_spawned=moved)
+    streams = _seeded(rng, *family)
+    if type(ss) is np.random.SeedSequence:
+        entropy, n, *rest = ss.__reduce__()[2]
+        ss.__setstate__((entropy, n + K, *rest))
     return streams
-
-
-def _own_streams(rng, K: int) -> list:
-    """The K generators ``rng.spawn(K)`` returns, draw for draw, without
-    building K child SeedSequences, and without moving ``rng``'s spawn
-    counter: only for an rng this module or the bench made, which nobody
-    else spawns.  A stream ``_spawn`` or this function made is a parent
-    too; an rng whose children's pools cannot be computed is spawned."""
-    family = _child_pools(_seed_seq(rng, K), K)
-    return rng.spawn(K) if family is None else _seeded(rng, *family)
-
-
-def _check_rng(rng, split: bool = True) -> None:
-    """Reject an rng without the methods the call uses: ``random``, and
-    ``spawn`` where its streams are split."""
-    for name in ("spawn", "random") if split else ("random",):
-        if not callable(getattr(rng, name, None)):
-            raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__} (it has no {name!r})")
 
 
 def _one_block(probs, part: BlockPartition) -> BlockProbabilities:
@@ -333,7 +309,7 @@ def sketch_columns(
     Returns thin factors C (m x count) and D (count x p) whose product has
     expectation Mb @ Nb, plus the per-draw log.
     """
-    _check_rng(rng, split=False)
+    check_rng(rng, "random")
     n = check_factors(Mb, Nb)
     count = as_int("count", count)
     if count < 1:
@@ -357,7 +333,7 @@ def estimate_product(
     Zero-budget blocks (flagged zero-score) are skipped; they contribute
     exactly zero to the true product as well.
     """
-    _check_rng(rng)
+    check_rng(rng, "spawn", "random")
     plan.partition.check_length(check_factors(M, N), "inner dimension")
     return _estimate(M, N, plan, _spawn(rng, plan.partition.num_blocks))
 
@@ -365,13 +341,6 @@ def estimate_product(
 def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, streams) -> tuple[SketchPair, np.ndarray, SampleLog]:
     pair, log = _sketch(M, N, plan.probs, plan.budgets, streams)
     return pair, pair.C @ pair.D, log
-
-
-def _main_pass(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, rng) -> tuple[SketchPair, np.ndarray, SampleLog]:
-    """``estimate_product`` on an rng whose spawn counter nobody reads (a
-    two-step plan's main stream, a bench replication's rng): the same
-    draws, from ``_own_streams``."""
-    return _estimate(M, N, plan, _own_streams(rng, plan.partition.num_blocks))
 
 
 def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockProbabilities]) -> tuple[int, int]:
@@ -388,12 +357,10 @@ def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockPr
     return c, pilot_count
 
 
-def _allocate_two_step(
-    prof: _Profile, c: int, c0: int, p0: Optional[BlockProbabilities], spawn: Callable[[int], list]
-) -> SamplingPlan:
+def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbabilities], pilot_rng) -> SamplingPlan:
     """``allocate_two_step`` on a scoring profile, its pilot drawn on the K
-    streams ``spawn(K)`` returns; c, c0 and the block floors are checked
-    before the pilot."""
+    streams of ``pilot_rng``; c, c0 and the block floors are checked before
+    the pilot."""
     part, K = prof.part, prof.part.num_blocks
     c, pilot_count = _two_step_counts(part, c, c0, p0)
     live = prof.sums > 0
@@ -402,7 +369,7 @@ def _allocate_two_step(
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pair, _ = _sketch(prof.M, prof.N, p0, counts, spawn(K))
+    pair, _ = _sketch(prof.M, prof.N, p0, counts, _spawn(pilot_rng, K))
     # Every live block has pilot_count draws: batched matmuls of column-major
     # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
     # and norms with the bits of np.linalg.norm.  A batch holds about
@@ -435,18 +402,18 @@ def allocate_two_step(
     follows the pilot's rule: ONU for "uniform", ONMCNR for "optimal", and
     none for any other pilot.  c and c0 are checked before any scoring.
     """
-    _check_rng(rng)
+    check_rng(rng, "spawn", "random")
     _two_step_counts(part, c, c0, p0)
-    return _allocate_two_step(_profile(M, N, part), c, c0, p0, functools.partial(_spawn, rng))
+    return _allocate_two_step(_profile(M, N, part), c, c0, p0, rng)
 
 
 def _two_step_plan(prof: _Profile, c: int, c0: int, rng, pilot: str) -> tuple[SamplingPlan, np.random.Generator]:
     """The two-step recipe on a scoring profile: the plan piloted under the
     ``pilot`` rule on the first of two child streams of ``rng``, and the
-    second stream, which ``_main_pass`` draws on."""
+    second stream, which the main pass splits into its block streams."""
     pilot_rng, main_rng = _spawn(rng, 2)
     p0 = uniform_probabilities(prof.part) if pilot == "uniform" else None
-    return _allocate_two_step(prof, c, c0, p0, functools.partial(_own_streams, pilot_rng)), main_rng
+    return _allocate_two_step(prof, c, c0, p0, pilot_rng), main_rng
 
 
 class TwoStepResult(NamedTuple):
@@ -471,12 +438,12 @@ def estimate_product_two_step(
     for the norm-product probabilities (tag ONMCNR).  The pilot and the
     main pass use independent child streams of ``rng``.
     """
-    _check_rng(rng)
+    check_rng(rng, "spawn", "random")
     if pilot not in ("uniform", "norm"):
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
     _two_step_counts(part, c, c0, None)
     plan, main_rng = _two_step_plan(_profile(M, N, part), c, c0, rng, pilot)
-    return TwoStepResult(*_main_pass(M, N, plan, main_rng), plan)
+    return TwoStepResult(*_estimate(M, N, plan, _spawn(main_rng, part.num_blocks)), plan)
 
 
 def estimate_product_block_sampling(
@@ -491,7 +458,7 @@ def estimate_product_block_sampling(
     with probability proportional to the blocks' norm product (or ``probs``)
     and stack the rescaled blocks themselves into the sketch.  The log has
     one row per sketch column; its ``draw`` is the block draw it came from."""
-    _check_rng(rng, split=False)
+    check_rng(rng, "random")
     part.check_length(check_factors(M, N), "inner dimension")
     q = block_norm_probabilities(M, N, part) if probs is None else probs
     q = _one_block(q, part._as_one_block)

@@ -1,7 +1,8 @@
 """Dense matrices, block partitions of the inner dimension, norms, the
 package's CSV writer, and its input validators: one per kind of input,
 factors (``check_factors``), counts (``as_int``), integer vectors
-(``as_ints``) and nonnegative vectors (``as_nonneg``).
+(``as_ints``), nonnegative vectors (``as_nonneg``) and random generators
+(``check_rng``).
 
 Matrices are plain NumPy arrays of a bool, integer or floating dtype; the
 scoring pass in ``plan`` rejects a factor with a NaN or Inf entry.  Block
@@ -57,6 +58,14 @@ def as_ints(name: str, values, shape=None) -> np.ndarray:
     if shape is not None and v.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
     return v
+
+
+def check_rng(rng, *methods: str) -> None:
+    """Reject an rng without the ``methods`` a call uses, naming its type
+    and the first one missing; any object that has them is accepted."""
+    for name in methods:
+        if not callable(getattr(rng, name, None)):
+            raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__} (it has no {name!r})")
 
 
 def check_factors(M: np.ndarray, N: np.ndarray) -> int:

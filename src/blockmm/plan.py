@@ -357,7 +357,11 @@ def integerize(
     floor = np.asarray(floor, dtype=bool)
     if floor.shape != (K,):
         raise ValueError("floor mask must have one entry per block")
-    return _integerize(w, c, floor.astype(np.int64), None if caps is None else as_ints("caps", caps, (K,)))
+    if caps is not None:
+        caps = as_ints("caps", caps, (K,))
+        if (caps < 0).any():
+            raise ValueError(f"caps must be >= 0, got {np.array2string(caps, threshold=8)}")
+    return _integerize(w, c, floor.astype(np.int64), caps)
 
 
 def _integerize(w: np.ndarray, c, lo: np.ndarray, caps: Optional[np.ndarray]) -> np.ndarray:
@@ -491,8 +495,20 @@ def optimal_size_weights(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> 
     return np.ldexp(_optimal_weights(prof.sums, prof.product_norms), -prof.scale)
 
 
+def _check_real_budget(c) -> None:
+    """Reject a real-valued budget c unless it is finite and > 0 as a
+    float64; a bool or a string is rejected, not coerced."""
+    try:
+        ok = not isinstance(c, (bool, np.bool_)) and math.isfinite(c) and c > 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"budget c must be finite and > 0, got {c!r}")
+
+
 def real_optimal_budgets(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> np.ndarray:
     """Pre-integerization optimal sizes c * w_k / sum(w)."""
+    _check_real_budget(c)
     prof = _profile(M, N, part)
     w = _optimal_weights(prof.sums, prof.product_norms)
     if w.sum() == 0.0:

@@ -137,9 +137,10 @@ def test_minimum_expected_sq_error_hand_and_consistency():
     g = abs(M @ N).item()
     want = (s**2 - g**2) / 4
     assert minimum_expected_sq_error(M, N, part, 4) == pytest.approx(want, rel=1e-12)
-    for bad in (0, -1.0, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="budget c must be finite and > 0"):
-            minimum_expected_sq_error(M, N, part, bad)
+    for bad in (0, -1.0, -3, math.nan, math.inf, True, "3"):
+        for call in (minimum_expected_sq_error, real_optimal_budgets):
+            with pytest.raises(ValueError, match="budget c must be finite and > 0"):
+                call(M, N, part, bad)
 
     # equals the general formula evaluated at optimal probs and real sizes
     for seed in range(6):

@@ -1,6 +1,8 @@
 """Data generation tests: covariance construction, distributional checks on
 both generators, and seed determinism."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -52,24 +54,21 @@ def test_normal_instance_matches_target_covariances():
 
 
 def test_heavy_tail_cauchy_marginals():
-    # row 0 of M is a standard normal over a chi-square(1) root, since the
-    # left Cholesky factor has L[0, 0] = 1: at zero location each entry is
-    # standard Cauchy, median 0 and median absolute value 1
+    # row 0 of M is 1 plus a standard normal over a chi-square(1) root, since
+    # the left Cholesky factor has L[0, 0] = 1: less its all-ones location,
+    # each entry is standard Cauchy, median 0 and median absolute value 1
     n = 20_000
-    M, _ = gen_heavy_tail_instance(3, n, 2, np.random.default_rng(5), location="zero")
-    row = M[0]
+    M, _ = gen_heavy_tail_instance(3, n, 2, np.random.default_rng(5))
+    assert abs(np.median(M[0]) - 1.0) < 0.05
+    row = M[0] - 1.0
     assert abs(np.median(row)) < 0.05
     assert abs(np.median(np.abs(row)) - 1.0) < 0.05
-    Mo, _ = gen_heavy_tail_instance(3, n, 2, np.random.default_rng(5))
-    assert abs(np.median(Mo[0]) - 1.0) < 0.05
-    with pytest.raises(ValueError):
-        gen_heavy_tail_instance(3, 10, 2, np.random.default_rng(6), location="median")
 
 
 def test_heavy_tail_is_heavier_than_normal():
     n = 10_000
     rng = np.random.default_rng(7)
-    M_heavy, _ = gen_heavy_tail_instance(4, n, 3, rng, location="zero")
+    M_heavy = gen_heavy_tail_instance(4, n, 3, rng)[0] - 1.0  # less the all-ones location
     M_norm, _ = gen_normal_instance(4, n, 3, np.random.default_rng(8))
 
     def tail_ratio(x):
@@ -91,3 +90,19 @@ def test_heavy_tail_deterministic():
     b = gen_heavy_tail_instance(3, 40, 2, np.random.default_rng(9))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_an_rng_without_the_methods_a_generator_uses_is_rejected():
+    """The generators draw with ``standard_normal`` (and ``chisquare``), so
+    a RandomState still works, and anything else is rejected by name."""
+    for gen in (gen_normal_instance, gen_heavy_tail_instance):
+        for bad, name in ((5, "int"), (None, "NoneType"), (object(), "object")):
+            with pytest.raises(ValueError, match=f"rng must be a numpy.random.Generator, got {name}"):
+                gen(2, 4, 2, bad)
+        M, N = gen(2, 4, 2, np.random.RandomState(5))
+        assert M.shape == (2, 4) and N.shape == (4, 2) and np.isfinite(M).all() and np.isfinite(N).all()
+    # The heavy-tailed generator names the chi-square draw it also needs.
+    normal_only = types.SimpleNamespace(standard_normal=np.random.default_rng(5).standard_normal)
+    assert gen_normal_instance(2, 4, 2, normal_only)[0].shape == (2, 4)
+    with pytest.raises(ValueError, match="got SimpleNamespace \\(it has no 'chisquare'\\)"):
+        gen_heavy_tail_instance(2, 4, 2, normal_only)

@@ -4,6 +4,7 @@ distribution checks, Monte Carlo unbiasedness, and audit-log consistency."""
 import copy
 import csv
 import gc
+import pickle
 import re
 import types
 
@@ -31,7 +32,7 @@ from blockmm import (
 )
 from blockmm import estimators
 from blockmm.bench import METHODS, _share
-from blockmm.estimators import _own_streams, _spawn
+from blockmm.estimators import _spawn
 from blockmm.matrix import write_csv
 from oracles import (
     block_outcomes,
@@ -352,31 +353,31 @@ def _same_streams(got, want):
     bits=st.sampled_from(BIT_GENERATORS),
     K=st.integers(0, 12),
 )
-def test_own_streams_draw_what_spawn_draws(entropy, spawn_key, pool_size, spawned, bits, K):
+def test_spawn_draws_what_rng_spawn_draws(entropy, spawn_key, pool_size, spawned, bits, K):
     seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned)
     rng = np.random.Generator(bits(seed))
     rng.spawn(2)  # a parent that has already spawned children
-    before = seed.n_children_spawned
-    _same_streams(_own_streams(rng, K), copy.deepcopy(rng).spawn(K))
-    assert seed.n_children_spawned == before
     # A stream _spawn makes is a parent too, as the two-step split uses it.
-    want = copy.deepcopy(rng).spawn(2)[1].spawn(K)
-    _same_streams(_own_streams(_spawn(copy.deepcopy(rng), 2)[1], K), want)
-    # The caller source: the same streams, and the caller left as spawn leaves it.
+    # Each twin is taken before its call: every split moves the counter.
     twin = copy.deepcopy(rng)
+    _same_streams(_spawn(_spawn(copy.deepcopy(rng), 2)[1], K), twin.spawn(2)[1].spawn(K))
+    # The caller: the same streams, and the caller left as spawn leaves it.
+    twin, before = copy.deepcopy(rng), seed.n_children_spawned
     _same_streams(_spawn(rng, K), twin.spawn(K))
     assert seed.n_children_spawned == before + K
     _same_caller(rng, twin)
 
 
 def _same_caller(rng, twin):
-    """The caller's SeedSequence equals its twin's field for field, and the
+    """The caller's SeedSequence equals its twin's field for field and in
+    its pickle (which catches a change in numpy's state layout), and the
     two draw the same from here on (one more child: the counter may be
     2**32 - 2, and numpy's spawn never returns past 2**32 - 1)."""
     a, b = rng.bit_generator.seed_seq, twin.bit_generator.seed_seq
     assert type(a.entropy) is type(b.entropy) and np.array_equal(a.entropy, b.entropy)
     assert (a.spawn_key, a.pool_size, a.n_children_spawned) == (b.spawn_key, b.pool_size, b.n_children_spawned)
     assert a.pool.dtype == b.pool.dtype and a.pool.tobytes() == b.pool.tobytes()
+    assert pickle.dumps(a) == pickle.dumps(b)
     _same_streams(rng.spawn(1), twin.spawn(1))
     assert rng.random(4).tobytes() == twin.random(4).tobytes()
 
@@ -417,6 +418,17 @@ def test_a_callers_streams_build_no_child_seed_sequence(monkeypatch):
     _same_caller(rng, twin)
 
 
+class _SubclassSeed(np.random.SeedSequence):
+    pass
+
+
+class _WordsOnly(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that cannot spawn."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.arange(1, n_words + 1, dtype=dtype)
+
+
 class _NoSpawn(np.random.SeedSequence):
     def spawn(self, n_children):
         raise AssertionError("spawned")
@@ -425,7 +437,9 @@ class _NoSpawn(np.random.SeedSequence):
 def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
     """A list or array entropy, one changed after the pool was mixed, a
     list in the spawn key, and a SeedSequence subclass: _spawn draws what
-    rng.spawn draws and leaves the caller as spawn leaves it."""
+    rng.spawn draws, with the subclass's children, and leaves the caller
+    as spawn leaves it.  A seed sequence that cannot spawn fails as
+    spawn fails."""
     changed_list, changed_array, key_word = [5, 6], np.array([5, 6], np.uint32), [3]
     seeds = [
         np.random.SeedSequence([5, 2**40]),
@@ -442,8 +456,15 @@ def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
         for bits in BIT_GENERATORS:
             rng = np.random.Generator(bits(copy.deepcopy(seed)))
             twin = copy.deepcopy(rng)
-            _same_streams(_spawn(rng, 7), twin.spawn(7))
+            got = _spawn(rng, 7)
+            _same_streams(got, twin.spawn(7))
+            assert all(type(g.bit_generator.seed_seq) is type(seed) for g in got)
             _same_caller(rng, twin)
+    rng = np.random.Generator(np.random.PCG64(_WordsOnly()))
+    with pytest.raises(TypeError) as spawned:
+        rng.spawn(3)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
+        _spawn(rng, 3)
 
 
 def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
@@ -455,7 +476,6 @@ def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
     part = BlockPartition.equal(4, 2)
     calls = [
         lambda r: _spawn(r, 2),
-        lambda r: _own_streams(r, 2),
         lambda r: estimate_product(M, N, allocate_uniform(part, 2), r),
         lambda r: allocate_two_step(M, N, part, 2, 2, None, r),
         lambda r: estimate_product_two_step(M, N, part, 2, 2, r),
@@ -476,42 +496,20 @@ def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
     assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
 
 
-def test_own_streams_of_a_default_rng_and_of_its_spawned_children():
+def test_spawn_of_a_default_rng_and_of_its_spawned_children():
     rng = np.random.default_rng()
     for r in (rng, *rng.spawn(2), np.random.default_rng(201).spawn(2)[1]):
-        _same_streams(_own_streams(r, 60), copy.deepcopy(r).spawn(60))
-
-
-class _SubclassSeed(np.random.SeedSequence):
-    pass
-
-
-class _WordsOnly(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that cannot spawn."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.arange(1, n_words + 1, dtype=dtype)
-
-
-def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
-    """For the library's own streams and for a caller's alike."""
-    for streams in (_own_streams, _spawn):
-        rng = np.random.Generator(np.random.PCG64(_SubclassSeed(5, spawn_key=(2,))))
-        got, want = streams(copy.deepcopy(rng), 4), copy.deepcopy(rng).spawn(4)
-        _same_streams(got, want)
-        assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in got)
-        rng = np.random.Generator(np.random.PCG64(_WordsOnly()))
-        with pytest.raises(TypeError) as spawned:
-            rng.spawn(3)
-        with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
-            streams(rng, 3)
+        twin = copy.deepcopy(r)
+        _same_streams(_spawn(r, 60), twin.spawn(60))
+        _same_caller(r, twin)
 
 
 def test_callers_spawn_counter_moves_as_before():
     """The caller's rng is still spawned: by K in estimate_product and
     allocate_two_step, and by 2 in the two-step estimate and the bench's
     two-step entries; the two inner streams' children are computed.  The
-    bench's other entries sample on its replication rng without a spawn."""
+    bench's column samplers split their replication rng by K, as
+    estimate_product does; SSM draws on it directly."""
     M, N = tiny_instance(18, m=3, n=12, p=3)
     part = BlockPartition.equal(12, 3)
 
@@ -526,7 +524,8 @@ def test_callers_spawn_counter_moves_as_before():
         assert moved(lambda r: estimate_product_two_step(M, N, part, 6, 6, r, pilot=pilot)) == 2
     shared = _share(M, N, part, tuple(METHODS))
     for tag in METHODS:
-        assert moved(lambda r: METHODS[tag](shared, 6, 6, r)()) == (2 if tag in ("ONU", "ONMCNR") else 0)
+        want = {"ONU": 2, "ONMCNR": 2, "SSM": 0}.get(tag, 3)
+        assert moved(lambda r: METHODS[tag](shared, 6, 6, r)()) == want
 
 
 def test_an_rng_without_the_methods_a_call_uses_is_rejected():

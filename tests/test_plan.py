@@ -234,6 +234,14 @@ def test_integerize_rejects_non_finite_and_bool_caps():
             integerize([1, 1, 1], 7, caps=bad)
 
 
+def test_integerize_rejects_negative_caps():
+    # block 1 has floor 0, so "below the required floor of 1" named the wrong bound
+    for floor in ([True, False], None):
+        with pytest.raises(ValueError, match=r"caps must be >= 0, got \[ 3 -1\]"):
+            integerize([1, 1], 3, caps=[3, -1], floor=floor)
+    assert list(integerize([1, 0], 3, caps=[3, 0], floor=[True, False])) == [3, 0]
+
+
 def test_integerize_pins_floors_before_caps():
     # judged before the floors took their budget, block 1 looked over its cap
     assert list(integerize([0, 9, 1], 3, caps=[3, 2, 1], floor=[True] * 3)) == [1, 1, 1]
