@@ -438,8 +438,7 @@ def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
     """A list or array entropy, one changed after the pool was mixed, a
     list in the spawn key, and a SeedSequence subclass: _spawn draws what
     rng.spawn draws, with the subclass's children, and leaves the caller
-    as spawn leaves it.  A seed sequence that cannot spawn fails as
-    spawn fails."""
+    as spawn leaves it."""
     changed_list, changed_array, key_word = [5, 6], np.array([5, 6], np.uint32), [3]
     seeds = [
         np.random.SeedSequence([5, 2**40]),
@@ -460,6 +459,18 @@ def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
             _same_streams(got, twin.spawn(7))
             assert all(type(g.bit_generator.seed_seq) is type(seed) for g in got)
             _same_caller(rng, twin)
+
+
+def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
+    """The library's own streams and a caller's are both split by _spawn:
+    a SeedSequence subclass gets the subclass's children, and a seed
+    sequence that cannot spawn fails as spawn fails."""
+    rng = np.random.Generator(np.random.PCG64(_SubclassSeed(5, spawn_key=(2,))))
+    twin = copy.deepcopy(rng)
+    got = _spawn(rng, 4)
+    _same_streams(got, twin.spawn(4))
+    assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in got)
+    _same_caller(rng, twin)
     rng = np.random.Generator(np.random.PCG64(_WordsOnly()))
     with pytest.raises(TypeError) as spawned:
         rng.spawn(3)
