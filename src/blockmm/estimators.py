@@ -4,9 +4,10 @@ Every sampler draws by one rule, inverse-CDF importance sampling: in each
 block with a positive count, one ``random`` call and one binary search in
 the block's slice of one table of running sums, built once per call; a
 partition's uniform vector, shared and read-only, carries its own.  The
-probabilities are a validated ``BlockProbabilities``, so a negative or
-non-finite entry, or a block that sums to neither 1 nor 0, is rejected
-before any draw.  The blocked estimator then gathers every drawn
+probabilities are a read-only ``BlockProbabilities``, checked when a caller
+constructs them or built from a checked scoring pass, so a negative or
+non-finite entry, or a block that sums to neither 1 nor 0, never reaches
+a draw.  The blocked estimator then gathers every drawn
 column/row pair of its plan at once, scales each by 1/sqrt(count * p) in
 place, and multiplies the two thin factors once; ``sketch_columns`` does
 the same on one block, and the whole-block baseline draws blocks from the
@@ -65,13 +66,16 @@ def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.nd
     """The one draw rule: ``counts[k]`` uniforms on ``streams[k]`` in every
     block k with a positive count, each looked up in the block's running
     sums; returns each draw's block and global index.  ``probs`` was
-    validated when it was built, so nothing is checked here.  An index below
+    checked, or built from checked scores, so nothing is checked here.
+    ``counts`` is an int array.  An index below
     a block's end always has positive probability: where p_i = 0, cum[i]
     equals cum[i - 1] and cannot be the first sum above u."""
     part = probs.partition
     cum, off = _block_cumsums(probs), part.offsets.tolist()
-    blocks = zip(off, off[1:], counts, streams)
-    local = [cum[a:b].searchsorted(rng.random(ck), side="right") for a, b, ck, rng in blocks if ck > 0]
+    # Python ints and a positional side: per block, each saves a few
+    # hundred ns of conversion and keyword parsing.
+    blocks = zip(off, off[1:], counts.tolist(), streams)
+    local = [cum[a:b].searchsorted(rng.random(ck), "right") for a, b, ck, rng in blocks if ck > 0]
     block = np.repeat(np.arange(part.num_blocks), counts)
     idx = np.concatenate([_NO_DRAWS, *local]) + part.offsets[block]
     # u may reach a block's last sum by float rounding, and the draw then
@@ -465,7 +469,7 @@ def estimate_product_block_sampling(
     draws = as_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    drawn = _draw(q, [draws], [rng])[1]
+    drawn = _draw(q, np.array([draws]), [rng])[1]
     start = part.offsets[drawn]
     widths = part.offsets[drawn + 1] - start
     offsets = np.concatenate(([0], widths.cumsum()))

@@ -51,6 +51,12 @@ class BlockProbabilities:
     zero to signal that no column there produces a nonzero outer product.
     ``rule`` records how the vector arose ("optimal", "uniform", or
     "explicit"); a two-step plan takes its tag from its pilot's rule.
+
+    The constructor (and ``dataclasses.replace``) checks all of that on a
+    copy of ``values``.  A scoring profile's optimal vector skips the check
+    (``_unchecked``): it is checked scores over their block sums, so each
+    block of positive sum sums to 1 within rounding and has an entry of at
+    least 1/n_k, and the zero flags are the blocks of zero sum.
     """
 
     values: np.ndarray
@@ -98,9 +104,38 @@ def _unscaled(pilot: tuple[np.ndarray, int]) -> np.ndarray:
         return np.ldexp(values, -e)
 
 
+def _pilot_fields(values: np.ndarray, e: int) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
+    """A plan's (pilot_norms, _pilot) from its own copy of the pilot norms
+    in units 2**e: both arrays made read-only."""
+    values.flags.writeable = False
+    norms = _unscaled((values, e))
+    norms.flags.writeable = False
+    return norms, (values, e)
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` dataclass with every field as given, without running
+    ``__post_init__``: for what the library builds from checked inputs.
+    The fields go into the instance dict, where ``object.__setattr__``
+    would put them."""
+    if fields.keys() != cls.__dataclass_fields__.keys():
+        raise TypeError(f"{cls.__name__} needs the fields {list(cls.__dataclass_fields__)}")
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """Partition + probabilities + integer budgets; the estimator input."""
+    """Partition + probabilities + integer budgets; the estimator input.
+
+    Read-only, like its probabilities: ``budgets``, ``pilot_norms`` and the
+    values in ``_pilot`` are read-only arrays.  The constructor (and
+    ``dataclasses.replace``) checks copies of them against the partition
+    and the zero flags.  The allocators skip that check (``_unchecked``):
+    ``_integerize`` has just split their budgets between floors and caps
+    that give every live block a draw and every zero block none.
+    """
 
     partition: BlockPartition
     probs: BlockProbabilities
@@ -125,6 +160,7 @@ class SamplingPlan:
         if mismatch.any():
             k = int(np.argmax(mismatch))
             raise ValueError(f"block {k}: zero budget and zero-probability flag must coincide")
+        b.flags.writeable = False
         object.__setattr__(self, "budgets", b)
         pilot = self._pilot
         if self.pilot_norms is not None:
@@ -132,9 +168,9 @@ class SamplingPlan:
             if pilot is None or not np.array_equal(given, _unscaled(pilot)):
                 pilot = (given, 0)
         if pilot is not None:
-            values, e = as_nonneg("pilot_norms", pilot[0], (self.partition.num_blocks,)), pilot[1]
-            object.__setattr__(self, "pilot_norms", _unscaled((values, e)))
-            object.__setattr__(self, "_pilot", (values, e))
+            norms, pilot = _pilot_fields(as_nonneg("pilot_norms", pilot[0], (self.partition.num_blocks,)), pilot[1])
+            object.__setattr__(self, "pilot_norms", norms)
+            object.__setattr__(self, "_pilot", pilot)
 
     @property
     def total(self) -> int:
@@ -187,7 +223,11 @@ class _Profile(_Fields):
 
     @cached_property
     def probs(self) -> BlockProbabilities:
-        return BlockProbabilities(_optimal_probabilities(self), self.part, rule="optimal")
+        values = _optimal_probabilities(self)
+        values.flags.writeable = False
+        return _unchecked(
+            BlockProbabilities, values=values, partition=self.part, rule="optimal", _zero=self.sums == 0.0, _cum=None
+        )
 
 
 def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
@@ -541,8 +581,8 @@ def _allocate(prof: _Profile, c: int, method: str, pilot_norms=None) -> Sampling
         notes = (f"{rule} size weights all zero; fell back to score-sum sizes",)
     live = s > 0
     budgets = _integerize(w, c, live.astype(np.int64), np.where(live, part.size_array, 0))
-    pilot = None if pilot_norms is None else (pilot_norms, prof.scale)
-    return SamplingPlan(part, prof.probs, budgets, method=method, notes=notes, _pilot=pilot)
+    pilot = (None, None) if pilot_norms is None else _pilot_fields(pilot_norms, prof.scale)
+    return _plan(part, prof.probs, budgets, method, notes, *pilot)
 
 
 def allocate_optimal(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> SamplingPlan:
@@ -561,7 +601,17 @@ def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
     """Fully uniform plan (tag UU): 1/n_k probabilities, c/K sizes."""
     K = part.num_blocks
     budgets = _integerize(np.ones(K), c, np.ones(K, dtype=np.int64), part.size_array)
-    return SamplingPlan(part, uniform_probabilities(part), budgets, method="UU")
+    return _plan(part, uniform_probabilities(part), budgets, "UU")
+
+
+def _plan(part, probs, budgets, method, notes=(), pilot_norms=None, pilot=None) -> SamplingPlan:
+    """An allocator's plan on the int64 budgets ``_integerize`` has just
+    made, without the constructor's check (see ``SamplingPlan``)."""
+    budgets.flags.writeable = False
+    return _unchecked(
+        SamplingPlan, partition=part, probs=probs, budgets=budgets, method=method, notes=notes,
+        pilot_norms=pilot_norms, _pilot=pilot,
+    )
 
 
 def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blockmm import allocate_two_step
+from blockmm import allocate_two_step, estimate_product_two_step, gen_heavy_tail_instance, gen_normal_instance
 from blockmm.matrix import BlockPartition, frobenius_norm
 from blockmm.plan import (
     BlockProbabilities,
@@ -679,6 +680,103 @@ def test_sampling_plan_rejects_probabilities_of_another_partition():
         SamplingPlan(BlockPartition((3, 1)), probs, np.array([1, 1]))
 
 
+def test_plans_are_read_only():
+    """A plan cannot change once built: a write into its budgets, pilot
+    norms or scaled pilot norms raises, on the allocators' plans as on the
+    public constructor's, while a caller's budgets stay writeable."""
+    rng = np.random.default_rng(31)
+    M, N, part = _random_instance(rng, n=9, sizes=(2, 3, 4))
+    probs = uniform_probabilities(part)
+    budgets = np.array([1, 2, 2])
+    built = SamplingPlan(part, probs, budgets, pilot_norms=[0.5, 1.0, 2.0])
+    assert budgets.flags.writeable
+    plans = [
+        allocate_optimal(M, N, part, 5),
+        allocate_by_score_sums(M, N, part, 5),
+        allocate_uniform(part, 5),
+        allocate_two_step(M, N, part, 5, 6, probs, rng),
+        estimate_product_two_step(M, N, part, 5, 6, rng, pilot="norm").plan,
+        built,
+        dataclasses.replace(built, budgets=[2, 2, 1]),
+    ]
+    for plan in plans:
+        arrays = {"budgets": plan.budgets}
+        if plan.method not in ("OPL", "ONC", "UU"):
+            arrays.update(pilot_norms=plan.pilot_norms, _pilot=plan._pilot[0])
+        for name, values in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0
+            assert values[0] != 0, name
+
+
+def _assert_equals_checked(plan):
+    """``plan`` passes the public constructors, which give it back field
+    for field: the probabilities' values and zero flags, and the plan's
+    budgets, method, notes, pilot norms and scaled pilot norms."""
+    probs = plan.probs
+    checked_probs = BlockProbabilities(probs.values, probs.partition, rule=probs.rule)
+    checked = SamplingPlan(plan.partition, checked_probs, plan.budgets, plan.method, plan.notes, _pilot=plan._pilot)
+
+    def same(a, b):
+        return (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), b.flags.writeable)
+
+    assert same(probs.values, checked_probs.values)
+    assert same(probs._zero, checked_probs._zero)
+    assert (probs.partition, probs.rule) == (checked_probs.partition, checked_probs.rule)
+    assert same(plan.budgets, checked.budgets)
+    assert (plan.partition, plan.method, plan.notes) == (checked.partition, checked.method, checked.notes)
+    if plan._pilot is None:
+        assert plan.pilot_norms is None and checked.pilot_norms is None and checked._pilot is None
+    else:
+        assert same(plan.pilot_norms, checked.pilot_norms)
+        assert same(plan._pilot[0], checked._pilot[0]) and plan._pilot[1] == checked._pilot[1]
+
+
+def _every_allocator(M, N, part, c, c0, seed=0):
+    """Every allocator's plan on (M, N, part): OPL, ONC, both two-step
+    pilots (public and through the estimate) and UU."""
+    rng = np.random.default_rng(seed)
+    c_uniform = max(c, part.num_blocks)
+    return [
+        allocate_optimal(M, N, part, c),
+        allocate_by_score_sums(M, N, part, c),
+        allocate_two_step(M, N, part, c, c0, uniform_probabilities(part), rng),
+        allocate_two_step(M, N, part, c, c0, optimal_probabilities(M, N, part), rng),
+        estimate_product_two_step(M, N, part, c, c0, rng).plan,
+        estimate_product_two_step(M, N, part, c, c0, rng, pilot="norm").plan,
+        allocate_uniform(part, c_uniform),
+    ]
+
+
+# (case, m, n, p, K, c, c0) of the benchmark's three workloads.
+WORKLOAD_SHAPES = {
+    "desk-heavy": ("II", 26, 20000, 28, 10, 2000, 200),
+    "wide-normal": ("I", 256, 20000, 256, 10, 2000, 200),
+    "tiny-many-blocks": ("II", 6, 600, 6, 60, 240, 120),
+}
+
+
+@pytest.mark.parametrize("workload", list(WORKLOAD_SHAPES))
+def test_unchecked_plans_equal_checked_ones_on_the_workloads(workload):
+    case, m, n, p, K, c, c0 = WORKLOAD_SHAPES[workload]
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0,)))
+    M, N = (gen_normal_instance if case == "I" else gen_heavy_tail_instance)(m, n, p, rng)
+    for plan in _every_allocator(M, N, BlockPartition.equal(n, K), c, c0):
+        _assert_equals_checked(plan)
+
+
+def test_unchecked_plans_equal_checked_ones_with_zero_blocks_and_unequal_blocks():
+    rng = np.random.default_rng(np.random.SeedSequence(201, spawn_key=(0,)))
+    M, N = gen_heavy_tail_instance(5, 120, 4, rng)
+    M[:, 20:40] = 0.0  # blocks 1 and 2 of six have zero score
+    N[100:110] = 0.0  # and block 5 too
+    for part in (BlockPartition.equal(120, 6), BlockPartition((1, 30, 9, 40, 25, 15))):
+        plans = _every_allocator(M, N, part, 40, 24)
+        assert plans[1].probs.zero_blocks  # the zero flags are exercised
+        for plan in plans:
+            _assert_equals_checked(plan)
+
+
 # ---------------------------------------------------------------- budget conservation (property)
 
 
@@ -724,3 +822,16 @@ def test_allocators_conserve_budget(instance, data):
         _assert_conserved(plan, c, live, part)
     c_uniform = data.draw(st.integers(part.num_blocks, part.total), label="c_uniform")
     _assert_conserved(allocate_uniform(part, c_uniform), c_uniform, np.ones(part.num_blocks, bool), part)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(instance=_scored_instances(), data=st.data())
+def test_unchecked_plans_equal_checked_ones(instance, data):
+    M, N, part = instance
+    live = score_sums(M, N, part) > 0
+    assume(live.any())
+    sizes = np.array(part.sizes)
+    c = data.draw(st.integers(int(live.sum()), int(sizes[live].sum())), label="c")
+    c0 = data.draw(st.integers(part.num_blocks, 3 * part.num_blocks), label="c0")
+    for plan in _every_allocator(M, N, part, c, c0, seed=data.draw(st.integers(0, 2**32 - 1), label="seed")):
+        _assert_equals_checked(plan)

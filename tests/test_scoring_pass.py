@@ -461,6 +461,40 @@ def test_one_probability_build_per_plan(name, probability_builds):
 
 
 # ---------------------------------------------------------------------------
+# no constructor check on what the allocators build from checked inputs
+
+
+@pytest.fixture
+def constructor_checks(monkeypatch):
+    """Counts runs of ``BlockProbabilities.__post_init__`` and
+    ``SamplingPlan.__post_init__``, the constructors' checks."""
+    calls = Counter()
+    for cls in (BlockProbabilities, SamplingPlan):
+
+        def counted(self, _name=cls.__name__, _original=cls.__post_init__):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+ALLOCATOR_CALLS = [*(name for name in PLAN_CALLS if not name.startswith(("bench.", "bound_"))), "allocate_uniform"]
+
+
+@pytest.mark.parametrize("name", ALLOCATOR_CALLS)
+def test_allocators_run_no_constructor_check(name, constructor_checks):
+    """A scored plan's probabilities and every allocator's plan are built
+    from checked inputs without the constructors' checks.  The call runs
+    once first: a partition's uniform vector is built, and checked, once."""
+    call = _product_calls()[name]
+    call()
+    constructor_checks.clear()
+    call()
+    assert not constructor_checks
+
+
+# ---------------------------------------------------------------------------
 # two-step budgets are checked before the scoring pass and the pilot
 
 
@@ -557,20 +591,22 @@ def test_block_products_formed_once_or_never(name, product_calls):
 def test_one_pass_of_each_kind_per_partition_in_a_sweep(
     sweep, partitions, norm_calls, probability_builds, product_calls, monkeypatch
 ):
-    """All six methods, three sweep points, two replications each."""
+    """All six methods, three sweep points, two replications each.
+    Uniform vectors are counted in the constructor's check, which every
+    uniform vector runs and a profile's optimal vector skips."""
     block_norms, uniform = Counter(), Counter()
-    original, vector = bench.block_norm_probabilities, plan_module.BlockProbabilities
+    original, check = bench.block_norm_probabilities, BlockProbabilities.__post_init__
 
     def counted(*args):
         block_norms["built"] += 1
         return original(*args)
 
-    def counted_vector(*args, **kwargs):
-        uniform["built"] += kwargs.get("rule") == "uniform"
-        return vector(*args, **kwargs)
+    def counted_check(self):
+        uniform["built"] += self.rule == "uniform"
+        return check(self)
 
     monkeypatch.setattr(bench, "block_norm_probabilities", counted)
-    monkeypatch.setattr(plan_module, "BlockProbabilities", counted_vector)
+    monkeypatch.setattr(BlockProbabilities, "__post_init__", counted_check)
     sweep()
     assert norm_calls == {"column_norms": partitions, "row_norms": partitions}
     assert probability_builds == {"built": partitions}
