@@ -1,9 +1,9 @@
 """Monte Carlo product estimators built from sampled, rescaled columns.
 
 Every sampler draws by one rule, inverse-CDF importance sampling: in each
-block with a positive count, one ``random`` call and one binary search in
-the block's slice of one table of running sums, built once per call; a
-partition's uniform vector, shared and read-only, carries its own.  The
+block with a positive count, uniforms on the block's stream, each looked
+up in the block's slice of one table of running sums, built once per call;
+a partition's uniform vector, shared and read-only, carries its own.  The
 probabilities are a read-only ``BlockProbabilities``, checked when a caller
 constructs them or built from a checked scoring pass, so a negative or
 non-finite entry, or a block that sums to neither 1 nor 0, never reaches
@@ -22,18 +22,30 @@ Randomness discipline: every estimator takes a ``numpy.random.Generator``
 (an rng without the methods a call uses is rejected by name); the blocked
 ones draw each block on its own child stream, so results are reproducible
 from a single seed and invariant to the order blocks are processed in.
-One function splits an rng, ``_spawn``: every child stream is the one
-``rng.spawn`` would give, seeded by one kernel, ``_seeded``, from the K
-children's pools, which ``_child_pools`` computes from the parent's pool in
-one NumPy pass; no child SeedSequence is built.  A SeedSequence's spawn
-counter then moves by K, as ``rng.spawn`` moves it, through its pickle
-state, which leaves the pool as it is.  The pools are computed only for
-exactly numpy's SeedSequence with an int entropy and int spawn-key words,
-and for a stream the kernel made, which has no counter and is split only
-once; any other rng (a SeedSequence subclass, a list or array entropy, a
-custom seed sequence) is spawned.  The caller's rng, the two-step plans'
-pilot and main streams and the bench's replication rngs are all split
-this way.
+Every child stream is the one ``rng.spawn`` would give, and the caller is
+left as ``rng.spawn`` leaves it.  ``_split`` computes the K children's
+pools from the parent's pool in one NumPy pass (``_child_pools``), and
+moves a SeedSequence's spawn counter by K through its pickle state, which
+leaves the pool as it is; no child SeedSequence is built.  The pools are
+computed only for exactly numpy's SeedSequence with an int entropy and int
+spawn-key words, and for a stream the seeding kernel made, which has no
+counter and is split only once; any other rng (a SeedSequence subclass, a
+list or array entropy, a custom seed sequence) is spawned.
+
+A plan's blocks are then drawn on one of two paths, picked by
+``_block_streams`` from what the call can see.  When the pools are
+computed, the rng's bit generator is exactly PCG64, at least
+``_PASS_MIN_BLOCKS`` (32) blocks have draws and they average at most
+``_PASS_MAX_MEAN_DRAWS`` (16) each, every draw of every block comes from one
+vectorized pass: PCG64 is a 128-bit LCG, so the state of any stream's j-th
+draw is a closed-form multiply-add of its seeding words, and one bisection
+on draw-length arrays finds every draw's column in its block.  Otherwise one kernel,
+``_seeded``, seeds a generator per block from the pools, and each block
+draws with its own ``random`` and ``searchsorted``.  Both paths give the
+same draws, bit for bit.  The caller's rng, the two-step plans' pilot and
+main passes and the bench's replication rngs all take this rule; the
+two-step split into a pilot and a main stream (``_spawn``) always builds
+its two generators.
 """
 
 from __future__ import annotations
@@ -62,27 +74,123 @@ from .plan import (
 _NO_DRAWS = np.empty(0, np.int64)
 
 
-def _draw(probs: BlockProbabilities, counts, streams) -> tuple[np.ndarray, np.ndarray]:
-    """The one draw rule: ``counts[k]`` uniforms on ``streams[k]`` in every
+def _clamp(probs: BlockProbabilities, block: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Draws' global indices ``idx`` with every draw one past its block
+    moved onto the block's last positive column: u may reach a block's last
+    sum by float rounding.  An index below a block's end always has
+    positive probability: where p_i = 0, cum[i] equals cum[i - 1] and
+    cannot be the first sum above u."""
+    off = probs.partition.offsets
+    for i in np.flatnonzero(idx == off[1:][block]).tolist():
+        idx[i] = off[block[i]] + np.flatnonzero(probs[block[i]])[-1]
+    return idx
+
+
+def _draw(probs: BlockProbabilities, counts, streams, block: np.ndarray) -> np.ndarray:
+    """The per-block draw: ``counts[k]`` uniforms on ``streams[k]`` in every
     block k with a positive count, each looked up in the block's running
-    sums; returns each draw's block and global index.  ``probs`` was
-    checked, or built from checked scores, so nothing is checked here.
-    ``counts`` is an int array.  An index below
-    a block's end always has positive probability: where p_i = 0, cum[i]
-    equals cum[i - 1] and cannot be the first sum above u."""
+    sums; returns each draw's global index (``block`` holds each draw's
+    block).  ``probs`` was checked, or built from checked scores, so
+    nothing is checked here.  ``counts`` is an int array."""
     part = probs.partition
     cum, off = _block_cumsums(probs), part.offsets.tolist()
     # Python ints and a positional side: per block, each saves a few
     # hundred ns of conversion and keyword parsing.
     blocks = zip(off, off[1:], counts.tolist(), streams)
     local = [cum[a:b].searchsorted(rng.random(ck), "right") for a, b, ck, rng in blocks if ck > 0]
-    block = np.repeat(np.arange(part.num_blocks), counts)
-    idx = np.concatenate([_NO_DRAWS, *local]) + part.offsets[block]
-    # u may reach a block's last sum by float rounding, and the draw then
-    # lands one past the block; clamp it onto the block's last positive column.
-    for i in np.flatnonzero(idx == part.offsets[1:][block]).tolist():
-        idx[i] = off[block[i]] + np.flatnonzero(probs[block[i]])[-1]
-    return block, idx
+    return _clamp(probs, block, np.concatenate([_NO_DRAWS, *local]) + part.offsets[block])
+
+
+def _search(probs: BlockProbabilities, block: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """What ``_draw`` finds for uniforms ``u``, for all draws at once: a
+    bisection of each draw's block in the one table, log2 of the largest
+    block's size steps on draw-length arrays, whatever n is.  ``last`` is
+    the last column known to have a running sum <= u, and a step moves it
+    to a candidate no further than the block's last column."""
+    cum, off = _block_cumsums(probs), probs.partition.offsets
+    last, end = off[block] - 1, off[1:][block] - 1
+    step = 1 << (int(probs.partition.size_array.max()).bit_length() - 1)
+    while step:
+        candidate = np.minimum(last + step, end)
+        last = np.where(cum[candidate] <= u, candidate, last)
+        step >>= 1
+    return _clamp(probs, block, last + 1)
+
+
+# PCG64 (O'Neill 2014), as numpy implements it: a 128-bit LCG, state ->
+# mult * state + inc, that steps before each output.  A jump of e steps
+# takes state x to A_e x + G_e inc = x + G_e ((mult - 1) x + inc), A_e =
+# mult^e and G_e = sum(mult^i, i < e), all mod 2^128: one product per draw
+# once each stream's (mult - 1) x + inc is known.  Arrays of 128-bit numbers
+# are pairs of uint64 arrays (high half, low half).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW, _1, _11, _32, _58, _63, _64 = map(np.uint64, (2**32 - 1, 1, 11, 32, 58, 63, 64))
+_KEPT_JUMPS = 256  # a plan with a block of more draws extends the table per call
+
+
+def _mul(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2^128 on (high, low) uint64 halves: the low halves' full
+    product from 32-bit pieces, the cross terms mod 2^64."""
+    (ah, al), (bh, bl) = a, b
+    a1, a0, b1, b0 = al >> _32, al & _LOW, bl >> _32, bl & _LOW
+    x, y = a1 * b0, a0 * b1
+    carry = (a0 * b0 >> _32) + (x & _LOW) + (y & _LOW)
+    return a1 * b1 + (x >> _32) + (y >> _32) + (carry >> _32) + al * bh + ah * bl, al * bl
+
+
+def _add(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2^128 on (high, low) uint64 halves."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _u128(*values: int) -> np.ndarray:
+    """Python ints below 2^128 as a (2, n) uint64 array of their halves."""
+    return np.array([[v >> 64 for v in values], [v & (2**64 - 1) for v in values]], dtype=np.uint64)
+
+
+_PCG_MULT_LESS_1 = _u128(_PCG_MULT - 1)
+
+
+@functools.cache
+def _kept_jumps() -> np.ndarray:
+    """G_e for e < _KEPT_JUMPS, as a read-only (2, _KEPT_JUMPS) array."""
+    G = [0]
+    for _ in range(_KEPT_JUMPS - 1):
+        G.append((G[-1] * _PCG_MULT + 1) % 2**128)
+    out = _u128(*G)
+    out.flags.writeable = False
+    return out
+
+
+def _jumps(n: int) -> np.ndarray:
+    """G_e for e < n, at least: the kept ones, doubled per call as often as
+    n needs, G_{L+e} = G_L + mult^L G_e."""
+    G = _kept_jumps()
+    while G.shape[1] < n:
+        L = G.shape[1]
+        G_L = (int(G[0, -1]) << 64 | int(G[1, -1])) * _PCG_MULT + 1
+        G = np.hstack([G, _add(_mul(G, _u128(pow(_PCG_MULT, L, 2**128))), _u128(G_L % 2**128))])
+    return G
+
+
+def _pcg64_uniforms(words: np.ndarray, block: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """``Generator.random`` of PCG64 streams, draw for draw, in one pass:
+    stream k is seeded by ``words[k]``, the (4,) uint64 ``generate_state``
+    of its seed; entry j is the ``draw[j]``-th uniform (from 0) of stream
+    ``block[j]``.  Seeding sets inc = 2 (words 2, 3) + 1 and steps once
+    from x = (words 0, 1) + inc, so draw d has the state of a jump of
+    d + 2 steps from x; its XSL-RR output, shifted right by 11 and scaled
+    by 2^-53, is the uniform."""
+    s_hi, s_lo, i_hi, i_lo = words.T
+    inc = (i_hi << _1 | i_lo >> _63, i_lo << _1 | _1)
+    x = _add((s_hi, s_lo), inc)
+    x_hi, x_lo, y_hi, y_lo = np.vstack([*x, *_add(_mul(_PCG_MULT_LESS_1, x), inc)]).take(block, axis=1)
+    e = draw + 2
+    hi, lo = _add((x_hi, x_lo), _mul(_jumps(int(e.max(initial=0)) + 1).take(e, axis=1), (y_hi, y_lo)))
+    out, rot = hi ^ lo, hi >> _58
+    out = out >> rot | out << ((_64 - rot) & _63)
+    return (out >> _11) * 2.0**-53
 
 
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
@@ -206,17 +314,17 @@ def _child_pools(ss, K: int):
     return pools, L + 1
 
 
-def _spawn(rng, K: int) -> list:
-    """``rng.spawn(K)``, draw for draw, without building a child
-    SeedSequence: the kernel seeds the K generators from the pools
-    ``_child_pools`` computes.  A SeedSequence's spawn counter then moves by
-    K, as ``spawn`` moves it, through its pickle state: the pool is not
-    mixed again.  A stream the kernel made has no counter, so a second
-    split of it gives the same streams again: split such a stream only
-    once.  An rng whose children's pools cannot be computed is spawned.
-    A SeedSequence is first checked for K more children: numpy's spawn
-    loops on a 32-bit index that wraps, so it never returns once its
-    counter would reach 2**32."""
+def _split(rng, K: int):
+    """Split ``rng`` into K streams as ``rng.spawn(K)`` would, building no
+    generator: the children's pools and entropy length (see
+    ``_child_pools``), with a SeedSequence's spawn counter moved by K, as
+    ``spawn`` moves it, through its pickle state: the pool is not mixed
+    again.  None when the pools cannot be computed, and then nothing is
+    moved.  A stream the kernel made has no counter, so a second split of
+    it gives the same streams again: split such a stream only once.  A
+    SeedSequence is first checked for K more children: numpy's spawn loops
+    on a 32-bit index that wraps, so it never returns once its counter
+    would reach 2**32."""
     ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
     if isinstance(ss, np.random.SeedSequence) and ss.n_children_spawned + K >= 2**32:
         raise ValueError(
@@ -224,13 +332,43 @@ def _spawn(rng, K: int) -> list:
             "would pass numpy's 32-bit spawn counter"
         )
     family = _child_pools(ss, K)
-    if family is None:
-        return rng.spawn(K)
-    streams = _seeded(rng, *family)
-    if type(ss) is np.random.SeedSequence:
+    if family is not None and type(ss) is np.random.SeedSequence:
         entropy, n, *rest = ss.__reduce__()[2]
         ss.__setstate__((entropy, n + K, *rest))
-    return streams
+    return family
+
+
+def _spawn(rng, K: int) -> list:
+    """``rng.spawn(K)``, draw for draw, without building a child
+    SeedSequence where ``_split`` computes the pools: the kernel seeds the
+    K generators from them; any other rng is spawned."""
+    family = _split(rng, K)
+    return rng.spawn(K) if family is None else _seeded(rng, *family)
+
+
+# From 32 live blocks on, at up to 16 draws per live block on average, the
+# vectorized PCG64 pass costs no more than the per-block path: per-block time
+# over vectorized time read 1.0-1.2 at K = 32 and 1.4-2.8 at K = 128, but
+# 0.5-0.85 at K <= 16 and 0.8-1.3 at 24-32 draws per block (grid in CHANGES.md).
+_PASS_MIN_BLOCKS, _PASS_MAX_MEAN_DRAWS = 32, 16
+
+
+def _block_streams(rng, counts: np.ndarray):
+    """``rng`` split into one stream per block, as ``rng.spawn(len(counts))``
+    splits it.  Where ``_split`` computes the pools, ``rng``'s bit generator
+    is exactly PCG64, and at least ``_PASS_MIN_BLOCKS`` blocks have draws,
+    ``_PASS_MAX_MEAN_DRAWS`` each or fewer on average, these are the
+    children's PCG64 seeding words, a (K, 4) uint64 array that ``_sketch``
+    draws from in one pass; else a list of K generators."""
+    K = len(counts)
+    family = _split(rng, K)
+    if family is None:
+        return rng.spawn(K)
+    live = int(np.count_nonzero(counts))
+    pcg64 = type(rng.bit_generator) is np.random.PCG64
+    if pcg64 and live >= _PASS_MIN_BLOCKS and counts.sum() <= _PASS_MAX_MEAN_DRAWS * live:
+        return _SeedWords(*family)[4, np.uint64]
+    return _seeded(rng, *family)
 
 
 def _one_block(probs, part: BlockPartition) -> BlockProbabilities:
@@ -290,14 +428,19 @@ def _sketch(
     streams,
 ) -> tuple[SketchPair, SampleLog]:
     """The blocked sampler: ``counts[k]`` draws in every block k with a
-    positive count, on ``streams[k]``, then one gather and scale of all
-    draws."""
-    block, idx = _draw(probs, counts, streams)
-    p = probs.values[idx]
-    C, D, scales = _gather(M, N, idx, counts[block], p)
+    positive count, on ``streams[k]``, or, given the streams' PCG64 seeding
+    words (``_block_streams``), on all of them in one pass; then one gather
+    and scale of all draws."""
     offsets = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
-    draw = np.arange(idx.size) - offsets[block]
+    block = np.repeat(np.arange(len(counts)), counts)
+    draw = np.arange(block.size) - offsets[block]
+    if isinstance(streams, np.ndarray):
+        idx = _search(probs, block, _pcg64_uniforms(streams, block, draw))
+    else:
+        idx = _draw(probs, counts, streams, block)
+    p = probs.values[idx]
+    C, D, scales = _gather(M, N, idx, counts[block], p)
     return SketchPair(C, D, offsets), SampleLog(block, draw, idx, p, scales)
 
 
@@ -339,7 +482,7 @@ def estimate_product(
     """
     check_rng(rng, "spawn", "random")
     plan.partition.check_length(check_factors(M, N), "inner dimension")
-    return _estimate(M, N, plan, _spawn(rng, plan.partition.num_blocks))
+    return _estimate(M, N, plan, _block_streams(rng, plan.budgets))
 
 
 def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, streams) -> tuple[SketchPair, np.ndarray, SampleLog]:
@@ -373,7 +516,7 @@ def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbab
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pair, _ = _sketch(prof.M, prof.N, p0, counts, _spawn(pilot_rng, K))
+    pair, _ = _sketch(prof.M, prof.N, p0, counts, _block_streams(pilot_rng, counts))
     # Every live block has pilot_count draws: batched matmuls of column-major
     # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
     # and norms with the bits of np.linalg.norm.  A batch holds about
@@ -447,7 +590,7 @@ def estimate_product_two_step(
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
     _two_step_counts(part, c, c0, None)
     plan, main_rng = _two_step_plan(_profile(M, N, part), c, c0, rng, pilot)
-    return TwoStepResult(*_estimate(M, N, plan, _spawn(main_rng, part.num_blocks)), plan)
+    return TwoStepResult(*_estimate(M, N, plan, _block_streams(main_rng, plan.budgets)), plan)
 
 
 def estimate_product_block_sampling(
@@ -469,7 +612,7 @@ def estimate_product_block_sampling(
     draws = as_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    drawn = _draw(q, np.array([draws]), [rng])[1]
+    drawn = _draw(q, np.array([draws]), [rng], np.zeros(draws, np.int64))
     start = part.offsets[drawn]
     widths = part.offsets[drawn + 1] - start
     offsets = np.concatenate(([0], widths.cumsum()))

@@ -7,6 +7,7 @@ import gc
 import pickle
 import re
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -392,30 +393,59 @@ def _holds_seed_sequence(obj, depth=4) -> bool:
     )
 
 
-def test_a_callers_streams_build_no_child_seed_sequence(monkeypatch):
-    """estimate_product on default_rng(int) at K = 60: no stream's seed is,
-    or holds, a SeedSequence, none is left alive beyond the caller's, and
-    the caller's counter moves by K."""
-    M, N = tiny_instance(24, m=3, n=120, p=3)
-    part = BlockPartition.equal(120, 60)
-    plan = allocate_by_score_sums(M, N, part, 120)
-    seen = []
+RANDOM_TYPES = (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator)
+
+
+def _alive(types=RANDOM_TYPES):
+    return Counter(t.__name__ for x in gc.get_objects() for t in types if isinstance(x, t))
+
+
+@pytest.fixture
+def sketch_calls(monkeypatch):
+    """Each ``_sketch`` call's streams, and the SeedSequences, bit
+    generators and Generators alive when it starts.  No cyclic collection
+    runs during the test, so what is alive changes only by what it does."""
+    calls = []
     sketch = estimators._sketch
-    monkeypatch.setattr(estimators, "_sketch", lambda *a: seen.append(a[-1]) or sketch(*a))
-    rng, twin = np.random.default_rng(25), np.random.default_rng(25)
 
-    def alive():
-        return sum(isinstance(x, np.random.SeedSequence) for x in gc.get_objects())
+    def recorded(*args):
+        calls.append((args[-1], _alive()))
+        return sketch(*args)
 
-    before = alive()
-    got = estimate_product(M, N, plan, rng)
-    (streams,) = seen
-    assert len(streams) == 60 and alive() == before
-    assert not any(_holds_seed_sequence(g.bit_generator.seed_seq) for g in streams)
-    assert rng.bit_generator.seed_seq.n_children_spawned == 60
-    pair, _ = sketch(M, N, plan.probs, plan.budgets, twin.spawn(60))
-    assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
-    _same_caller(rng, twin)
+    monkeypatch.setattr(estimators, "_sketch", recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        yield calls
+    finally:
+        gc.enable()
+
+
+def test_a_callers_streams_build_no_child_seed_sequence(sketch_calls):
+    """estimate_product on default_rng(int) at K = 60, and the caller's
+    counter moves by K.  At 17 draws per block the 60 streams are
+    generators: no stream's seed is, or holds, a SeedSequence, and none is
+    left alive beyond the caller's.  At 2 draws per block they are one
+    vectorized pass, which builds no SeedSequence, bit generator or
+    Generator at all."""
+    M, N = tiny_instance(24, m=3, n=1200, p=3)
+    for c in (1020, 120):
+        sketch_calls.clear()
+        plan = allocate_by_score_sums(M, N, BlockPartition.equal(1200, 60), c)
+        rng, twin = np.random.default_rng(25), np.random.default_rng(25)
+        before = _alive()
+        got = estimate_product(M, N, plan, rng)
+        ((streams, at_sketch),) = sketch_calls
+        assert _alive()["SeedSequence"] == before["SeedSequence"]
+        if c == 1020:
+            assert len(streams) == 60 and at_sketch == before + Counter(Generator=60, BitGenerator=60)
+            assert not any(_holds_seed_sequence(g.bit_generator.seed_seq) for g in streams)
+        else:
+            assert streams.shape == (60, 4) and at_sketch == before
+        assert rng.bit_generator.seed_seq.n_children_spawned == 60
+        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, twin.spawn(60))
+        assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
+        _same_caller(rng, twin)
 
 
 class _SubclassSeed(np.random.SeedSequence):
@@ -513,6 +543,96 @@ def test_spawn_of_a_default_rng_and_of_its_spawned_children():
         twin = copy.deepcopy(r)
         _same_streams(_spawn(r, 60), twin.spawn(60))
         _same_caller(r, twin)
+
+
+def _assert_pass_draws_what_spawn_draws(rng, twin, counts):
+    """The vectorized PCG64 uniforms of rng's K = len(counts) streams equal
+    ``twin.spawn(K)[k].random(counts[k])``, block after block."""
+    counts = np.array(counts, dtype=np.int64)
+    words = estimators._SeedWords(*estimators._split(rng, counts.size))[4, np.uint64]
+    block = np.repeat(np.arange(counts.size), counts)
+    draw = np.concatenate([np.arange(c) for c in counts])
+    want = np.concatenate([g.random(c) for g, c in zip(twin.spawn(counts.size), counts)])
+    assert estimators._pcg64_uniforms(words, block, draw).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entropy=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**64, 2**200)),
+    spawn_key=st.lists(st.integers(0, 2**70), max_size=6).map(tuple),  # words >= 2**32
+    pool_size=st.sampled_from([4, 8]),
+    spawned=st.sampled_from([0, 3, 2**32 - 300]),  # numpy's spawn counter is 32 bits
+    counts=st.lists(st.integers(0, 64), min_size=1, max_size=128),
+    kernel_child=st.booleans(),
+)
+def test_the_pcg64_pass_draws_what_spawned_generators(entropy, spawn_key, pool_size, spawned, counts, kernel_child):
+    """On a caller's PCG64 rng, and on the stream the kernel makes for a
+    two-step plan's main pass, split again."""
+    seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    twin = copy.deepcopy(rng)
+    if kernel_child:
+        rng, twin = _spawn(rng, 2)[1], twin.spawn(2)[1]
+    _assert_pass_draws_what_spawn_draws(rng, twin, counts)
+
+
+def test_the_pcg64_pass_extends_its_jumps_per_call():
+    """A block of more draws than the kept jumps: the table is doubled for
+    the call, and the kept one stays as it was."""
+    kept = estimators._kept_jumps()
+    n = 3 * estimators._KEPT_JUMPS
+    G, want = estimators._jumps(n), [0]
+    for _ in range(G.shape[1] - 1):
+        want.append((want[-1] * estimators._PCG_MULT + 1) % 2**128)
+    assert G.shape[1] >= n and [int(hi) << 64 | int(lo) for hi, lo in G.T] == want
+    assert estimators._kept_jumps() is kept and kept.shape == (2, estimators._KEPT_JUMPS)
+    rng = np.random.default_rng(5)
+    _assert_pass_draws_what_spawn_draws(rng, copy.deepcopy(rng), [0, n, 1, estimators._KEPT_JUMPS - 1])
+
+
+def _paths(sketch_calls, call, rng):
+    """The path of each ``_sketch`` in ``call(rng)``, and whether any
+    SeedSequence, bit generator or Generator beyond those alive before the
+    call was alive when the first one started."""
+    sketch_calls.clear()
+    before = _alive()
+    call(rng)
+    paths = ["pass" if isinstance(streams, np.ndarray) else "per-block" for streams, _ in sketch_calls]
+    return paths, sketch_calls[0][1] != before
+
+
+def test_the_pcg64_pass_is_taken_by_its_rule_only(sketch_calls):
+    """On the tiny-many-blocks shape (K = 60, 4 draws and 2 pilot draws per
+    block) a PCG64 caller with an int seed takes the vectorized pass, which
+    builds no bit generator beyond the caller's, in estimate_product and in
+    both passes of the two-step estimate.  Other bit generators, a list
+    entropy, the desk shape (K = 10, 200 draws per block) and plans just
+    past either bound take the per-block path."""
+    M, N = tiny_instance(27, m=6, n=600, p=6)
+    part = BlockPartition.equal(600, 60)
+    onc = allocate_by_score_sums(M, N, part, 240)
+
+    def one(r):
+        return estimate_product(M, N, onc, r)
+
+    def two_step(r):
+        return estimate_product_two_step(M, N, part, 240, 120, r)
+
+    assert _paths(sketch_calls, one, np.random.default_rng(7)) == (["pass"], False)
+    assert _paths(sketch_calls, two_step, np.random.default_rng(7))[0] == ["pass", "pass"]
+    for bits in (np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64):
+        assert _paths(sketch_calls, one, np.random.Generator(bits(7))) == (["per-block"], True)
+        assert _paths(sketch_calls, two_step, np.random.Generator(bits(7)))[0] == ["per-block"] * 2
+    assert _paths(sketch_calls, one, np.random.default_rng([7, 8])) == (["per-block"], True)
+    assert _paths(sketch_calls, two_step, np.random.default_rng([7, 8]))[0] == ["per-block"] * 2
+
+    M, N = tiny_instance(28, m=2, n=2000, p=2)
+    desk = allocate_by_score_sums(M, N, BlockPartition.equal(2000, 10), 2000)
+    assert _paths(sketch_calls, lambda r: estimate_product(M, N, desk, r), np.random.default_rng(7))[0] == ["per-block"]
+    for K, c, path in ((32, 512, "pass"), (32, 513, "per-block"), (31, 31 * 16, "per-block")):
+        M, N = tiny_instance(29, m=2, n=20 * K, p=2)
+        plan = allocate_uniform(BlockPartition.equal(20 * K, K), c)
+        assert _paths(sketch_calls, lambda r: estimate_product(M, N, plan, r), np.random.default_rng(7))[0] == [path]
 
 
 def test_callers_spawn_counter_moves_as_before():

@@ -53,31 +53,42 @@ from blockmm.matrix import block_view
 from oracles import inverse_cdf_draw
 
 
-def _instance(kind):
+def _instance(kind, n=120, K=6):
     rng = np.random.default_rng(np.random.SeedSequence(201, spawn_key=(0,)))
     if kind == "normal":
-        M, N = gen_normal_instance(5, 120, 4, rng)
+        M, N = gen_normal_instance(5, n, 4, rng)
     else:
-        M, N = gen_heavy_tail_instance(5, 120, 4, rng)
+        M, N = gen_heavy_tail_instance(5, n, 4, rng)
     if kind == "zero-blocks":
-        M[:, 20:40] = 0.0  # blocks 1 and 2 have zero score
-        N[100:110] = 0.0  # and block 5 too
-    return M, N, BlockPartition.equal(120, 6)
+        M[:, n // 6 : n // 3] = 0.0  # blocks 1 and 2 of six have zero score
+        N[5 * n // 6 : 11 * n // 12] = 0.0  # and half of block 5
+    return M, N, BlockPartition.equal(n, K)
 
 
 KINDS = ("normal", "heavy", "zero-blocks")
 C, C0 = 40, 24
+# Enough blocks with draws, and few enough draws each, for the vectorized
+# PCG64 pass (``estimators._block_streams``): 36 of 48 blocks live on
+# "zero-blocks", 3-4 draws per live block.
+WIDE_N, WIDE_K, WIDE_C = 480, 48, 160
+WIDE_UNEQUAL = BlockPartition((3, 17, 5, 11, 8, 16) * 8)  # n = 480, 48 blocks
+
+
+def _takes_the_pass(plan):
+    """Whether ``estimate_product`` draws ``plan`` on a PCG64 caller in one
+    vectorized pass."""
+    return isinstance(estimators._block_streams(_rng(), plan.budgets), np.ndarray)
 
 
 def _rng(seed=5):
     return np.random.default_rng(seed)
 
 
-def _budgets(part, s, w):
+def _budgets(part, s, w, c=C):
     """The allocators' last steps: the score-sum fallback and integerize."""
     if w.sum() == 0.0:
         w = s
-    return integerize(w, C, caps=np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0), floor=s > 0)
+    return integerize(w, c, caps=np.where(s > 0, np.array(part.sizes, dtype=np.int64), 0), floor=s > 0)
 
 
 def _pilot_norms(M, N, part, p0, rng, c0=C0):
@@ -144,32 +155,35 @@ def test_score_allocators_equal_their_public_steps(kind):
 
 
 def _two_step_cases(kind):
-    """(M, N, part, c0) of the two-step bit checks: 4, 20 (BLAS then rounds
-    by operand layout) and 1 pilot draws per block, p = 1, and an unequal
-    partition."""
+    """(M, N, part, c, c0) of the two-step bit checks: 4, 20 (BLAS then
+    rounds by operand layout) and 1 pilot draws per block, p = 1, an unequal
+    partition, and 48 blocks, whose pilot and main pass are each one
+    vectorized PCG64 pass."""
     M, N, part = _instance(kind)
-    yield from ((M, N, part, c0) for c0 in (C0, 120, 6))
-    yield M, N[:, :1], part, C0
-    yield M, N, BlockPartition((10, 30, 20, 40, 5, 15)), C0
+    yield from ((M, N, part, C, c0) for c0 in (C0, 120, 6))
+    yield M, N[:, :1], part, C, C0
+    yield M, N, BlockPartition((10, 30, 20, 40, 5, 15)), C, C0
+    yield *_instance(kind, WIDE_N, WIDE_K), WIDE_C, 2 * WIDE_K
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("pilot", ["uniform", "norm"])
 def test_two_step_equals_its_public_steps(kind, pilot):
-    for M, N, part, c0 in _two_step_cases(kind):
+    for M, N, part, c, c0 in _two_step_cases(kind):
         probs = optimal_probabilities(M, N, part)
         p0 = uniform_probabilities(part) if pilot == "uniform" else probs
         s = score_sums(M, N, part)
         pilot_norms = _pilot_norms(M, N, part, p0, _rng(), c0)
-        steps = (probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
-        plan = allocate_two_step(M, N, part, C, c0, p0, _rng())
+        steps = (probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2)), c), pilot_norms)
+        plan = allocate_two_step(M, N, part, c, c0, p0, _rng())
         _assert_same_plan(plan, *steps)
         assert plan.method == ("ONU" if pilot == "uniform" else "ONMCNR")
 
         pilot_rng, main_rng = _rng().spawn(2)
         pilot_norms = _pilot_norms(M, N, part, p0, pilot_rng, c0)
-        res = estimate_product_two_step(M, N, part, C, c0, _rng(), pilot=pilot)
-        _assert_same_plan(res.plan, probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2))), pilot_norms)
+        res = estimate_product_two_step(M, N, part, c, c0, _rng(), pilot=pilot)
+        _assert_same_plan(res.plan, probs, _budgets(part, s, np.sqrt(np.abs(s**2 - pilot_norms**2)), c), pilot_norms)
+        assert _takes_the_pass(res.plan) == (part.num_blocks == WIDE_K)
         _assert_same_estimate(res.pair, res.product, res.log, _sketch_estimate(M, N, res.plan, main_rng))
 
 
@@ -183,11 +197,18 @@ def test_two_step_pilot_norms_keep_their_bits_in_small_batches(kind, chunk, monk
         assert plan.pilot_norms.tobytes() == _pilot_norms(M, N, part, p0, _rng()).tobytes()
 
 
+def _onc_and_uu(M, N, part, c):
+    return allocate_by_score_sums(M, N, part, c), allocate_uniform(part, c)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_estimate_product_equals_per_block_sketches(kind):
-    M, N, part = _instance(kind)
-    for plan in (allocate_by_score_sums(M, N, part, C), allocate_uniform(part, C)):
-        _assert_same_estimate(*estimate_product(M, N, plan, _rng()), _sketch_estimate(M, N, plan, _rng()))
+    """On 6 blocks (the per-block path) and on 48 (the vectorized pass)."""
+    for n, K, c in ((120, 6, C), (WIDE_N, WIDE_K, WIDE_C)):
+        M, N, part = _instance(kind, n, K)
+        for plan in _onc_and_uu(M, N, part, c):
+            assert _takes_the_pass(plan) == (K == WIDE_K)
+            _assert_same_estimate(*estimate_product(M, N, plan, _rng()), _sketch_estimate(M, N, plan, _rng()))
 
 
 UNEQUAL = BlockPartition((30, 10, 25, 15, 40))  # n = 120: the table's per-block cumsum loop
@@ -195,18 +216,23 @@ UNEQUAL = BlockPartition((30, 10, 25, 15, 40))  # n = 120: the table's per-block
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_estimate_product_on_an_unequal_partition_equals_per_block_sketches(kind):
-    M, N, _ = _instance(kind)  # "zero-blocks": blocks 1 and 4 have zero score
-    for plan in (allocate_by_score_sums(M, N, UNEQUAL, C), allocate_uniform(UNEQUAL, C)):
-        _assert_same_estimate(*estimate_product(M, N, plan, _rng()), _sketch_estimate(M, N, plan, _rng()))
+    """On 5 blocks (the per-block path; "zero-blocks": blocks 1 and 4 have
+    zero score) and on 48 (the vectorized pass)."""
+    for n, part, c in ((120, UNEQUAL, C), (WIDE_N, WIDE_UNEQUAL, WIDE_C)):
+        M, N, _ = _instance(kind, n)
+        for plan in _onc_and_uu(M, N, part, c):
+            assert _takes_the_pass(plan) == (part is WIDE_UNEQUAL)
+            _assert_same_estimate(*estimate_product(M, N, plan, _rng()), _sketch_estimate(M, N, plan, _rng()))
 
 
-def _trailing_zeros_plan():
+def _trailing_zeros_plan(reps=1):
     """Every block's trailing probabilities are zero, and blocks 0 and 2 sum
     to just below 1, so that a draw near 1 lands past their last positive
-    column; block 1 is all zero."""
-    part = BlockPartition((5, 4, 6))
-    values = np.array([0.3, 0.3, 0.4 - 4e-13, 0, 0, 0, 0, 0, 0, 1.0 - 3e-13, 0, 0, 0, 0, 0])
-    return SamplingPlan(part, BlockProbabilities(values, part), np.array([7, 0, 3]))
+    column; block 1 is all zero.  ``reps`` copies of these three blocks
+    side by side: 16 give 32 live blocks, the vectorized pass."""
+    part = BlockPartition((5, 4, 6) * reps)
+    values = np.array([0.3, 0.3, 0.4 - 4e-13, 0, 0, 0, 0, 0, 0, 1.0 - 3e-13, 0, 0, 0, 0, 0] * reps)
+    return SamplingPlan(part, BlockProbabilities(values, part), np.array([7, 0, 3] * reps))
 
 
 class _NearOne:
@@ -219,19 +245,68 @@ class _NearOne:
         return np.full(count, np.nextafter(1.0, 0.0))
 
 
+class _Given:
+    """A stand-in stream that draws the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u
+
+
 def test_draws_past_a_blocks_last_sum_are_clamped_onto_its_support():
     M, N, _ = _instance("normal")
     M, N, plan = M[:, :15], N[:15], _trailing_zeros_plan()
     pair, product, log = estimate_product(M, N, plan, _NearOne())
     np.testing.assert_array_equal(log.column, [2] * 7 + [9] * 3)
     _assert_same_estimate(pair, product, log, _sketch_estimate(M, N, plan, _NearOne()))
+    # The vectorized pass's one search clamps as the per-block search does,
+    # on uniforms at the largest double below 1, and finds the same column
+    # for a uniform equal to a running sum.
+    plan = _trailing_zeros_plan(16)
+    counts, off, cum = plan.budgets, plan.partition.offsets, estimators._block_cumsums(plan.probs)
+    block = np.repeat(np.arange(counts.size), counts)
+    sums = np.concatenate([np.resize(cum[off[k] : off[k + 1]], c) for k, c in enumerate(counts)])
+    near_one = np.full(block.size, np.nextafter(1.0, 0.0))
+    for u, first in ((near_one, [2] * 7 + [9] * 3), (sums, [1, 2, 2, 2, 2, 1, 2, 9, 9, 9])):
+        want = estimators._draw(plan.probs, counts, [_Given(u[block == k]) for k in range(counts.size)], block)
+        got = estimators._search(plan.probs, block, u)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got[:10], first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 1100), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_one_bisection_finds_what_the_per_block_searches_find(sizes, seed):
+    """The vectorized pass's search against the per-block one, on blocks
+    of 1 to 1,100 columns with runs of zero probability (a block may be
+    all zero), at random uniforms, at every running sum of each block, and
+    at the largest double below 1."""
+    rng = np.random.default_rng(seed)
+    part = BlockPartition(tuple(sizes))
+    values = rng.random(part.total) * (rng.random(part.total) < 0.7)
+    sums = np.add.reduceat(values, part.offsets[:-1])
+    probs = BlockProbabilities(values / np.repeat(np.where(sums > 0, sums, 1.0), sizes), part)
+    counts = np.where(sums > 0, rng.integers(1, 40, len(sizes)), 0)
+    block = np.repeat(np.arange(len(sizes)), counts)
+    cum, off = estimators._block_cumsums(probs), part.offsets
+    sums = np.concatenate([np.resize(cum[off[k] : off[k + 1]], c) for k, c in enumerate(counts)])
+    for u in (rng.random(block.size), sums, np.full(block.size, np.nextafter(1.0, 0.0))):
+        want = estimators._draw(probs, counts, [_Given(u[block == k]) for k in range(len(sizes))], block)
+        assert estimators._search(probs, block, u).tobytes() == want.tobytes()
 
 
 def test_estimate_product_with_trailing_zero_probabilities_equals_per_block_sketches():
-    M, N, _ = _instance("heavy")
-    M, N, plan = M[:, :15], N[:15], _trailing_zeros_plan()
-    for seed in range(5):
-        _assert_same_estimate(*estimate_product(M, N, plan, _rng(seed)), _sketch_estimate(M, N, plan, _rng(seed)))
+    """Three blocks (the per-block path), and 16 copies of them side by side
+    (the vectorized pass)."""
+    for reps in (1, 16):
+        M, N, _ = _instance("heavy", max(120, 15 * reps))
+        M, N, plan = M[:, : 15 * reps], N[: 15 * reps], _trailing_zeros_plan(reps)
+        assert _takes_the_pass(plan) == (reps == 16)
+        for seed in range(5):
+            _assert_same_estimate(*estimate_product(M, N, plan, _rng(seed)), _sketch_estimate(M, N, plan, _rng(seed)))
 
 
 DRAW_VECTORS = [
@@ -359,13 +434,17 @@ def sampler_work(monkeypatch):
 
 @pytest.mark.parametrize("pilot", ["uniform", "norm"])
 def test_each_sampler_call_builds_one_table_and_no_per_block_cumsum(pilot, sampler_work):
-    M, N, part = _instance("zero-blocks")  # K = 6 equal blocks
-    uniform_probabilities(part)  # the partition's constant, with its table
-    estimate_product_two_step(M, N, part, C, C0, _rng(), pilot=pilot)
-    assert sampler_work["sketches"] == 2  # the pilot and the main pass
-    # The uniform pilot draws from the constant's table; the main pass builds its own.
-    assert sampler_work["tables"] == (1 if pilot == "uniform" else 2)
-    assert sampler_work["most cumsums in one sketch"] <= 1  # the offsets only, none per block
+    """On 6 equal blocks (the per-block path) and on 48 (the vectorized pass)."""
+    for n, K, c, c0 in ((120, 6, C, C0), (WIDE_N, WIDE_K, WIDE_C, 2 * WIDE_K)):
+        sampler_work.clear()
+        M, N, part = _instance("zero-blocks", n, K)
+        uniform_probabilities(part)  # the partition's constant, with its table
+        res = estimate_product_two_step(M, N, part, c, c0, _rng(), pilot=pilot)
+        assert _takes_the_pass(res.plan) == (K == WIDE_K)
+        assert sampler_work["sketches"] == 2  # the pilot and the main pass
+        # The uniform pilot draws from the constant's table; the main pass builds its own.
+        assert sampler_work["tables"] == (1 if pilot == "uniform" else 2)
+        assert sampler_work["most cumsums in one sketch"] <= 1  # the offsets only, none per block
 
 
 # ---------------------------------------------------------------------------
