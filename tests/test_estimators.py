@@ -396,8 +396,8 @@ def _holds_seed_sequence(obj, depth=4) -> bool:
 RANDOM_TYPES = (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator)
 
 
-def _alive(types=RANDOM_TYPES):
-    return Counter(t.__name__ for x in gc.get_objects() for t in types if isinstance(x, t))
+def _alive():
+    return Counter(t.__name__ for x in gc.get_objects() for t in RANDOM_TYPES if isinstance(x, t))
 
 
 @pytest.fixture
