@@ -110,6 +110,10 @@ class ExperimentConfig:
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         if not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"out must be a directory path, got {self.out!r}")
+        # write_results makes it after the whole sweep, and a file in the way fails there.
+        existing = next(d for d in (Path(self.out), *Path(self.out).parents) if d.exists())
+        if not existing.is_dir():
+            raise ValueError(f"out must be a directory path, but {existing} is a file")
         column_samplers = [tag for tag in methods if tag != "SSM"]
         two_step = sorted({"ONU", "ONMCNR"} & set(methods))
         for K, c, c0 in map(self.resolved, self.sweep_values):

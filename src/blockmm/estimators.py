@@ -23,29 +23,24 @@ Randomness discipline: every estimator takes a ``numpy.random.Generator``
 ones draw each block on its own child stream, so results are reproducible
 from a single seed and invariant to the order blocks are processed in.
 Every child stream is the one ``rng.spawn`` would give, and the caller is
-left as ``rng.spawn`` leaves it.  ``_split`` computes the K children's
-pools from the parent's pool in one NumPy pass (``_child_pools``), and
-moves a SeedSequence's spawn counter by K through its pickle state, which
-leaves the pool as it is; no child SeedSequence is built.  The pools are
-computed only for exactly numpy's SeedSequence with an int entropy and int
-spawn-key words, and for a stream the seeding kernel made, which has no
-counter and is split only once; any other rng (a SeedSequence subclass, a
-list or array entropy, a custom seed sequence) is spawned.
+left as ``rng.spawn`` leaves it.  For the rng ``default_rng`` makes, a
+Generator over PCG64 over numpy's SeedSequence with an int entropy and int
+spawn-key words, ``_pcg64_words`` hashes the K children's PCG64 seeding
+words from the parent's pool in one NumPy pass and moves its spawn counter
+by K; no child SeedSequence is built.  Any other rng is spawned.  The
+two-step plans split the caller's rng into a pilot and a main stream with
+``rng.spawn(2)``, so both are ordinary SeedSequence children.
 
 A plan's blocks are then drawn on one of two paths, picked by
-``_block_streams`` from what the call can see.  When the pools are
-computed, the rng's bit generator is exactly PCG64, at least
+``_block_streams``.  When the seeding words are computed, at least
 ``_PASS_MIN_BLOCKS`` (32) blocks have draws and they average at most
-``_PASS_MAX_MEAN_DRAWS`` (16) each, every draw of every block comes from one
-vectorized pass: PCG64 is a 128-bit LCG, so the state of any stream's j-th
-draw is a closed-form multiply-add of its seeding words, and one bisection
-on draw-length arrays finds every draw's column in its block.  Otherwise one kernel,
-``_seeded``, seeds a generator per block from the pools, and each block
-draws with its own ``random`` and ``searchsorted``.  Both paths give the
-same draws, bit for bit.  The caller's rng, the two-step plans' pilot and
-main passes and the bench's replication rngs all take this rule; the
-two-step split into a pilot and a main stream (``_spawn``) always builds
-its two generators.
+``_PASS_MAX_MEAN_DRAWS`` (16) each, every draw of every block comes from
+one vectorized pass: PCG64 is a 128-bit LCG, so the state of any stream's
+j-th draw is a closed-form multiply-add of its seeding words, and one
+bisection on draw-length arrays finds every draw's column in its block.
+Otherwise each block draws with its own generator's ``random`` and
+``searchsorted``: a PCG64 generator seeded from the words, or a spawned
+child.  Both paths give the same draws, bit for bit.
 """
 
 from __future__ import annotations
@@ -220,130 +215,78 @@ def _hash(x: np.ndarray, run: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return x
 
 
-@functools.cache
-def _state_words(n_words: int, dtype, size: int) -> tuple[np.ndarray, tuple, bool]:
-    """What ``SeedSequence.generate_state(n_words, dtype)`` reads from a
-    pool of ``size`` words: the pool word that each uint32 seeding word is
-    hashed from, the constants it is hashed under, and whether the words
-    are paired into uint64."""
-    kind = np.dtype(dtype)
-    if kind not in (np.uint32, np.uint64):
-        raise ValueError("only support uint32 or uint64")
-    n = n_words * kind.itemsize // 4
-    return np.arange(n) % size, _hash_run(_INIT_B, _MULT_B, n), kind == np.uint64
-
-
-class _SeedWords(dict):
-    """The seeding words of K child pools (rows of ``pools``), keyed by the
-    (n_words, dtype) a bit generator asks for: each key hashed for all K
-    pools at once, on first ask, as ``SeedSequence.generate_state`` hashes
-    one pool.  ``L`` is each child's entropy length, as ``_child_pools``
-    reads it when a child is a parent."""
-
-    def __init__(self, pools: np.ndarray, L: int):
-        self.pools, self.L = pools, L
-
-    def __missing__(self, key):
-        idx, run, wide = _state_words(*key, self.pools.shape[1])
-        out = _hash(self.pools.take(idx, axis=1), run)  # C order: a row is one block of memory
-        if wide:  # little-endian word pairs, as SeedSequence reads them
-            out = out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-        self[key] = out
-        return out
-
-
-@functools.cache
-def _row_seed() -> type:
-    """A seed sequence that hands a bit generator child k's row of seeding
-    words.  Made on first use, so that importing this module does not load
-    numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class RowSeed(ISeedSequence):
-        """Child k of a family: its pool is ``words.pools[k]``, and it has
-        spawned no children."""
-
-        __slots__ = ("words", "k")
-
-        def __init__(self, words: _SeedWords, k: int):
-            self.words, self.k = words, k
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words[n_words, dtype][self.k]
-
-    return RowSeed
-
-
-def _seeded(rng, pools: np.ndarray, L: int) -> list:
-    """The seeding kernel: a generator of ``rng``'s types for each of K
-    child pools (rows of ``pools``), drawing what a generator seeded by a
-    SeedSequence with that pool draws; ``L`` is each child's entropy
-    length."""
-    words, seed, bits, gen = _SeedWords(pools, L), _row_seed(), type(rng.bit_generator), type(rng)
-    return [gen(bits(seed(words, k))) for k in range(len(pools))]
-
-
 def _n_words(x: int) -> int:
     """How many uint32 words SeedSequence turns the int x, an entropy or a
     spawn-key word, into."""
     return max(1, -(-x.bit_length() // 32))
 
 
-def _child_pools(ss, K: int):
-    """The pools of the K children ``ss.spawn(K)`` would make next, and
-    their entropy length; None unless ``ss`` is a seed the kernel made or
-    exactly numpy's SeedSequence with an int entropy and int spawn-key
-    words: a list or array can change after the pool was mixed from it,
-    and ``spawn`` reads it again.
-
-    A child's entropy is its parent's plus one word, its index (numpy keeps
-    the spawn counter in 32 bits), so its pool is the parent's pool mixed
-    with that word, under the hash constant stepped pool_size·L times,
-    L = max(entropy words, pool_size) + spawn-key words; all K at once."""
-    if type(ss) is _row_seed():
-        pool, size, L, first = ss.words.pools[ss.k], ss.words.pools.shape[1], ss.words.L, 0
-    elif type(ss) is np.random.SeedSequence and type(ss.entropy) is int and all(type(x) is int for x in ss.spawn_key):
-        pool, size, first = ss.pool, ss.pool_size, ss.n_children_spawned
-        L = max(_n_words(ss.entropy), size) + sum(map(_n_words, ss.spawn_key))
-    else:
-        return None
-    index = np.arange(first, first + K, dtype=np.uint32)[:, None]
-    mixed = _hash(index, _hash_run(_INIT_A * pow(_MULT_A, size * L, 2**32) % 2**32, _MULT_A, size))
-    pools = pool * np.uint32(_MIX_L) - mixed * np.uint32(_MIX_R)
-    pools ^= pools >> _SHIFT
-    return pools, L + 1
-
-
-def _split(rng, K: int):
-    """Split ``rng`` into K streams as ``rng.spawn(K)`` would, building no
-    generator: the children's pools and entropy length (see
-    ``_child_pools``), with a SeedSequence's spawn counter moved by K, as
-    ``spawn`` moves it, through its pickle state: the pool is not mixed
-    again.  None when the pools cannot be computed, and then nothing is
-    moved.  A stream the kernel made has no counter, so a second split of
-    it gives the same streams again: split such a stream only once.  A
-    SeedSequence is first checked for K more children: numpy's spawn loops
-    on a 32-bit index that wraps, so it never returns once its counter
-    would reach 2**32."""
+def _check_spawn(rng, K: int) -> None:
+    """Raise before ``rng`` is touched if its SeedSequence cannot spawn K
+    more children: numpy's spawn loops on a 32-bit index that wraps, so it
+    never returns once its counter would reach 2**32."""
     ss = getattr(getattr(rng, "bit_generator", None), "seed_seq", None)
     if isinstance(ss, np.random.SeedSequence) and ss.n_children_spawned + K >= 2**32:
         raise ValueError(
             f"rng's SeedSequence has n_children_spawned={ss.n_children_spawned}: {K} more children "
             "would pass numpy's 32-bit spawn counter"
         )
-    family = _child_pools(ss, K)
-    if family is not None and type(ss) is np.random.SeedSequence:
-        entropy, n, *rest = ss.__reduce__()[2]
-        ss.__setstate__((entropy, n + K, *rest))
-    return family
 
 
-def _spawn(rng, K: int) -> list:
-    """``rng.spawn(K)``, draw for draw, without building a child
-    SeedSequence where ``_split`` computes the pools: the kernel seeds the
-    K generators from them; any other rng is spawned."""
-    family = _split(rng, K)
-    return rng.spawn(K) if family is None else _seeded(rng, *family)
+def _pcg64_words(rng, K: int) -> Optional[np.ndarray]:
+    """The PCG64 seeding words of the K children ``rng.spawn(K)`` would
+    make next, each child's ``generate_state(4, uint64)`` as a row of a
+    (K, 4) uint64 array, with the spawn counter moved by K, as ``spawn``
+    moves it; no child SeedSequence is built.  None, and nothing moved,
+    unless ``rng`` is what ``default_rng`` makes: exactly a Generator over
+    exactly PCG64 over exactly numpy's SeedSequence with an int entropy and
+    int spawn-key words (a list or array can change after the pool was
+    mixed from it, and ``spawn`` reads it again).
+
+    A child's entropy is its parent's plus one word, its index (numpy keeps
+    the spawn counter in 32 bits), so its pool is the parent's pool mixed
+    with that word, under the hash constant stepped pool_size·L times,
+    L = max(entropy words, pool_size) + spawn-key words; its seeding words
+    hash its pool's words 0..7 (mod pool_size) in turn, paired little-endian
+    into uint64.  The counter moves through the pickle state, which leaves
+    the pool as it is."""
+    if type(rng) is not np.random.Generator or type(rng.bit_generator) is not np.random.PCG64:
+        return None
+    ss = rng.bit_generator.seed_seq
+    if type(ss) is not np.random.SeedSequence or not all(type(x) is int for x in (ss.entropy, *ss.spawn_key)):
+        return None
+    size, first = ss.pool_size, ss.n_children_spawned
+    L = max(_n_words(ss.entropy), size) + sum(map(_n_words, ss.spawn_key))
+    index = np.arange(first, first + K, dtype=np.uint32)[:, None]
+    mixed = _hash(index, _hash_run(_INIT_A * pow(_MULT_A, size * L, 2**32) % 2**32, _MULT_A, size))
+    pools = ss.pool * np.uint32(_MIX_L) - mixed * np.uint32(_MIX_R)
+    pools ^= pools >> _SHIFT
+    words = _hash(pools.take(np.arange(8) % size, axis=1), _hash_run(_INIT_B, _MULT_B, 8))
+    entropy, n, *rest = ss.__reduce__()[2]
+    ss.__setstate__((entropy, n + K, *rest))
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _row_seed() -> type:
+    """A seed sequence that hands PCG64 one row of ``_pcg64_words``.  Made
+    on first use, so that importing this module does not load
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        """One child's seeding words, as ``generate_state(4, uint64)``, the
+        one request PCG64 makes, returns them; it has spawned no children."""
+
+        __slots__ = ("row",)
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return RowSeed
 
 
 # From 32 live blocks on, at up to 16 draws per live block on average, the
@@ -355,20 +298,21 @@ _PASS_MIN_BLOCKS, _PASS_MAX_MEAN_DRAWS = 32, 16
 
 def _block_streams(rng, counts: np.ndarray):
     """``rng`` split into one stream per block, as ``rng.spawn(len(counts))``
-    splits it.  Where ``_split`` computes the pools, ``rng``'s bit generator
-    is exactly PCG64, and at least ``_PASS_MIN_BLOCKS`` blocks have draws,
-    ``_PASS_MAX_MEAN_DRAWS`` each or fewer on average, these are the
-    children's PCG64 seeding words, a (K, 4) uint64 array that ``_sketch``
-    draws from in one pass; else a list of K generators."""
+    splits it.  Where ``_pcg64_words`` gives the children's seeding words
+    and at least ``_PASS_MIN_BLOCKS`` blocks have draws,
+    ``_PASS_MAX_MEAN_DRAWS`` each or fewer on average, the words themselves,
+    a (K, 4) uint64 array that ``_sketch`` draws from in one pass; else a
+    list of K generators, seeded from the words where there are any."""
     K = len(counts)
-    family = _split(rng, K)
-    if family is None:
+    _check_spawn(rng, K)
+    words = _pcg64_words(rng, K)
+    if words is None:
         return rng.spawn(K)
     live = int(np.count_nonzero(counts))
-    pcg64 = type(rng.bit_generator) is np.random.PCG64
-    if pcg64 and live >= _PASS_MIN_BLOCKS and counts.sum() <= _PASS_MAX_MEAN_DRAWS * live:
-        return _SeedWords(*family)[4, np.uint64]
-    return _seeded(rng, *family)
+    if live >= _PASS_MIN_BLOCKS and counts.sum() <= _PASS_MAX_MEAN_DRAWS * live:
+        return words
+    seed, Generator, PCG64 = _row_seed(), np.random.Generator, np.random.PCG64
+    return [Generator(PCG64(seed(row))) for row in words]
 
 
 def _one_block(probs, part: BlockPartition) -> BlockProbabilities:
@@ -556,9 +500,10 @@ def allocate_two_step(
 
 def _two_step_plan(prof: _Profile, c: int, c0: int, rng, pilot: str) -> tuple[SamplingPlan, np.random.Generator]:
     """The two-step recipe on a scoring profile: the plan piloted under the
-    ``pilot`` rule on the first of two child streams of ``rng``, and the
-    second stream, which the main pass splits into its block streams."""
-    pilot_rng, main_rng = _spawn(rng, 2)
+    ``pilot`` rule on the first of ``rng.spawn(2)``'s children, and the
+    second child, which the main pass splits into its block streams."""
+    _check_spawn(rng, 2)
+    pilot_rng, main_rng = rng.spawn(2)
     p0 = uniform_probabilities(prof.part) if pilot == "uniform" else None
     return _allocate_two_step(prof, c, c0, p0, pilot_rng), main_rng
 

@@ -447,13 +447,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({}, ("--seed", "-1")),  # SeedSequence would reject it mid-run, without naming the seed
         ({"out": 5}, ()),  # write_results would reject it after the whole sweep
         ({"out": None}, ()),
+        ({"out": "cfg.json"}, ()),  # write_results' mkdir would fail after the whole sweep
+        ({"out": "cfg.json/out"}, ()),
     ],
     ids=[
         "max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float", "seed-negative",
-        "out-int", "out-null",
+        "out-int", "out-null", "out-is-a-file", "out-under-a-file",
     ],
 )
-def test_cli_rejects_bad_config_values(tmp_path, capsys, doc, flags):
+def test_cli_rejects_bad_config_values(tmp_path, capsys, monkeypatch, doc, flags):
+    monkeypatch.chdir(tmp_path)  # a relative out names the config file itself
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     args = cli_args(tmp_path, *flags)

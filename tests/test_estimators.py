@@ -33,7 +33,6 @@ from blockmm import (
 )
 from blockmm import estimators
 from blockmm.bench import METHODS, _share
-from blockmm.estimators import _spawn
 from blockmm.matrix import write_csv
 from oracles import (
     block_outcomes,
@@ -338,6 +337,13 @@ ENTROPY = st.one_of(
 )
 
 
+def _generators(rng, K):
+    """``rng`` split into K block streams on the per-block path: at one
+    draw per block more than the vectorized pass's mean bound, each block
+    gets a generator."""
+    return estimators._block_streams(rng, np.full(K, estimators._PASS_MAX_MEAN_DRAWS + 1))
+
+
 def _same_streams(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -358,13 +364,13 @@ def test_spawn_draws_what_rng_spawn_draws(entropy, spawn_key, pool_size, spawned
     seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned)
     rng = np.random.Generator(bits(seed))
     rng.spawn(2)  # a parent that has already spawned children
-    # A stream _spawn makes is a parent too, as the two-step split uses it.
+    # A child of rng.spawn(2) is a parent too, as the two-step split uses it.
     # Each twin is taken before its call: every split moves the counter.
     twin = copy.deepcopy(rng)
-    _same_streams(_spawn(_spawn(copy.deepcopy(rng), 2)[1], K), twin.spawn(2)[1].spawn(K))
+    _same_streams(_generators(copy.deepcopy(rng).spawn(2)[1], K), twin.spawn(2)[1].spawn(K))
     # The caller: the same streams, and the caller left as spawn leaves it.
     twin, before = copy.deepcopy(rng), seed.n_children_spawned
-    _same_streams(_spawn(rng, K), twin.spawn(K))
+    _same_streams(_generators(rng, K), twin.spawn(K))
     assert seed.n_children_spawned == before + K
     _same_caller(rng, twin)
 
@@ -466,9 +472,9 @@ class _NoSpawn(np.random.SeedSequence):
 
 def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
     """A list or array entropy, one changed after the pool was mixed, a
-    list in the spawn key, and a SeedSequence subclass: _spawn draws what
-    rng.spawn draws, with the subclass's children, and leaves the caller
-    as spawn leaves it."""
+    list in the spawn key, and a SeedSequence subclass: the block streams
+    draw what rng.spawn draws, with the subclass's children, and leave the
+    caller as spawn leaves it."""
     changed_list, changed_array, key_word = [5, 6], np.array([5, 6], np.uint32), [3]
     seeds = [
         np.random.SeedSequence([5, 2**40]),
@@ -485,19 +491,19 @@ def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
         for bits in BIT_GENERATORS:
             rng = np.random.Generator(bits(copy.deepcopy(seed)))
             twin = copy.deepcopy(rng)
-            got = _spawn(rng, 7)
+            got = _generators(rng, 7)
             _same_streams(got, twin.spawn(7))
             assert all(type(g.bit_generator.seed_seq) is type(seed) for g in got)
             _same_caller(rng, twin)
 
 
 def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
-    """The library's own streams and a caller's are both split by _spawn:
-    a SeedSequence subclass gets the subclass's children, and a seed
+    """A caller's block streams and the two-step split both do what spawn
+    does: a SeedSequence subclass gets the subclass's children, and a seed
     sequence that cannot spawn fails as spawn fails."""
     rng = np.random.Generator(np.random.PCG64(_SubclassSeed(5, spawn_key=(2,))))
     twin = copy.deepcopy(rng)
-    got = _spawn(rng, 4)
+    got = _generators(rng, 4)
     _same_streams(got, twin.spawn(4))
     assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in got)
     _same_caller(rng, twin)
@@ -505,7 +511,10 @@ def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
     with pytest.raises(TypeError) as spawned:
         rng.spawn(3)
     with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
-        _spawn(rng, 3)
+        _generators(rng, 3)
+    M, N = tiny_instance(26, m=2, n=4, p=2)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
+        estimate_product_two_step(M, N, BlockPartition.equal(4, 2), 2, 2, rng)
 
 
 def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
@@ -516,7 +525,7 @@ def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
     M, N = tiny_instance(26, m=2, n=4, p=2)
     part = BlockPartition.equal(4, 2)
     calls = [
-        lambda r: _spawn(r, 2),
+        lambda r: _generators(r, 2),
         lambda r: estimate_product(M, N, allocate_uniform(part, 2), r),
         lambda r: allocate_two_step(M, N, part, 2, 2, None, r),
         lambda r: estimate_product_two_step(M, N, part, 2, 2, r),
@@ -533,7 +542,7 @@ def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
     # One short of the bound still splits.
     rng = np.random.default_rng(np.random.SeedSequence(7, n_children_spawned=2**32 - 3))
     twin = copy.deepcopy(rng)
-    _same_streams(_spawn(rng, 2), twin.spawn(2))
+    _same_streams(_generators(rng, 2), twin.spawn(2))
     assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
 
 
@@ -541,7 +550,7 @@ def test_spawn_of_a_default_rng_and_of_its_spawned_children():
     rng = np.random.default_rng()
     for r in (rng, *rng.spawn(2), np.random.default_rng(201).spawn(2)[1]):
         twin = copy.deepcopy(r)
-        _same_streams(_spawn(r, 60), twin.spawn(60))
+        _same_streams(_generators(r, 60), twin.spawn(60))
         _same_caller(r, twin)
 
 
@@ -549,7 +558,7 @@ def _assert_pass_draws_what_spawn_draws(rng, twin, counts):
     """The vectorized PCG64 uniforms of rng's K = len(counts) streams equal
     ``twin.spawn(K)[k].random(counts[k])``, block after block."""
     counts = np.array(counts, dtype=np.int64)
-    words = estimators._SeedWords(*estimators._split(rng, counts.size))[4, np.uint64]
+    words = estimators._pcg64_words(rng, counts.size)
     block = np.repeat(np.arange(counts.size), counts)
     draw = np.concatenate([np.arange(c) for c in counts])
     want = np.concatenate([g.random(c) for g, c in zip(twin.spawn(counts.size), counts)])
@@ -563,16 +572,16 @@ def _assert_pass_draws_what_spawn_draws(rng, twin, counts):
     pool_size=st.sampled_from([4, 8]),
     spawned=st.sampled_from([0, 3, 2**32 - 300]),  # numpy's spawn counter is 32 bits
     counts=st.lists(st.integers(0, 64), min_size=1, max_size=128),
-    kernel_child=st.booleans(),
+    child=st.booleans(),
 )
-def test_the_pcg64_pass_draws_what_spawned_generators(entropy, spawn_key, pool_size, spawned, counts, kernel_child):
-    """On a caller's PCG64 rng, and on the stream the kernel makes for a
-    two-step plan's main pass, split again."""
+def test_the_pcg64_pass_draws_what_spawned_generators(entropy, spawn_key, pool_size, spawned, counts, child):
+    """On a caller's PCG64 rng, and on a child of its rng.spawn(2), as a
+    two-step plan's main pass splits it."""
     seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned)
     rng = np.random.Generator(np.random.PCG64(seed))
     twin = copy.deepcopy(rng)
-    if kernel_child:
-        rng, twin = _spawn(rng, 2)[1], twin.spawn(2)[1]
+    if child:
+        rng, twin = rng.spawn(2)[1], twin.spawn(2)[1]
     _assert_pass_draws_what_spawn_draws(rng, twin, counts)
 
 
@@ -633,6 +642,79 @@ def test_the_pcg64_pass_is_taken_by_its_rule_only(sketch_calls):
         M, N = tiny_instance(29, m=2, n=20 * K, p=2)
         plan = allocate_uniform(BlockPartition.equal(20 * K, K), c)
         assert _paths(sketch_calls, lambda r: estimate_product(M, N, plan, r), np.random.default_rng(7))[0] == [path]
+
+
+class _SqrtRandom(np.random.Generator):
+    """A Generator whose uniforms are the square roots of its bit
+    generator's."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.sqrt(super().random(size, dtype, out))
+
+
+def test_a_generator_subclass_draws_what_its_spawned_children_draw():
+    """A Generator subclass that overrides random gets rng.spawn(K)'s
+    children, which draw with the override, on the pass shape (K = 60, 2
+    draws per block) and on the desk shape (K = 10, 200 per block): its
+    estimate does not depend on which path the plan's shape would pick."""
+    for n, K, c in ((1200, 60, 120), (2000, 10, 2000)):
+        M, N = tiny_instance(30, m=3, n=n, p=3)
+        plan = allocate_by_score_sums(M, N, BlockPartition.equal(n, K), c)
+        rng, twin = _SqrtRandom(np.random.PCG64(7)), _SqrtRandom(np.random.PCG64(7))
+        got = estimate_product(M, N, plan, rng)
+        children = twin.spawn(K)
+        assert all(type(g) is _SqrtRandom for g in children)
+        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, children)
+        assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
+        _same_caller(rng, twin)
+
+
+def test_other_bit_generators_draw_on_rng_spawns_own_children(sketch_calls):
+    """PCG64DXSM, MT19937, Philox and SFC64 callers draw on the children
+    rng.spawn(K) makes, each with its own child SeedSequence, at 2 and at
+    17 draws per block (K = 60)."""
+    M, N = tiny_instance(31, m=3, n=1200, p=3)
+    for c in (120, 1020):
+        plan = allocate_by_score_sums(M, N, BlockPartition.equal(1200, 60), c)
+        for bits in BIT_GENERATORS[1:]:
+            sketch_calls.clear()
+            rng = np.random.Generator(bits(7))
+            twin = copy.deepcopy(rng)
+            got = estimate_product(M, N, plan, rng)
+            ((streams, _),) = sketch_calls
+            children = twin.spawn(60)
+            assert [type(g.bit_generator) for g in streams] == [bits] * 60
+            seeds = [pickle.dumps(g.bit_generator.seed_seq) for g in streams]
+            assert seeds == [pickle.dumps(g.bit_generator.seed_seq) for g in children]
+            pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, children)
+            assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
+            _same_caller(rng, twin)
+
+
+def test_the_two_step_pilot_and_main_streams_are_rng_spawns_children(monkeypatch):
+    """estimate_product_two_step splits the caller's rng with
+    rng.spawn(2): the pilot's block streams are split from the first
+    child and the main pass's from the second, each an ordinary
+    Generator over its own child SeedSequence, on the pass shape (K = 60)
+    and the desk shape (K = 10), with either pilot."""
+    split = []
+    block_streams = estimators._block_streams
+
+    def recorded(rng, counts):
+        split.append((type(rng), type(rng.bit_generator), pickle.dumps(rng.bit_generator.seed_seq)))
+        return block_streams(rng, counts)
+
+    monkeypatch.setattr(estimators, "_block_streams", recorded)
+    for n, K, c, c0 in ((600, 60, 240, 120), (2000, 10, 2000, 200)):
+        M, N = tiny_instance(32, m=3, n=n, p=3)
+        for pilot in ("uniform", "norm"):
+            split.clear()
+            rng = np.random.default_rng(7)
+            twin = copy.deepcopy(rng)
+            estimate_product_two_step(M, N, BlockPartition.equal(n, K), c, c0, rng, pilot)
+            children = twin.spawn(2)
+            assert split == [(type(g), type(g.bit_generator), pickle.dumps(g.bit_generator.seed_seq)) for g in children]
+            _same_caller(rng, twin)
 
 
 def test_callers_spawn_counter_moves_as_before():
