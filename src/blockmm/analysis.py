@@ -31,27 +31,19 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, as_nonneg, frobenius_norm
+from .matrix import BlockPartition, as_int, as_nonneg, check_real, frobenius_norm
 from .plan import (
     SamplingPlan,
     _block_products,
     _floor_ratio,
+    _ldexp,
     _optimal_probabilities,
     _optimal_weights,
     _profile,
     _Profile,
-    _check_real_budget,
 )
 
 DEGENERATE_TOL = 1e-12
-
-
-def _ldexp(x: float, e: int) -> float:
-    """x * 2**e, inf of x's sign where that lies beyond float64."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets, g2: np.ndarray):
@@ -102,8 +94,7 @@ def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budge
     M2 *= w
     var = M2 @ N2
     var -= np.tensordot(inv_b, G, axes=1)
-    with np.errstate(over="ignore"):  # an entry beyond float64 reads inf
-        return np.ldexp(var, -2 * prof.scale)
+    return _ldexp(var, -2 * prof.scale)
 
 
 def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> float:
@@ -120,7 +111,7 @@ def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=
 def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> float:
     """Closed-form minimum of ``expected_sq_error`` over probabilities and
     real-valued sizes at total budget c: (sum_k sqrt(s_k^2 - g_k^2))^2 / c."""
-    _check_real_budget(c)
+    check_real("budget c", c, positive=True)
     prof = _profile(M, N, part)
     w = _optimal_weights(prof.sums, prof.product_norms)
     return _ldexp(float(w.sum() ** 2 / c), -2 * prof.scale)
@@ -162,7 +153,7 @@ def cancellation_stats(
     if exact:
         g = prof.product_norms
     else:
-        g = np.ldexp(as_nonneg("pilot_norms", pilot_norms, (part.num_blocks,)), prof.scale)
+        g = _ldexp(as_nonneg("pilot_norms", pilot_norms, (part.num_blocks,)), prof.scale)
     ratios, cancel, usable, lo, hi = _cancellation(s, g, exact)
     return CancellationStats(
         ratios=ratios,
@@ -218,10 +209,9 @@ class BoundInputs:
     def __post_init__(self):
         if as_int("c", self.c) < 1:
             raise ValueError("c must be >= 1")
-        for name in ("fail_prob", "prob_floor", "cancel_lo", "cancel_hi", "frob_m", "frob_n", "cancel_hi_exact"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        optional = () if self.cancel_hi_exact is None else ("cancel_hi_exact",)
+        for name in ("fail_prob", "prob_floor", "cancel_lo", "cancel_hi", "frob_m", "frob_n", *optional):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.fail_prob < 1.0:
             raise ValueError("fail_prob must lie in (0, 1)")
         if not 0.0 <= self.prob_floor <= 1.0 + 1e-12:
@@ -301,7 +291,7 @@ def bound_inputs_for_plan(
     if plan._pilot is not None:
         values, e = plan._pilot
         hi_exact = hi
-        ratios, _, _, lo, hi = _cancellation(prof.sums, np.ldexp(values, prof.scale - e), exact=False)
+        ratios, _, _, lo, hi = _cancellation(prof.sums, _ldexp(values, prof.scale - e), exact=False)
     return BoundInputs(
         c=plan.total,
         fail_prob=fail_prob,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence, Union
@@ -80,6 +80,7 @@ class ExperimentConfig:
     out: str = "bench_results"
     record_timing: bool = True
     max_bytes: int = 2**31
+    sweep_var: str = field(init=False)  # the one knob given as a sweep list
 
     def __post_init__(self):
         if self.case not in ("I", "II"):
@@ -106,6 +107,7 @@ class ExperimentConfig:
         swept = [name for name in SWEEPABLE if isinstance(getattr(self, name), tuple)]
         if len(swept) != 1:
             raise ValueError(f"exactly one of {SWEEPABLE} must be a sweep list, got {swept or 'none'}")
+        object.__setattr__(self, "sweep_var", swept[0])
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         if not isinstance(self.out, (str, os.PathLike)):
@@ -127,13 +129,6 @@ class ExperimentConfig:
                 raise ValueError(f"c0={c0} below K={K}: no pilot draws for {two_step}")
 
     @property
-    def sweep_var(self) -> str:
-        for name in SWEEPABLE:
-            if isinstance(getattr(self, name), tuple):
-                return name
-        raise AssertionError("config validated without a sweep")
-
-    @property
     def sweep_values(self) -> tuple[int, ...]:
         return getattr(self, self.sweep_var)
 
@@ -145,7 +140,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    known = set(ExperimentConfig.__dataclass_fields__)
+    known = {f.name for f in fields(ExperimentConfig) if f.init}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -322,10 +317,6 @@ def summarize(raw: Sequence[RawRecord]) -> list[SummaryRecord]:
             )
         )
     return out
-
-
-RAW_HEADER = [f.name for f in fields(RawRecord)]
-SUMMARY_HEADER = [f.name for f in fields(SummaryRecord)]
 
 
 def write_records(path, records: Sequence) -> None:

@@ -1,8 +1,8 @@
 """Dense matrices, block partitions of the inner dimension, norms, the
 package's CSV writer, and its input validators: one per kind of input,
-factors (``check_factors``), counts (``as_int``), integer vectors
-(``as_ints``), nonnegative vectors (``as_nonneg``) and random generators
-(``check_rng``).
+factors (``check_factors``), counts (``as_int``), real numbers
+(``check_real``), integer vectors (``as_ints``), nonnegative vectors
+(``as_nonneg``) and random generators (``check_rng``).
 
 Matrices are plain NumPy arrays of a bool, integer or floating dtype; the
 scoring pass in ``plan`` rejects a factor with a NaN or Inf entry.  Block
@@ -14,6 +14,7 @@ float64, or when its norms overflow or underflow and it must be rescaled.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,18 @@ def as_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Reject ``value`` unless it is a finite real number (and > 0 if
+    ``positive``): a bound input or a real-valued budget.  A bool, None, a
+    string or a list is rejected, not coerced."""
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and (not positive or value > 0)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
 
 
 def as_nonneg(name: str, values, shape=None) -> np.ndarray:
@@ -90,9 +103,12 @@ class BlockPartition:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.sizes) < 1:
+        try:
+            sizes = tuple(as_int("block size", s) for s in self.sizes)
+        except TypeError:
+            raise ValueError(f"block sizes must be a sequence of integers, got {self.sizes!r}") from None
+        if not sizes:
             raise ValueError("partition needs at least one block")
-        sizes = tuple(as_int("block size", s) for s in self.sizes)
         if any(s < 1 for s in sizes):
             raise ValueError(f"every block size must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)

@@ -29,6 +29,7 @@ from .matrix import (
     as_ints,
     as_nonneg,
     check_factors,
+    check_real,
     column_norms,
     row_norms,
 )
@@ -98,17 +99,25 @@ class BlockScores(NamedTuple):
     product_norms: np.ndarray
 
 
-def _unscaled(pilot: tuple[np.ndarray, int]) -> np.ndarray:
-    values, e = pilot
-    with np.errstate(over="ignore"):  # the audit field records inf for a norm beyond float64
-        return np.ldexp(values, -e)
+def _ldexp(x, e: int):
+    """x * 2**e out of the scoring pass's units: +-inf beyond float64, 0
+    below it, never a warning.  A Python float goes through ``math.ldexp``,
+    which costs a fraction of an ``errstate`` block; an array through
+    ``np.ldexp``."""
+    if isinstance(x, float):
+        try:
+            return math.ldexp(x, e)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)
 
 
 def _pilot_fields(values: np.ndarray, e: int) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
     """A plan's (pilot_norms, _pilot) from its own copy of the pilot norms
     in units 2**e: both arrays made read-only."""
     values.flags.writeable = False
-    norms = _unscaled((values, e))
+    norms = _ldexp(values, -e)
     norms.flags.writeable = False
     return norms, (values, e)
 
@@ -165,7 +174,7 @@ class SamplingPlan:
         pilot = self._pilot
         if self.pilot_norms is not None:
             given = np.asarray(self.pilot_norms, dtype=np.float64)
-            if pilot is None or not np.array_equal(given, _unscaled(pilot)):
+            if pilot is None or not np.array_equal(given, _ldexp(pilot[0], -pilot[1])):
                 pilot = (given, 0)
         if pilot is not None:
             norms, pilot = _pilot_fields(as_nonneg("pilot_norms", pilot[0], (self.partition.num_blocks,)), pilot[1])
@@ -239,7 +248,7 @@ def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
     M, col, e_m = _scaled_norms(M, column_norms, "M")
     N, row, e_n = _scaled_norms(N, row_norms, "N")
     index = col * row
-    frob_m, frob_n = float(np.ldexp(math.sqrt(col @ col), -e_m)), float(np.ldexp(math.sqrt(row @ row), -e_n))
+    frob_m, frob_n = _ldexp(math.sqrt(col @ col), -e_m), _ldexp(math.sqrt(row @ row), -e_n)
     return _Profile(M, N, part, index, np.add.reduceat(index, part.offsets[:-1]), e_m + e_n, frob_m, frob_n)
 
 
@@ -288,7 +297,7 @@ def _block_norms(X: np.ndarray, part: BlockPartition, axis: str) -> np.ndarray:
 
 def score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
     prof = _profile(M, N, part)
-    return np.ldexp(prof.sums, -prof.scale)
+    return _ldexp(prof.sums, -prof.scale)
 
 
 def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockScores:
@@ -298,7 +307,7 @@ def block_scores(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> BlockSco
     exact product itself; it backs the optimal allocator only.
     """
     prof = _profile(M, N, part)
-    return BlockScores(np.ldexp(prof.sums, -prof.scale), np.ldexp(prof.product_norms, -prof.scale))
+    return BlockScores(_ldexp(prof.sums, -prof.scale), _ldexp(prof.product_norms, -prof.scale))
 
 
 def _optimal_probabilities(prof: _Profile) -> np.ndarray:
@@ -532,23 +541,12 @@ def _optimal_weights(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 def optimal_size_weights(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Real-valued optimal-size weights sqrt(s_k^2 - g_k^2) with exact g_k."""
     prof = _profile(M, N, part)
-    return np.ldexp(_optimal_weights(prof.sums, prof.product_norms), -prof.scale)
-
-
-def _check_real_budget(c) -> None:
-    """Reject a real-valued budget c unless it is finite and > 0 as a
-    float64; a bool or a string is rejected, not coerced."""
-    try:
-        ok = not isinstance(c, (bool, np.bool_)) and math.isfinite(c) and c > 0
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"budget c must be finite and > 0, got {c!r}")
+    return _ldexp(_optimal_weights(prof.sums, prof.product_norms), -prof.scale)
 
 
 def real_optimal_budgets(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> np.ndarray:
     """Pre-integerization optimal sizes c * w_k / sum(w)."""
-    _check_real_budget(c)
+    check_real("budget c", c, positive=True)
     prof = _profile(M, N, part)
     w = _optimal_weights(prof.sums, prof.product_norms)
     if w.sum() == 0.0:

@@ -137,7 +137,7 @@ def test_minimum_expected_sq_error_hand_and_consistency():
     g = abs(M @ N).item()
     want = (s**2 - g**2) / 4
     assert minimum_expected_sq_error(M, N, part, 4) == pytest.approx(want, rel=1e-12)
-    for bad in (0, -1.0, -3, math.nan, math.inf, True, "3"):
+    for bad in (0, -1.0, -3, math.nan, math.inf, True, "3", None, [3]):
         for call in (minimum_expected_sq_error, real_optimal_budgets):
             with pytest.raises(ValueError, match="budget c must be finite and > 0"):
                 call(M, N, part, bad)
@@ -490,6 +490,17 @@ def test_bound_input_validation():
         ("cancel_hi", math.inf),
         ("c", 2.5),
         ("c", True),
+        ("fail_prob", None),
+        ("prob_floor", "0.5"),
+        ("cancel_lo", [0.2]),
+        ("cancel_hi", None),
+        ("frob_m", "1.0"),
+        ("frob_n", [1.0]),
+        ("cancel_hi_exact", "0.8"),
+        ("prob_floor", True),
+        ("cancel_hi", True),
+        ("frob_m", True),
+        ("frob_n", True),
     ):
         with pytest.raises(ValueError, match=field):
             BoundInputs(**{**ok, field: bad})

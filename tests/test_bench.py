@@ -2,6 +2,7 @@
 deterministic output, summary arithmetic, and exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -30,9 +31,8 @@ from blockmm import (
 from blockmm import bench, cli, plan as plan_module
 from blockmm.bench import (
     METHODS,
-    RAW_HEADER,
-    SUMMARY_HEADER,
     RawRecord,
+    SummaryRecord,
     config_from_dict,
     estimate_bytes,
     make_instance,
@@ -133,6 +133,9 @@ def test_config_from_dict():
     assert cfg.c == (6, 12)
     with pytest.raises(ValueError):
         config_from_dict({**doc, "budget": 7})
+    # the config finds its sweep itself; a file cannot name it
+    with pytest.raises(ValueError, match="unknown config keys"):
+        config_from_dict({**doc, "sweep_var": "c"})
 
 
 def test_estimate_bytes_counts_the_block_products_and_the_pilot_sketch():
@@ -335,7 +338,7 @@ def test_write_records_round_trips_floats(tmp_path):
     write_records(path, raw)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == RAW_HEADER
+    assert rows[0] == [f.name for f in dataclasses.fields(RawRecord)]
     back = [RawRecord(r[0], r[1], r[2], int(r[3]), int(r[4]), *map(float, r[5:])) for r in rows[1:]]
     assert back == raw
     with pytest.raises(ValueError):
@@ -347,12 +350,12 @@ def test_write_results_files(tmp_path):
     raw_path, summary_path = write_results(tmp_path / "out", raw, summary)
     with open(raw_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == RAW_HEADER
+    assert rows[0] == [f.name for f in dataclasses.fields(RawRecord)]
     assert len(rows) == 1 + len(raw)
     assert float(rows[1][5]) == raw[0].rel_error  # 17 significant digits survive
     with open(summary_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == SUMMARY_HEADER
+    assert rows[0] == [f.name for f in dataclasses.fields(SummaryRecord)]
     assert len(rows) == 1 + len(summary)
 
 

@@ -80,6 +80,9 @@ def test_partition_sizes_are_integers_not_truncated():
     for bad in ((2.7, 3), ("3", 2), (True, 2)):
         with pytest.raises(ValueError, match="must be an integer"):
             BlockPartition(bad)
+    for bad in (5, None):
+        with pytest.raises(ValueError, match="block sizes must be a sequence of integers"):
+            BlockPartition(bad)
     for n, K in ((12.0, 3), (12, 3.0)):
         with pytest.raises(ValueError, match="must be an integer"):
             BlockPartition.equal(n, K)

@@ -12,6 +12,7 @@ come from one batched norm pass with the bits of the per-block norms."""
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 from collections import Counter
 
@@ -28,6 +29,7 @@ from blockmm import (
     allocate_two_step,
     allocate_uniform,
     block_norm_probabilities,
+    block_scores,
     bound_inputs_for_plan,
     bounds_optimal_allocation,
     bounds_pilot_allocation,
@@ -811,6 +813,51 @@ def test_extreme_scales_plan(factor):
         assert got.total == C
     q = block_norm_probabilities(M * factor, N * factor, part)
     np.testing.assert_allclose(q, block_norm_probabilities(M, N, part), rtol=1e-12)
+
+
+def _ignoring_warnings(f, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return f(*args)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("factor", [1e200, 1e-200, 1e300, 1e-300])
+def test_extreme_scales_leave_the_scoring_units_without_a_warning(factor):
+    """Every public output converted out of the scoring pass's units equals
+    the bare np.ldexp of its scaled value, warning ignored: +-inf beyond
+    float64, 0 below it."""
+    M, N, part = _instance("heavy")
+    Ms, Ns = M * factor, N * factor
+    prof = plan_module._profile(Ms, Ns, part)
+    s = _ignoring_warnings(np.ldexp, prof.sums, -prof.scale)
+    g = _ignoring_warnings(np.ldexp, prof.product_norms, -prof.scale)
+    w = _ignoring_warnings(np.ldexp, plan_module._optimal_weights(prof.sums, prof.product_norms), -prof.scale)
+    assert score_sums(Ms, Ns, part).tobytes() == s.tobytes()
+    assert [x.tobytes() for x in block_scores(Ms, Ns, part)] == [s.tobytes(), g.tobytes()]
+    assert optimal_size_weights(Ms, Ns, part).tobytes() == w.tobytes()
+    pilot = block_scores(M, N, part).product_norms  # pilot norms of the unscaled factors
+    got = cancellation_stats(Ms, Ns, part, pilot_norms=pilot)
+    ratios, cancel, _, lo, hi = analysis._cancellation(
+        prof.sums, _ignoring_warnings(np.ldexp, pilot, prof.scale), exact=False
+    )
+    assert (got.ratios.tobytes(), got.cancel.tobytes()) == (ratios.tobytes(), cancel.tobytes())
+    assert (got.cancel_lo, got.cancel_hi) == (lo, hi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_factors_whose_frobenius_norm_passes_float64_plan_without_a_warning():
+    rng = _rng()
+    N = rng.standard_normal((1000, 4))
+    M = rng.uniform(0.5, 1.0, (4, 1000)) * 1e307  # ||M||_F is past float64
+    Mw = np.ldexp(M, -1020)  # the same factor a power of two lower, its norm within float64
+    part = BlockPartition.equal(1000, 10)
+    for allocate in (allocate_by_score_sums, allocate_optimal):
+        want, got = allocate(Mw, N, part, C), allocate(M, N, part, C)
+        assert got.probs.values.tobytes() == want.probs.values.tobytes()
+        assert got.budgets.tobytes() == want.budgets.tobytes()
+        assert 0.0 < expected_sq_error(Mw, N, want) < math.inf
+        assert expected_sq_error(M, N, got) == math.inf  # 2**2040 times the value above
 
 
 @pytest.mark.parametrize("a, b", [(600, 600), (-600, -600), (600, -600), (-600, 600)])
