@@ -211,7 +211,10 @@ class BoundInputs:
             raise ValueError("c must be >= 1")
         optional = () if self.cancel_hi_exact is None else ("cancel_hi_exact",)
         for name in ("fail_prob", "prob_floor", "cancel_lo", "cancel_hi", "frob_m", "frob_n", *optional):
-            check_real(name, getattr(self, name))
+            value = getattr(self, name)
+            # A factor whose Frobenius norm passes float64 has frob_* = +inf; NaN and -inf are rejected.
+            if not (name in ("frob_m", "frob_n") and isinstance(value, float) and value == math.inf):
+                check_real(name, value)
         if not 0.0 < self.fail_prob < 1.0:
             raise ValueError("fail_prob must lie in (0, 1)")
         if not 0.0 <= self.prob_floor <= 1.0 + 1e-12:
@@ -232,14 +235,15 @@ def _bound_pair(inp: BoundInputs, radicand: float, hi: float = 1.0, lo: float = 
     eta = phi + sqrt(hi / lo) * sqrt(8 log(1 / fail_prob) / floor), each
     squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c).  phi, eta, the
     norms and the floor enter as frexp mantissas, their powers of two summed
-    and applied last, so no step raises: a bound beyond float64 reads inf,
-    one below it 0."""
+    and applied last, so no step raises: a bound beyond float64, or on an
+    infinite norm, reads inf, one below it 0."""
     phi = math.sqrt(radicand) / (math.sqrt(math.sqrt(hi)) * math.sqrt(math.sqrt(lo)))
     eta = phi + math.sqrt(hi / lo * 8.0 * math.log(1.0 / inp.fail_prob)) / math.sqrt(inp.prob_floor)
     (fm, em), (fn, en), (d, ed) = math.frexp(inp.frob_m), math.frexp(inp.frob_n), math.frexp(inp.prob_floor)
-    base, e = fm * fm * (fn * fn) / (d * inp.c), 2 * (em + en) - ed
+    base, e = (fm * fm * (fn * fn) / (d * inp.c) if fm and fn else 0.0), 2 * (em + en) - ed
     (p, ep), (q, eq) = math.frexp(phi), math.frexp(eta)
-    return BoundPair(_ldexp(p * p * base, e + 2 * ep), _ldexp(q * q * base, e + 2 * eq))
+    # A zero factor wins over an infinite norm (never 0 * inf); eta > 0 always.
+    return BoundPair(_ldexp(p * p * base, e + 2 * ep) if p else 0.0, _ldexp(q * q * base, e + 2 * eq))
 
 
 def _cancellation_bounds(inp: BoundInputs, hi_exact: float) -> BoundPair:

@@ -38,7 +38,6 @@ METHOD_TAGS = ("OPL", "ONC", "ONU", "ONMCNR", "UU", "SSM")
 
 PROB_SUM_TOL = 1e-12
 RADICAND_SLACK = 1e-9  # relative slack allowed on the Cauchy-Schwarz radicand
-LEVEL_SLACK = 1e-9  # relative nearness to a bound at which integerize defers to the split's own test
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,36 +380,37 @@ def integerize(
       per block may not exceed the block's column count).
 
     The real split is clip(t * w, floor, cap) at the level t where it sums
-    to c.  The proportional split c * w / sum(w) comes first: when it lies
-    within every block's floor and cap, it is that split, and one
-    largest-remainder pass rounds it (ties go to the lower index).  When a
-    floor or cap binds, the level is found from the sorted breakpoints
-    floor/w and cap/w.  Whatever the positive weights cannot take at their
-    caps goes to the zero-weight blocks, in index order.  The blocks inside
-    their bounds share what the others leave in proportion to their
-    weights; a share that t leaves within rounding of a bound is settled by
-    that split's own test.  The same largest-remainder pass rounds the
-    shares.
+    to c, found by Bitran and Hax's variable fixing: what the fixed blocks
+    leave is split over the free ones in proportion to their weights; while
+    some share passes its cap (beyond rounding) or falls below its floor,
+    the side that overshoots its bounds by more is fixed there, and the
+    split is made again.  When no bound binds, the first split is the
+    answer.  Whatever the positive weights cannot take at their caps goes
+    to the zero-weight blocks, in index order.  One largest-remainder pass
+    rounds the free shares (ties go to the lower index).
 
-    This wrapper validates its inputs; the allocators, which build their
-    own weights, floors and caps, call the split directly and check only c.
+    This wrapper validates its inputs and scales the weights by the power
+    of two that brings the largest into [0.5, 1), so weights whose sum
+    passes float64 split as the same weights a power of two lower; the
+    allocators, which build their own weights, floors and caps, call the
+    split directly and check only c.
     """
     w = as_nonneg("weights", weights)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty vector")
-    if w.sum() == 0.0:
+    if not w.any():
         raise ValueError("all weights are zero")
     K = w.size
-    if floor is None:
-        floor = w > 0
-    floor = np.asarray(floor, dtype=bool)
+    floor = w > 0 if floor is None else np.asarray(floor)
+    if floor.dtype != bool:
+        raise ValueError(f"floor must be a boolean mask, got {np.array2string(floor, threshold=8)}")
     if floor.shape != (K,):
         raise ValueError("floor mask must have one entry per block")
     if caps is not None:
         caps = as_ints("caps", caps, (K,))
         if (caps < 0).any():
             raise ValueError(f"caps must be >= 0, got {np.array2string(caps, threshold=8)}")
-    return _integerize(w, c, floor.astype(np.int64), caps)
+    return _integerize(_ldexp(w, -math.frexp(w.max())[1]), c, floor.astype(np.int64), caps)
 
 
 def _integerize(w: np.ndarray, c, lo: np.ndarray, caps: Optional[np.ndarray]) -> np.ndarray:
@@ -432,77 +432,28 @@ def _integerize(w: np.ndarray, c, lo: np.ndarray, caps: Optional[np.ndarray]) ->
         raise ValueError("some cap lies below the required floor of 1")
     if int(hi.sum()) < c:
         raise ValueError(f"budget c={c} exceeds the total caps {int(hi.sum())}")
-    # When every share passes the bounds test the level search settles on,
-    # the search ends at this split: round it directly.
-    r = c * w / w.sum()
-    if _outside(r, lo, hi).any():
-        return _level_split(w, c, lo, hi)
-    return _largest_remainder(r, c, hi)
-
-
-def _outside(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Where a real share r fails the test an exact split passes: below its
-    floor lo, or above its cap hi by more than rounding."""
-    return (r < lo) | (r > hi + 1e-12)
-
-
-def _level_split(w: np.ndarray, c: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The general split of c between the floors lo and the caps hi (each at
-    most c), for any weights: the level search, its settling step, then the
-    largest-remainder pass."""
-    lo_sum = int(lo.sum())
-    if c == lo_sum:
-        return lo
-
-    # (1) The level.  A block's share t * u leaves its floor at lo/u and
-    # reaches its cap at hi/u, so at each sorted breakpoint the total is a
-    # running constant plus t times the weight between the two.  That slope
-    # is summed from the top down, so that large weights which left early
-    # leave no rounding error in it.
-    pos = w > 0
-    u = w / w.max()
-    up, lp, hp = u[pos], lo[pos], hi[pos]
-    if up.min() < 2.0**-960:
-        raise ValueError("positive weights span more than a factor 2**960: the breakpoints overflow float64")
-    bp = np.concatenate((lp / up, hp / up))
-    order = np.argsort(bp, kind="stable")
-    t = bp[order]
-    const = np.concatenate((-lp, hp))[order].cumsum() + lo_sum
-    change = np.concatenate((up, -up))[order]
-    slope = np.zeros(t.size)
-    slope[:-1] = -change[:0:-1].cumsum()[::-1]
-    if const[-1] <= c:
-        # (2) The positive blocks sit at their caps; the zero-weight blocks
-        # take the rest.
-        out = np.where(pos, hi, lo)
-        inside = ~pos
-    else:
-        i = int(np.argmax(const + t * slope >= c))
-        level = min(max((c - const[i - 1]) / slope[i - 1], t[i - 1]), t[i])
-        share = level * u
-        bound = np.minimum(np.maximum(share, lo), hi)
-        out = bound.astype(np.int64)
-        # A share within rounding of its bound stays inside for now.
-        inside = np.abs(share - bound) <= LEVEL_SLACK * bound
-    budget, r = _proportional_split(w, c, out, inside)
-    if r is not None:
-        # The split's own rounding settles the shares the level left at a
-        # bound, by the test an exact split passes: floor <= share <= cap.
-        settle = _outside(r, lo[inside], hi[inside])
-        if settle.any():
-            idx = np.flatnonzero(inside)[settle]
-            out[idx] = np.where(r[settle] < lo[idx], lo[idx], hi[idx])
-            inside[idx] = False
-            budget, r = _proportional_split(w, c, out, inside)
-    if r is None:
-        # Only zero weights inside: floors first, then the rest in index
-        # order, each block up to its cap.
-        lo_in, room = lo[inside], hi[inside] - lo[inside]
-        rest = budget - int(lo_in.sum())
-        out[inside] = lo_in + np.minimum(room, np.maximum(rest - (room.cumsum() - room), 0))
-        return out
-    # (3) One largest-remainder pass.
-    out[inside] = _largest_remainder(r, budget, hi[inside])
+    # Bitran-Hax variable fixing (see ``integerize``); the free blocks'
+    # indices, weights, floors and caps shrink as blocks are fixed.
+    out, budget, free, wf, lf, hf = lo.copy(), c, np.arange(K), w, lo, hi
+    while True:
+        total = wf.sum()
+        if total == 0.0:
+            # Only zero weights free: floors first, then the rest in index
+            # order, each block up to its cap.
+            room = hf - lf
+            out[free] = lf + np.minimum(room, np.maximum(budget - int(lf.sum()) - (room.cumsum() - room), 0))
+            return out
+        r = budget * wf / total
+        above, below = r > hf + 1e-12, r < lf
+        if not (above.any() or below.any()):
+            break
+        side, bound = (above, hf) if (r - hf)[above].sum() >= (lf - r)[below].sum() else (below, lf)
+        fixed = bound[side]
+        out[free[side]] = fixed
+        budget -= int(fixed.sum())
+        keep = ~side
+        free, wf, lf, hf = free[keep], wf[keep], lf[keep], hf[keep]
+    out[free] = _largest_remainder(r, budget, hf)
     return out
 
 
@@ -516,15 +467,6 @@ def _largest_remainder(r: np.ndarray, budget: int, hi: np.ndarray) -> np.ndarray
     base = base.astype(np.int64)
     base[order[: budget - int(base.sum())]] += 1
     return base
-
-
-def _proportional_split(w: np.ndarray, c: int, out: np.ndarray, inside: np.ndarray):
-    """What the blocks outside leave of c, and its split over the blocks
-    inside in proportion to w (None when their weights are all zero)."""
-    budget = c - int(out[~inside].sum())
-    wi = w[inside]
-    total = wi.sum()
-    return budget, (budget * wi / total if total > 0 else None)
 
 
 def _optimal_weights(s: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -189,6 +189,80 @@ def clipped_proportional_split(weights, c, floor, caps):
     return np.clip(t_hi * w, lo, hi)
 
 
+def level_search_split(w, c, lo, hi):
+    """The clipped split clip(t * w, lo, hi) of c, rounded to integers, by a
+    level search over the sorted breakpoints lo/w and hi/w: the budget split
+    ``integerize`` made before its variable-fixing loop, kept frozen as the
+    loop's reference.  w are nonnegative float64 weights, not all zero; lo
+    and hi are int64 floors (0 or 1) and caps (each at most c) with
+    sum(lo) <= c <= sum(hi).  Raises ValueError when the positive weights
+    span more than 2**960 (the breakpoints would overflow)."""
+
+    def outside(r, lo, hi):
+        return (r < lo) | (r > hi + 1e-12)
+
+    def proportional(out, inside):
+        budget = c - int(out[~inside].sum())
+        wi = w[inside]
+        total = wi.sum()
+        return budget, (budget * wi / total if total > 0 else None)
+
+    def largest_remainder(r, budget, hi):
+        base = np.floor(r)
+        order = np.argsort(base - r, kind="stable")
+        order = order[(base < hi)[order]]
+        base = base.astype(np.int64)
+        base[order[: budget - int(base.sum())]] += 1
+        return base
+
+    lo_sum = int(lo.sum())
+    if c == lo_sum:
+        return lo.copy()
+    # The level: a block's share t * u leaves its floor at lo/u and reaches
+    # its cap at hi/u, so at each sorted breakpoint the total is a running
+    # constant plus t times the weight between the two.
+    pos = w > 0
+    u = w / w.max()
+    up, lp, hp = u[pos], lo[pos], hi[pos]
+    if up.min() < 2.0**-960:
+        raise ValueError("positive weights span more than a factor 2**960: the breakpoints overflow float64")
+    bp = np.concatenate((lp / up, hp / up))
+    order = np.argsort(bp, kind="stable")
+    t = bp[order]
+    const = np.concatenate((-lp, hp))[order].cumsum() + lo_sum
+    change = np.concatenate((up, -up))[order]
+    slope = np.zeros(t.size)
+    slope[:-1] = -change[:0:-1].cumsum()[::-1]
+    if const[-1] <= c:
+        # The positive blocks sit at their caps; the zero-weight blocks take the rest.
+        out = np.where(pos, hi, lo)
+        inside = ~pos
+    else:
+        i = int(np.argmax(const + t * slope >= c))
+        level = min(max((c - const[i - 1]) / slope[i - 1], t[i - 1]), t[i])
+        share = level * u
+        bound = np.minimum(np.maximum(share, lo), hi)
+        out = bound.astype(np.int64)
+        inside = np.abs(share - bound) <= 1e-9 * bound  # within rounding of a bound: inside for now
+    budget, r = proportional(out, inside)
+    if r is not None:
+        # The split's own rounding settles the shares the level left at a bound.
+        settle = outside(r, lo[inside], hi[inside])
+        if settle.any():
+            idx = np.flatnonzero(inside)[settle]
+            out[idx] = np.where(r[settle] < lo[idx], lo[idx], hi[idx])
+            inside[idx] = False
+            budget, r = proportional(out, inside)
+    if r is None:
+        # Only zero weights inside: floors first, then the rest in index order.
+        lo_in, room = lo[inside], hi[inside] - lo[inside]
+        rest = budget - int(lo_in.sum())
+        out[inside] = lo_in + np.minimum(room, np.maximum(rest - (room.cumsum() - room), 0))
+        return out
+    out[inside] = largest_remainder(r, budget, hi[inside])
+    return out
+
+
 def inverse_cdf_draw(probs, count, rng):
     """Reference draw rule for one probability vector: ``count`` uniforms on
     ``rng``, each looked up in ``np.cumsum(probs)`` (first running sum above

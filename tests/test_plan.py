@@ -12,7 +12,6 @@ from blockmm.plan import (
     BlockProbabilities,
     SamplingPlan,
     _floor_ratio,
-    _level_split,
     allocate_by_score_sums,
     allocate_optimal,
     allocate_uniform,
@@ -31,6 +30,7 @@ from oracles import (
     grid_best_split,
     hand_optimal_probs,
     largest_remainder_reference,
+    level_search_split,
     loop_expected_sq_error,
 )
 
@@ -235,6 +235,22 @@ def test_integerize_rejects_non_finite_and_bool_caps():
             integerize([1, 1, 1], 7, caps=bad)
 
 
+def test_integerize_rejects_non_boolean_floors():
+    # a floor of 2 was read as 1, and strings as their truth values
+    for bad in ([2, 0], ["a", ""]):
+        with pytest.raises(ValueError, match="floor must be a boolean mask"):
+            integerize([1, 1], 3, floor=bad)
+    assert list(integerize([1, 1], 3, floor=[True, False])) == [2, 1]
+
+
+def test_integerize_splits_weights_whose_sum_overflows():
+    assert list(integerize([1e308, 1e308], 3)) == [2, 1]  # the sum is past float64
+    w = np.array([1.5, 1.2, 1.0, 0.3])
+    want = integerize(w * 2.0**-1000, 9, caps=[4] * 4)
+    assert list(want) == [3, 3, 2, 1]
+    np.testing.assert_array_equal(integerize(w * 2.0**1023, 9, caps=[4] * 4), want)
+
+
 def test_integerize_rejects_negative_caps():
     # block 1 has floor 0, so "below the required floor of 1" named the wrong bound
     for floor in ([True, False], None):
@@ -301,9 +317,10 @@ def test_integerize_property_near_clipped_split(data):
     np.testing.assert_array_equal(integerize(w * scale, c, caps=caps, floor=floor), out)
 
 
-def test_integerize_rejects_weights_beyond_float_range():
-    with pytest.raises(ValueError):
-        integerize([1.0, 2.0**-961], 3)  # the level's breakpoints would overflow
+def test_integerize_splits_weights_of_any_finite_span():
+    # a level search over the breakpoints floor/w and cap/w overflowed here
+    assert list(integerize([1.0, 2.0**-961], 3)) == [2, 1]
+    assert list(integerize([1.0, 2.0**-1074], 3)) == [2, 1]
     assert list(integerize([1.0, 2.0**-959], 3, caps=[1, 5])) == [1, 2]
 
 
@@ -351,15 +368,18 @@ def test_integerize_constrained_sweep():
         assert (out >= 0).all()
 
 
-def _split_case(rng):
+def _split_case(rng, max_K=24, span=0):
     """Weights, c, caps and floor for one integerize call whose inputs are
     valid, and its floors as int64: Cauchy-squared, equal, integer (zeros
-    and remainder ties) or sparse weights; default, random or full floors;
-    no caps, or caps below, at or above each block's proportional share; c
-    anywhere between the floors and the caps, or at either end."""
-    K = int(rng.integers(1, 25))
+    and remainder ties) or sparse weights, or with ``span``, weights
+    2**uniform(-span, span) with some zeros; default, random or full
+    floors; no caps, or caps below, at or above each block's proportional
+    share; c anywhere between the floors and the caps, or at either end."""
+    K = int(rng.integers(1, max_K + 1))
     kind = int(rng.integers(4))
-    if kind == 0:
+    if span:
+        w = np.exp2(rng.uniform(-span, span, K)) * (rng.random(K) < 0.9)
+    elif kind == 0:
         w = rng.standard_cauchy(K) ** 2
     elif kind == 1:
         w = np.full(K, rng.uniform(0.1, 10.0))
@@ -388,22 +408,24 @@ def _split_case(rng):
     return w, c, caps, floor, lo
 
 
-def test_integerize_short_path_matches_level_search():
-    """The proportional split rounded directly, when no floor or cap binds,
-    gives the level search's budgets bit for bit; so does every call where a
-    bound binds, which runs the level search itself."""
+def test_integerize_equals_the_level_search():
+    """The variable-fixing loop gives the frozen level search's budgets bit
+    for bit: when its first split settles (no floor or cap binds) and when a
+    bound binds and it fixes blocks; also on many blocks of weights that
+    span up to 2**600."""
     rng = np.random.default_rng(151)
-    paths = {False: 0, True: 0}
-    for _ in range(10_000):
-        w, c, caps, floor, lo = _split_case(rng)
+    passes = {False: 0, True: 0}
+    cases = [_split_case(rng) for _ in range(10_000)] + [_split_case(rng, 300, 300) for _ in range(2_000)]
+    for i, (w, c, caps, floor, lo) in enumerate(cases):
         hi = np.full(w.size, c, dtype=np.int64) if caps is None else np.minimum(caps, c)
         r = c * w / w.sum()
-        paths[bool(((r < lo) | (r > hi + 1e-12)).any())] += 1
+        if i < 10_000:
+            passes[bool(((r < lo) | (r > hi + 1e-12)).any())] += 1
         out = integerize(w, c, caps=caps, floor=floor)
-        ref = _level_split(w, c, lo, hi)
+        ref = level_search_split(w, c, lo, hi)
         assert out.dtype == ref.dtype == np.int64
         np.testing.assert_array_equal(out, ref)
-    assert min(paths.values()) >= 1_000, paths  # both paths are exercised
+    assert min(passes.values()) >= 1_000, passes  # settled on the first pass, and a bound binds
 
 
 # ---------------------------------------------------------------- allocators

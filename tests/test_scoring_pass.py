@@ -860,6 +860,33 @@ def test_factors_whose_frobenius_norm_passes_float64_plan_without_a_warning():
         assert expected_sq_error(M, N, got) == math.inf  # 2**2040 times the value above
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_on_a_frobenius_norm_past_float64_read_inf():
+    rng = _rng()
+    N = rng.standard_normal((1000, 4))
+    M = rng.uniform(0.5, 1.0, (4, 1000)) * 1e307  # ||M||_F is past float64
+    Mw = np.ldexp(M, -1020)
+    part = BlockPartition.equal(1000, 4)
+    want = bound_inputs_for_plan(Mw, N, allocate_by_score_sums(Mw, N, part, C), 0.1)
+    got = bound_inputs_for_plan(M, N, allocate_by_score_sums(M, N, part, C), 0.1)
+    assert (got.frob_m, got.frob_n) == (math.inf, want.frob_n)
+    for name in ("c", "prob_floor", "cancel_lo", "cancel_hi", "ratios"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+    for bounds in (bounds_optimal_allocation, analysis.bounds_score_allocation):
+        assert all(0.0 < b < math.inf for b in bounds(want))
+        assert bounds(got) == (math.inf, math.inf)
+    # Where phi is 0 (floor 1, high statistic 0) the variance bound is 0, not 0 * inf.
+    inp = analysis.BoundInputs(c=C, fail_prob=0.1, prob_floor=1.0, cancel_lo=0.0, cancel_hi=0.0,
+                               frob_m=math.inf, frob_n=1.0)
+    assert analysis.bounds_score_allocation(inp) == (0.0, math.inf)
+    assert analysis.bounds_score_allocation(dataclasses.replace(inp, frob_n=0.0)) == (0.0, 0.0)
+    for bad in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="frob_m"):
+            dataclasses.replace(inp, frob_m=bad)
+    with pytest.raises(ValueError, match="cancel_hi"):
+        dataclasses.replace(inp, cancel_hi=math.inf)
+
+
 @pytest.mark.parametrize("a, b", [(600, 600), (-600, -600), (600, -600), (-600, 600)])
 def test_pilot_bound_inputs_are_invariant_under_power_of_two_scaling(a, b):
     M, N, part = _instance("heavy")
