@@ -88,6 +88,8 @@ class ExperimentConfig:
         methods = self.methods
         if isinstance(methods, str):  # "OPL, SSM", as a config file or the CLI writes it
             methods = [t.strip() for t in methods.split(",") if t.strip()]
+        if not isinstance(methods, (list, tuple)):
+            raise ValueError(f"methods must be a list of tags or one comma-separated string, got {methods!r}")
         methods = tuple(methods)
         if not methods:
             raise ValueError("methods must be a nonempty subset of " + ", ".join(METHOD_TAGS))

@@ -1,46 +1,41 @@
 """Monte Carlo product estimators built from sampled, rescaled columns.
 
-Every sampler draws by one rule, inverse-CDF importance sampling: in each
-block with a positive count, uniforms on the block's stream, each looked
-up in the block's slice of one table of running sums, built once per call;
-a partition's uniform vector, shared and read-only, carries its own.  The
-probabilities are a read-only ``BlockProbabilities``, checked when a caller
-constructs them or built from a checked scoring pass, so a negative or
-non-finite entry, or a block that sums to neither 1 nor 0, never reaches
-a draw.  The blocked estimator then gathers every drawn
+Every sampler draws by one rule, inverse-CDF importance sampling: a draw's
+uniform u becomes the first column of its block whose running probability
+sum exceeds u, clamped onto the block's support.  ``_search`` is the one
+lookup that does it, for all of a call's draws at once, in one table of
+per-block running sums built per call (a partition's uniform vector, shared
+and read-only, carries its own).  A sampler only supplies the uniforms, in
+block order.  The probabilities are a read-only ``BlockProbabilities``,
+checked when a caller constructs them or built from a checked scoring pass,
+so a negative or non-finite entry, or a block that sums to neither 1 nor 0,
+never reaches a draw.  The blocked estimator then gathers every drawn
 column/row pair of its plan at once, scales each by 1/sqrt(count * p) in
 place, and multiplies the two thin factors once; ``sketch_columns`` does
-the same on one block, and the whole-block baseline draws blocks from the
-K block probabilities, taken as one block, and gathers their columns at
-once.  All three return the same per-draw ``SampleLog``.
+the same on one block, and the whole-block baseline looks up its block
+draws in the K block probabilities, taken as one block, and gathers their
+columns at once.  All three return the same per-draw ``SampleLog``.
 
 The two-step plans (tags ONU / ONMCNR) live here too, next to the sampler
 their pilot runs: ``allocate_two_step`` sizes the blocks from pilot-sampled
 block product norms, each taken from the block's slice of one pilot sketch.
 
 Randomness discipline: every estimator takes a ``numpy.random.Generator``
-(an rng without the methods a call uses is rejected by name); the blocked
-ones draw each block on its own child stream, so results are reproducible
-from a single seed and invariant to the order blocks are processed in.
-Every child stream is the one ``rng.spawn`` would give, and the caller is
-left as ``rng.spawn`` leaves it.  For the rng ``default_rng`` makes, a
-Generator over PCG64 over numpy's SeedSequence with an int entropy and int
-spawn-key words, ``_pcg64_words`` hashes the K children's PCG64 seeding
-words from the parent's pool in one NumPy pass and moves its spawn counter
-by K; no child SeedSequence is built.  Any other rng is spawned.  The
-two-step plans split the caller's rng into a pilot and a main stream with
-``rng.spawn(2)``, so both are ordinary SeedSequence children.
-
-A plan's blocks are then drawn on one of two paths, picked by
-``_block_streams``.  When the seeding words are computed, at least
-``_PASS_MIN_BLOCKS`` (32) blocks have draws and they average at most
-``_PASS_MAX_MEAN_DRAWS`` (16) each, every draw of every block comes from
-one vectorized pass: PCG64 is a 128-bit LCG, so the state of any stream's
-j-th draw is a closed-form multiply-add of its seeding words, and one
-bisection on draw-length arrays finds every draw's column in its block.
-Otherwise each block draws with its own generator's ``random`` and
-``searchsorted``: a PCG64 generator seeded from the words, or a spawned
-child.  Both paths give the same draws, bit for bit.
+(an rng without the methods a call uses is rejected by name).  The
+single-block samplers draw on it directly; the blocked ones draw block k's
+uniforms on the k-th of ``rng.spawn(K)``'s children (``_block_streams``),
+so results are reproducible from a single seed and invariant to the order
+blocks are processed in, and the caller is left as ``rng.spawn`` leaves it.
+For the rng ``default_rng`` makes, a Generator over PCG64 over numpy's
+SeedSequence with an int entropy and int spawn-key words, ``_pcg64_words``
+hashes the children's PCG64 seeding words from the parent's pool and moves
+its spawn counter by K; no child SeedSequence is built.  From
+``_PASS_MIN_BLOCKS`` (32) blocks with draws, ``_PASS_MAX_MEAN_DRAWS`` (16)
+or fewer each on average, every uniform then comes from one vectorized
+pass (PCG64 is a 128-bit LCG, so a stream's j-th state is a closed-form
+multiply-add of its seeding words); otherwise from a PCG64 generator per
+block seeded from the words.  Any other rng is spawned.  The two-step plans
+split the caller's rng into a pilot and a main stream with ``rng.spawn(2)``.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, check_factors, check_rng
+from .matrix import BlockPartition, as_int, check_factors, check_rng, check_type
 from .plan import (
     BLOCK_CHUNK,
     BlockProbabilities,
@@ -66,9 +61,6 @@ from .plan import (
 )
 
 
-_NO_DRAWS = np.empty(0, np.int64)
-
-
 def _clamp(probs: BlockProbabilities, block: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Draws' global indices ``idx`` with every draw one past its block
     moved onto the block's last positive column: u may reach a block's last
@@ -81,33 +73,23 @@ def _clamp(probs: BlockProbabilities, block: np.ndarray, idx: np.ndarray) -> np.
     return idx
 
 
-def _draw(probs: BlockProbabilities, counts, streams, block: np.ndarray) -> np.ndarray:
-    """The per-block draw: ``counts[k]`` uniforms on ``streams[k]`` in every
-    block k with a positive count, each looked up in the block's running
-    sums; returns each draw's global index (``block`` holds each draw's
-    block).  ``probs`` was checked, or built from checked scores, so
-    nothing is checked here.  ``counts`` is an int array."""
-    part = probs.partition
-    cum, off = _block_cumsums(probs), part.offsets.tolist()
-    # Python ints and a positional side: per block, each saves a few
-    # hundred ns of conversion and keyword parsing.
-    blocks = zip(off, off[1:], counts.tolist(), streams)
-    local = [cum[a:b].searchsorted(rng.random(ck), "right") for a, b, ck, rng in blocks if ck > 0]
-    return _clamp(probs, block, np.concatenate([_NO_DRAWS, *local]) + part.offsets[block])
-
-
 def _search(probs: BlockProbabilities, block: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """What ``_draw`` finds for uniforms ``u``, for all draws at once: a
-    bisection of each draw's block in the one table, log2 of the largest
-    block's size steps on draw-length arrays, whatever n is.  ``last`` is
-    the last column known to have a running sum <= u, and a step moves it
-    to a candidate no further than the block's last column."""
+    """The draw rule: each draw's global index, the first column of its
+    block ``block[j]`` whose running sum exceeds its uniform ``u[j]``,
+    clamped.  One sorted search on a one-block partition; else a bisection
+    of each draw's block in the one table, log2 of the largest block's size
+    steps on draw-length arrays, whatever n is: ``last`` is the last column
+    known to have a running sum <= u, and a step moves it to a candidate no
+    further than the block's last column.  ``probs`` is checked already."""
     cum, off = _block_cumsums(probs), probs.partition.offsets
-    last, end = off[block] - 1, off[1:][block] - 1
+    if off.size == 2:
+        return _clamp(probs, block, cum.searchsorted(u, "right"))
+    last, end = off.take(block) - 1, off[1:].take(block) - 1
     step = 1 << (int(probs.partition.size_array.max()).bit_length() - 1)
     while step:
-        candidate = np.minimum(last + step, end)
-        last = np.where(cum[candidate] <= u, candidate, last)
+        candidate = last + step
+        np.minimum(candidate, end, out=candidate)
+        last = np.where(cum.take(candidate) <= u, candidate, last)
         step >>= 1
     return _clamp(probs, block, last + 1)
 
@@ -296,23 +278,35 @@ def _row_seed() -> type:
 _PASS_MIN_BLOCKS, _PASS_MAX_MEAN_DRAWS = 32, 16
 
 
-def _block_streams(rng, counts: np.ndarray):
-    """``rng`` split into one stream per block, as ``rng.spawn(len(counts))``
-    splits it.  Where ``_pcg64_words`` gives the children's seeding words
-    and at least ``_PASS_MIN_BLOCKS`` blocks have draws,
-    ``_PASS_MAX_MEAN_DRAWS`` each or fewer on average, the words themselves,
-    a (K, 4) uint64 array that ``_sketch`` draws from in one pass; else a
-    list of K generators, seeded from the words where there are any."""
+def _layout(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``counts[k]`` draws per block in block order: the blocks' offsets
+    among the draws, and each draw's block and its index within the block."""
+    offsets = np.zeros(len(counts) + 1, np.int64)
+    np.add.accumulate(counts, out=offsets[1:])  # np.cumsum's wrapper costs more than the sum here
+    block = np.arange(len(counts)).repeat(counts)
+    return offsets, block, np.arange(block.size) - offsets.take(block)
+
+
+def _block_streams(rng, counts: np.ndarray) -> np.ndarray:
+    """The uniforms of ``rng`` split into one stream per block, as
+    ``rng.spawn(len(counts))`` splits it, in block order: the first
+    ``counts[k]`` of child k's ``random``.  Where ``_pcg64_words`` gives the
+    children's seeding words and at least ``_PASS_MIN_BLOCKS`` blocks have
+    draws, ``_PASS_MAX_MEAN_DRAWS`` each or fewer on average, all of them
+    in one pass; else from K generators, seeded from the words where there
+    are any."""
     K = len(counts)
     _check_spawn(rng, K)
     words = _pcg64_words(rng, K)
-    if words is None:
-        return rng.spawn(K)
     live = int(np.count_nonzero(counts))
-    if live >= _PASS_MIN_BLOCKS and counts.sum() <= _PASS_MAX_MEAN_DRAWS * live:
-        return words
-    seed, Generator, PCG64 = _row_seed(), np.random.Generator, np.random.PCG64
-    return [Generator(PCG64(seed(row))) for row in words]
+    if words is not None and live >= _PASS_MIN_BLOCKS and counts.sum() <= _PASS_MAX_MEAN_DRAWS * live:
+        return _pcg64_uniforms(words, *_layout(counts)[1:])
+    if words is None:
+        streams = rng.spawn(K)
+    else:
+        seed, Generator, PCG64 = _row_seed(), np.random.Generator, np.random.PCG64
+        streams = [Generator(PCG64(seed(row))) for row in words]
+    return np.concatenate([np.empty(0), *(g.random(ck) for g, ck in zip(streams, counts.tolist()) if ck > 0)])
 
 
 def _one_block(probs, part: BlockPartition) -> BlockProbabilities:
@@ -369,20 +363,13 @@ def _sketch(
     N: np.ndarray,
     probs: BlockProbabilities,
     counts: np.ndarray,
-    streams,
+    u: np.ndarray,
 ) -> tuple[SketchPair, SampleLog]:
-    """The blocked sampler: ``counts[k]`` draws in every block k with a
-    positive count, on ``streams[k]``, or, given the streams' PCG64 seeding
-    words (``_block_streams``), on all of them in one pass; then one gather
-    and scale of all draws."""
-    offsets = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    block = np.repeat(np.arange(len(counts)), counts)
-    draw = np.arange(block.size) - offsets[block]
-    if isinstance(streams, np.ndarray):
-        idx = _search(probs, block, _pcg64_uniforms(streams, block, draw))
-    else:
-        idx = _draw(probs, counts, streams, block)
+    """The blocked sampler: ``counts[k]`` draws in every block k, one per
+    uniform of ``u`` in block order, looked up at once; then one gather and
+    scale of all draws."""
+    offsets, block, draw = _layout(counts)
+    idx = _search(probs, block, u)
     p = probs.values[idx]
     C, D, scales = _gather(M, N, idx, counts[block], p)
     return SketchPair(C, D, offsets), SampleLog(block, draw, idx, p, scales)
@@ -405,7 +392,7 @@ def sketch_columns(
     count = as_int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    pair, log = _sketch(Mb, Nb, _one_block(probs, BlockPartition((n,))), np.array([count]), [rng])
+    pair, log = _sketch(Mb, Nb, _one_block(probs, BlockPartition((n,))), np.array([count]), rng.random(count))
     # Column-major, like each pilot block: BLAS rounds small products
     # differently by operand layout, and the pilot replays multiply this C.
     return np.asfortranarray(pair.C), pair.D, log
@@ -429,13 +416,14 @@ def estimate_product(
     return _estimate(M, N, plan, _block_streams(rng, plan.budgets))
 
 
-def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, streams) -> tuple[SketchPair, np.ndarray, SampleLog]:
-    pair, log = _sketch(M, N, plan.probs, plan.budgets, streams)
+def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, u) -> tuple[SketchPair, np.ndarray, SampleLog]:
+    pair, log = _sketch(M, N, plan.probs, plan.budgets, u)
     return pair, pair.C @ pair.D, log
 
 
 def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockProbabilities]) -> tuple[int, int]:
     """c and the pilot draws per block, floor(c0/K), checked with p0's partition."""
+    check_type("part", part, BlockPartition)
     c = as_int("c", c)
     if not 1 <= c <= part.total:
         raise ValueError(f"budget c={c} must lie in [1, {part.total}]")
@@ -443,7 +431,7 @@ def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockPr
     pilot_count = as_int("c0", c0) // K
     if pilot_count < 1:
         raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
-    if p0 is not None and p0.partition != part:
+    if p0 is not None and check_type("p0", p0, BlockProbabilities).partition != part:
         raise ValueError("pilot probabilities are built on a different partition")
     return c, pilot_count
 
@@ -551,13 +539,13 @@ def estimate_product_block_sampling(
     and stack the rescaled blocks themselves into the sketch.  The log has
     one row per sketch column; its ``draw`` is the block draw it came from."""
     check_rng(rng, "random")
-    part.check_length(check_factors(M, N), "inner dimension")
+    check_type("part", part, BlockPartition).check_length(check_factors(M, N), "inner dimension")
     q = block_norm_probabilities(M, N, part) if probs is None else probs
     q = _one_block(q, part._as_one_block)
     draws = as_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    drawn = _draw(q, np.array([draws]), [rng], np.zeros(draws, np.int64))
+    drawn = _search(q, np.zeros(draws, np.int64), rng.random(draws))
     start = part.offsets[drawn]
     widths = part.offsets[drawn + 1] - start
     offsets = np.concatenate(([0], widths.cumsum()))

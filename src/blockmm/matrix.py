@@ -2,7 +2,8 @@
 package's CSV writer, and its input validators: one per kind of input,
 factors (``check_factors``), counts (``as_int``), real numbers
 (``check_real``), integer vectors (``as_ints``), nonnegative vectors
-(``as_nonneg``) and random generators (``check_rng``).
+(``as_nonneg``), random generators (``check_rng``) and the package's own
+objects, partitions and probabilities (``check_type``).
 
 Matrices are plain NumPy arrays of a bool, integer or floating dtype; the
 scoring pass in ``plan`` rejects a factor with a NaN or Inf entry.  Block
@@ -79,6 +80,15 @@ def check_rng(rng, *methods: str) -> None:
     for name in methods:
         if not callable(getattr(rng, name, None)):
             raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__} (it has no {name!r})")
+
+
+def check_type(name: str, value, kind: type):
+    """``value``, if it is a ``kind``; else a ValueError that names the
+    argument and the type expected, not a later AttributeError, or a false
+    error where another type has the attribute (``ndarray.partition``)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def check_factors(M: np.ndarray, N: np.ndarray) -> int:

@@ -30,6 +30,7 @@ from .matrix import (
     as_nonneg,
     check_factors,
     check_real,
+    check_type,
     column_norms,
     row_norms,
 )
@@ -66,7 +67,7 @@ class BlockProbabilities:
     _cum: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # see _block_cumsums
 
     def __post_init__(self):
-        p = as_nonneg("probabilities", self.values, (self.partition.total,))
+        p = as_nonneg("probabilities", self.values, (check_type("partition", self.partition, BlockPartition).total,))
         sums = np.add.reduceat(p, self.partition.offsets[:-1])
         bad = (sums != 0.0) & (np.abs(sums - 1.0) > PROB_SUM_TOL)
         if bad.any():
@@ -159,10 +160,10 @@ class SamplingPlan:
     _pilot: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        b = as_ints("budgets", self.budgets, (self.partition.num_blocks,))
+        b = as_ints("budgets", self.budgets, (check_type("partition", self.partition, BlockPartition).num_blocks,))
         if (b < 0).any():
             raise ValueError("budgets must be >= 0")
-        if self.probs.partition != self.partition:
+        if check_type("probs", self.probs, BlockProbabilities).partition != self.partition:
             raise ValueError("probabilities are built on a different partition")
         mismatch = (b == 0) != self.probs._zero
         if mismatch.any():
@@ -242,7 +243,7 @@ def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
     """The scoring pass; every public entry point makes it exactly once and
     passes the profile down.  A factor of another dtype is scored as one
     float64 copy: float32 sums miss PROB_SUM_TOL, and integer squares overflow."""
-    part.check_length(check_factors(M, N), "inner dimension")
+    check_type("part", part, BlockPartition).check_length(check_factors(M, N), "inner dimension")
     M, N = M.astype(np.float64, copy=False), N.astype(np.float64, copy=False)
     M, col, e_m = _scaled_norms(M, column_norms, "M")
     N, row, e_n = _scaled_norms(N, row_norms, "N")
@@ -343,7 +344,7 @@ def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
     its running sums and kept on the partition, like its offsets.  Its
     ``partition`` is an equal copy: a reference cycle would keep a dead
     partition's arrays until a cyclic collection (+1.6 MB desk-heavy peak RSS)."""
-    u = part.__dict__.get("_uniform")
+    u = check_type("part", part, BlockPartition).__dict__.get("_uniform")
     if u is None:
         sizes = part.size_array
         u = BlockProbabilities(np.repeat(1.0 / sizes, sizes), BlockPartition(part.sizes), rule="uniform")
@@ -539,7 +540,7 @@ def allocate_by_score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition, c
 
 def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
     """Fully uniform plan (tag UU): 1/n_k probabilities, c/K sizes."""
-    K = part.num_blocks
+    K = check_type("part", part, BlockPartition).num_blocks
     budgets = _integerize(np.ones(K), c, np.ones(K, dtype=np.int64), part.size_array)
     return _plan(part, uniform_probabilities(part), budgets, "UU")
 
@@ -560,7 +561,7 @@ def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition)
     scoring pass: a float64 copy of a factor of another dtype, a NaN or Inf
     entry rejected, and the norms rescaled by a power of two when they leave
     NORM_RANGE, which changes no bit of the result."""
-    part.check_length(check_factors(M, N), "inner dimension")
+    check_type("part", part, BlockPartition).check_length(check_factors(M, N), "inner dimension")
     M, N = M.astype(np.float64, copy=False), N.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):  # a sum that overflows reads inf, which _scaled_norms rescales
         f = _scaled_norms(M, lambda X: _block_norms(X, part, "columns"), "M")[1]

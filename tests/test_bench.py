@@ -92,6 +92,9 @@ def test_config_rejects_bad_values():
         small_config(methods=("OPL", "OPL"))
     with pytest.raises(ValueError):
         small_config(methods=())
+    for methods in (None, 5):
+        with pytest.raises(ValueError, match=f"^methods must be a list of tags or one comma-separated string, got {methods}$"):
+            small_config(methods=methods)
     with pytest.raises(ValueError):
         small_config(K=5)  # 24 % 5 != 0
     with pytest.raises(ValueError):
@@ -452,10 +455,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"out": None}, ()),
         ({"out": "cfg.json"}, ()),  # write_results' mkdir would fail after the whole sweep
         ({"out": "cfg.json/out"}, ()),
+        ({"methods": None}, ()),  # tuple(None) raised a TypeError
+        ({"methods": 5}, ()),
     ],
     ids=[
         "max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float", "seed-negative",
-        "out-int", "out-null", "out-is-a-file", "out-under-a-file",
+        "out-int", "out-null", "out-is-a-file", "out-under-a-file", "methods-null", "methods-int",
     ],
 )
 def test_cli_rejects_bad_config_values(tmp_path, capsys, monkeypatch, doc, flags):
@@ -466,7 +471,9 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, monkeypatch, doc, flags
     if "out" in doc:  # the --out flag would override the file's value
         del args[args.index("--out") : args.index("--out") + 2]
     assert main(["--config", str(cfg_path), *args]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert all(f"config error: {key} " in err for key in doc)  # the message names the key
     assert not (tmp_path / "out").exists()
 
 

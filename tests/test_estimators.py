@@ -8,6 +8,7 @@ import pickle
 import re
 import types
 from collections import Counter
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -337,11 +338,23 @@ ENTROPY = st.one_of(
 )
 
 
-def _generators(rng, K):
-    """``rng`` split into K block streams on the per-block path: at one
-    draw per block more than the vectorized pass's mean bound, each block
-    gets a generator."""
-    return estimators._block_streams(rng, np.full(K, estimators._PASS_MAX_MEAN_DRAWS + 1))
+PER_BLOCK = estimators._PASS_MAX_MEAN_DRAWS + 1  # one draw per block past the vectorized pass's mean bound
+
+
+def _uniforms(rng, K):
+    """``rng``'s uniforms for K blocks of ``PER_BLOCK`` draws, where each
+    block draws on a generator of its own."""
+    return estimators._block_streams(rng, np.full(K, PER_BLOCK))
+
+
+def _drawn_on(children, counts):
+    """The first ``counts[k]`` uniforms of ``children[k]``, block after block."""
+    return np.concatenate([np.empty(0), *(g.random(c) for g, c in zip(children, counts))])
+
+
+def _same_uniforms(got, children):
+    """``got`` holds the first ``PER_BLOCK`` uniforms of every child in turn."""
+    assert got.dtype == np.float64 and got.tobytes() == _drawn_on(children, [PER_BLOCK] * len(children)).tobytes()
 
 
 def _same_streams(got, want):
@@ -367,10 +380,10 @@ def test_spawn_draws_what_rng_spawn_draws(entropy, spawn_key, pool_size, spawned
     # A child of rng.spawn(2) is a parent too, as the two-step split uses it.
     # Each twin is taken before its call: every split moves the counter.
     twin = copy.deepcopy(rng)
-    _same_streams(_generators(copy.deepcopy(rng).spawn(2)[1], K), twin.spawn(2)[1].spawn(K))
+    _same_uniforms(_uniforms(copy.deepcopy(rng).spawn(2)[1], K), twin.spawn(2)[1].spawn(K))
     # The caller: the same streams, and the caller left as spawn leaves it.
     twin, before = copy.deepcopy(rng), seed.n_children_spawned
-    _same_streams(_generators(rng, K), twin.spawn(K))
+    _same_uniforms(_uniforms(rng, K), twin.spawn(K))
     assert seed.n_children_spawned == before + K
     _same_caller(rng, twin)
 
@@ -406,19 +419,49 @@ def _alive():
     return Counter(t.__name__ for x in gc.get_objects() for t in RANDOM_TYPES if isinstance(x, t))
 
 
+class Draw(NamedTuple):
+    """One ``_sketch`` call: its uniforms, what was alive when it started,
+    what was alive when the vectorized pass made the uniforms (None when no
+    pass ran), and the ``RowSeed`` of every generator seeded from the hashed
+    words."""
+
+    u: np.ndarray
+    at_sketch: Counter
+    at_pass: Optional[Counter]
+    seeds: list
+
+    @property
+    def path(self) -> str:
+        return "pass" if self.at_pass is not None else "seeded" if self.seeds else "spawned"
+
+
 @pytest.fixture
 def sketch_calls(monkeypatch):
-    """Each ``_sketch`` call's streams, and the SeedSequences, bit
-    generators and Generators alive when it starts.  No cyclic collection
+    """Each ``_sketch`` call as a ``Draw``, with the SeedSequences, bit
+    generators and Generators alive at its points.  No cyclic collection
     runs during the test, so what is alive changes only by what it does."""
-    calls = []
-    sketch = estimators._sketch
+    calls, passes, seeds = [], [], []
+    sketch, uniforms, RowSeed = estimators._sketch, estimators._pcg64_uniforms, estimators._row_seed()
+
+    class Recorded(RowSeed):
+        __slots__ = ()
+
+        def __init__(self, row):
+            super().__init__(row)
+            seeds.append(self)
+
+    def vectorized(*args):
+        passes.append(_alive())
+        return uniforms(*args)
 
     def recorded(*args):
-        calls.append((args[-1], _alive()))
+        calls.append(Draw(args[-1], _alive(), passes.pop() if passes else None, seeds[:]))
+        seeds.clear()
         return sketch(*args)
 
     monkeypatch.setattr(estimators, "_sketch", recorded)
+    monkeypatch.setattr(estimators, "_pcg64_uniforms", vectorized)
+    monkeypatch.setattr(estimators, "_row_seed", lambda: Recorded)
     gc.collect()
     gc.disable()
     try:
@@ -429,11 +472,11 @@ def sketch_calls(monkeypatch):
 
 def test_a_callers_streams_build_no_child_seed_sequence(sketch_calls):
     """estimate_product on default_rng(int) at K = 60, and the caller's
-    counter moves by K.  At 17 draws per block the 60 streams are
-    generators: no stream's seed is, or holds, a SeedSequence, and none is
-    left alive beyond the caller's.  At 2 draws per block they are one
-    vectorized pass, which builds no SeedSequence, bit generator or
-    Generator at all."""
+    counter moves by K.  At 17 draws per block each block draws on a
+    generator seeded from the hashed words: no seed is, or holds, a
+    SeedSequence, and no generator is left alive when the lookup starts.
+    At 2 draws per block the uniforms are one vectorized pass, which builds
+    no SeedSequence, bit generator or Generator at all."""
     M, N = tiny_instance(24, m=3, n=1200, p=3)
     for c in (1020, 120):
         sketch_calls.clear()
@@ -441,21 +484,27 @@ def test_a_callers_streams_build_no_child_seed_sequence(sketch_calls):
         rng, twin = np.random.default_rng(25), np.random.default_rng(25)
         before = _alive()
         got = estimate_product(M, N, plan, rng)
-        ((streams, at_sketch),) = sketch_calls
+        (draw,) = sketch_calls
         assert _alive()["SeedSequence"] == before["SeedSequence"]
+        assert draw.at_sketch == before
         if c == 1020:
-            assert len(streams) == 60 and at_sketch == before + Counter(Generator=60, BitGenerator=60)
-            assert not any(_holds_seed_sequence(g.bit_generator.seed_seq) for g in streams)
+            assert draw.path == "seeded" and len(draw.seeds) == 60
+            assert not any(_holds_seed_sequence(seed) for seed in draw.seeds)
         else:
-            assert streams.shape == (60, 4) and at_sketch == before
+            assert draw.path == "pass" and draw.at_pass == before
         assert rng.bit_generator.seed_seq.n_children_spawned == 60
-        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, twin.spawn(60))
+        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, _drawn_on(twin.spawn(60), plan.budgets))
         assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
         _same_caller(rng, twin)
 
 
 class _SubclassSeed(np.random.SeedSequence):
-    pass
+    """A SeedSequence subclass whose state words are its base class's,
+    inverted: a stream seeded by a plain SeedSequence child, or by words
+    hashed from the pool, draws other uniforms than the subclass's child."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return ~super().generate_state(n_words, dtype)
 
 
 class _WordsOnly(np.random.bit_generator.ISeedSequence):
@@ -491,9 +540,9 @@ def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
         for bits in BIT_GENERATORS:
             rng = np.random.Generator(bits(copy.deepcopy(seed)))
             twin = copy.deepcopy(rng)
-            got = _generators(rng, 7)
-            _same_streams(got, twin.spawn(7))
-            assert all(type(g.bit_generator.seed_seq) is type(seed) for g in got)
+            children = twin.spawn(7)
+            assert all(type(g.bit_generator.seed_seq) is type(seed) for g in children)
+            _same_uniforms(_uniforms(rng, 7), children)
             _same_caller(rng, twin)
 
 
@@ -503,15 +552,17 @@ def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
     sequence that cannot spawn fails as spawn fails."""
     rng = np.random.Generator(np.random.PCG64(_SubclassSeed(5, spawn_key=(2,))))
     twin = copy.deepcopy(rng)
-    got = _generators(rng, 4)
-    _same_streams(got, twin.spawn(4))
-    assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in got)
+    got, children = _uniforms(rng, 4), twin.spawn(4)
+    assert all(type(g.bit_generator.seed_seq) is _SubclassSeed for g in children)
+    _same_uniforms(got, children)
+    plain = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(5, spawn_key=(2,)).spawn(4)]
+    assert got.tobytes() != _drawn_on(plain, [PER_BLOCK] * 4).tobytes()
     _same_caller(rng, twin)
     rng = np.random.Generator(np.random.PCG64(_WordsOnly()))
     with pytest.raises(TypeError) as spawned:
         rng.spawn(3)
     with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
-        _generators(rng, 3)
+        _uniforms(rng, 3)
     M, N = tiny_instance(26, m=2, n=4, p=2)
     with pytest.raises(TypeError, match=f"^{re.escape(str(spawned.value))}$"):
         estimate_product_two_step(M, N, BlockPartition.equal(4, 2), 2, 2, rng)
@@ -525,7 +576,7 @@ def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
     M, N = tiny_instance(26, m=2, n=4, p=2)
     part = BlockPartition.equal(4, 2)
     calls = [
-        lambda r: _generators(r, 2),
+        lambda r: _uniforms(r, 2),
         lambda r: estimate_product(M, N, allocate_uniform(part, 2), r),
         lambda r: allocate_two_step(M, N, part, 2, 2, None, r),
         lambda r: estimate_product_two_step(M, N, part, 2, 2, r),
@@ -542,7 +593,7 @@ def test_a_spawn_past_the_32_bit_counter_is_rejected_untouched():
     # One short of the bound still splits.
     rng = np.random.default_rng(np.random.SeedSequence(7, n_children_spawned=2**32 - 3))
     twin = copy.deepcopy(rng)
-    _same_streams(_generators(rng, 2), twin.spawn(2))
+    _same_uniforms(_uniforms(rng, 2), twin.spawn(2))
     assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
 
 
@@ -550,7 +601,7 @@ def test_spawn_of_a_default_rng_and_of_its_spawned_children():
     rng = np.random.default_rng()
     for r in (rng, *rng.spawn(2), np.random.default_rng(201).spawn(2)[1]):
         twin = copy.deepcopy(r)
-        _same_streams(_generators(r, 60), twin.spawn(60))
+        _same_uniforms(_uniforms(r, 60), twin.spawn(60))
         _same_caller(r, twin)
 
 
@@ -602,21 +653,23 @@ def test_the_pcg64_pass_extends_its_jumps_per_call():
 def _paths(sketch_calls, call, rng):
     """The path of each ``_sketch`` in ``call(rng)``, and whether any
     SeedSequence, bit generator or Generator beyond those alive before the
-    call was alive when the first one started."""
+    call was alive when the first vectorized pass, or else the first
+    lookup, started."""
     sketch_calls.clear()
     before = _alive()
     call(rng)
-    paths = ["pass" if isinstance(streams, np.ndarray) else "per-block" for streams, _ in sketch_calls]
-    return paths, sketch_calls[0][1] != before
+    first = sketch_calls[0]
+    return [d.path for d in sketch_calls], (first.at_sketch if first.at_pass is None else first.at_pass) != before
 
 
 def test_the_pcg64_pass_is_taken_by_its_rule_only(sketch_calls):
     """On the tiny-many-blocks shape (K = 60, 4 draws and 2 pilot draws per
     block) a PCG64 caller with an int seed takes the vectorized pass, which
     builds no bit generator beyond the caller's, in estimate_product and in
-    both passes of the two-step estimate.  Other bit generators, a list
-    entropy, the desk shape (K = 10, 200 draws per block) and plans just
-    past either bound take the per-block path."""
+    both passes of the two-step estimate.  Other bit generators and a list
+    entropy are spawned; the desk shape (K = 10, 200 draws per block) and
+    plans just past either bound draw on generators seeded from the hashed
+    words.  No path leaves a generator alive when the lookup starts."""
     M, N = tiny_instance(27, m=6, n=600, p=6)
     part = BlockPartition.equal(600, 60)
     onc = allocate_by_score_sums(M, N, part, 240)
@@ -630,15 +683,15 @@ def test_the_pcg64_pass_is_taken_by_its_rule_only(sketch_calls):
     assert _paths(sketch_calls, one, np.random.default_rng(7)) == (["pass"], False)
     assert _paths(sketch_calls, two_step, np.random.default_rng(7))[0] == ["pass", "pass"]
     for bits in (np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64):
-        assert _paths(sketch_calls, one, np.random.Generator(bits(7))) == (["per-block"], True)
-        assert _paths(sketch_calls, two_step, np.random.Generator(bits(7)))[0] == ["per-block"] * 2
-    assert _paths(sketch_calls, one, np.random.default_rng([7, 8])) == (["per-block"], True)
-    assert _paths(sketch_calls, two_step, np.random.default_rng([7, 8]))[0] == ["per-block"] * 2
+        assert _paths(sketch_calls, one, np.random.Generator(bits(7))) == (["spawned"], False)
+        assert _paths(sketch_calls, two_step, np.random.Generator(bits(7)))[0] == ["spawned"] * 2
+    assert _paths(sketch_calls, one, np.random.default_rng([7, 8])) == (["spawned"], False)
+    assert _paths(sketch_calls, two_step, np.random.default_rng([7, 8]))[0] == ["spawned"] * 2
 
     M, N = tiny_instance(28, m=2, n=2000, p=2)
     desk = allocate_by_score_sums(M, N, BlockPartition.equal(2000, 10), 2000)
-    assert _paths(sketch_calls, lambda r: estimate_product(M, N, desk, r), np.random.default_rng(7))[0] == ["per-block"]
-    for K, c, path in ((32, 512, "pass"), (32, 513, "per-block"), (31, 31 * 16, "per-block")):
+    assert _paths(sketch_calls, lambda r: estimate_product(M, N, desk, r), np.random.default_rng(7)) == (["seeded"], False)
+    for K, c, path in ((32, 512, "pass"), (32, 513, "seeded"), (31, 31 * 16, "seeded")):
         M, N = tiny_instance(29, m=2, n=20 * K, p=2)
         plan = allocate_uniform(BlockPartition.equal(20 * K, K), c)
         assert _paths(sketch_calls, lambda r: estimate_product(M, N, plan, r), np.random.default_rng(7))[0] == [path]
@@ -664,9 +717,17 @@ def test_a_generator_subclass_draws_what_its_spawned_children_draw():
         got = estimate_product(M, N, plan, rng)
         children = twin.spawn(K)
         assert all(type(g) is _SqrtRandom for g in children)
-        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, children)
+        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, _drawn_on(children, plan.budgets))
         assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
         _same_caller(rng, twin)
+
+
+class _KeepsChildren(np.random.Generator):
+    """A Generator that keeps the children its ``spawn`` returns."""
+
+    def spawn(self, n_children):
+        self.children = super().spawn(n_children)
+        return self.children
 
 
 def test_other_bit_generators_draw_on_rng_spawns_own_children(sketch_calls):
@@ -678,15 +739,15 @@ def test_other_bit_generators_draw_on_rng_spawns_own_children(sketch_calls):
         plan = allocate_by_score_sums(M, N, BlockPartition.equal(1200, 60), c)
         for bits in BIT_GENERATORS[1:]:
             sketch_calls.clear()
-            rng = np.random.Generator(bits(7))
-            twin = copy.deepcopy(rng)
+            rng, twin = _KeepsChildren(bits(7)), _KeepsChildren(bits(7))
             got = estimate_product(M, N, plan, rng)
-            ((streams, _),) = sketch_calls
+            (draw,) = sketch_calls
             children = twin.spawn(60)
-            assert [type(g.bit_generator) for g in streams] == [bits] * 60
-            seeds = [pickle.dumps(g.bit_generator.seed_seq) for g in streams]
+            assert draw.path == "spawned" and [type(g.bit_generator) for g in rng.children] == [bits] * 60
+            seeds = [pickle.dumps(g.bit_generator.seed_seq) for g in rng.children]
             assert seeds == [pickle.dumps(g.bit_generator.seed_seq) for g in children]
-            pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, children)
+            assert draw.u.tobytes() == _drawn_on(children, plan.budgets).tobytes()
+            pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, draw.u)
             assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
             _same_caller(rng, twin)
 

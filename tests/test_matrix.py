@@ -2,11 +2,26 @@ import numpy as np
 import pytest
 
 from blockmm import (
+    BlockProbabilities,
+    SamplingPlan,
     allocate_by_score_sums,
+    allocate_optimal,
+    allocate_two_step,
+    allocate_uniform,
     block_norm_probabilities,
+    block_scores,
+    cancellation_stats,
     estimate_product,
+    estimate_product_block_sampling,
+    estimate_product_two_step,
     expected_sq_error,
+    minimum_expected_sq_error,
+    optimal_probabilities,
+    optimal_size_weights,
+    real_optimal_budgets,
+    score_sums,
     sketch_columns,
+    uniform_probabilities,
 )
 from blockmm.matrix import (
     BlockPartition,
@@ -56,6 +71,50 @@ def test_bad_factors_rejected_at_the_boundary():
             B[2, 0] = bad
             with pytest.raises(ValueError, match="N has a NaN or Inf entry"):
                 call(M, B)
+
+
+_M, _N = np.ones((3, 12)), np.ones((12, 2))
+_PART = BlockPartition.equal(12, 3)
+# Each entry point with the argument it takes a partition or probabilities in.
+_TYPED_ARGS = {
+    "score_sums": ("part", lambda x: score_sums(_M, _N, x)),
+    "block_scores": ("part", lambda x: block_scores(_M, _N, x)),
+    "optimal_probabilities": ("part", lambda x: optimal_probabilities(_M, _N, x)),
+    "uniform_probabilities": ("part", lambda x: uniform_probabilities(x)),
+    "optimal_size_weights": ("part", lambda x: optimal_size_weights(_M, _N, x)),
+    "real_optimal_budgets": ("part", lambda x: real_optimal_budgets(_M, _N, x, 6)),
+    "allocate_optimal": ("part", lambda x: allocate_optimal(_M, _N, x, 6)),
+    "allocate_by_score_sums": ("part", lambda x: allocate_by_score_sums(_M, _N, x, 6)),
+    "allocate_uniform": ("part", lambda x: allocate_uniform(x, 6)),
+    "block_norm_probabilities": ("part", lambda x: block_norm_probabilities(_M, _N, x)),
+    "allocate_two_step": ("part", lambda x: allocate_two_step(_M, _N, x, 6, 6, None, np.random.default_rng(1))),
+    "estimate_product_two_step": ("part", lambda x: estimate_product_two_step(_M, _N, x, 6, 6, np.random.default_rng(1))),
+    "estimate_product_block_sampling": (
+        "part", lambda x: estimate_product_block_sampling(_M, _N, x, 2, np.random.default_rng(1))
+    ),
+    "minimum_expected_sq_error": ("part", lambda x: minimum_expected_sq_error(_M, _N, x, 6)),
+    "cancellation_stats": ("part", lambda x: cancellation_stats(_M, _N, x)),
+    "BlockProbabilities": ("partition", lambda x: BlockProbabilities(np.full(12, 0.25), x)),
+    "SamplingPlan": ("partition", lambda x: SamplingPlan(x, uniform_probabilities(_PART), np.full(3, 2))),
+    "SamplingPlan-probs": ("probs", lambda x: SamplingPlan(_PART, x, np.full(3, 2))),
+    "allocate_two_step-p0": ("p0", lambda x: allocate_two_step(_M, _N, _PART, 6, 6, x, np.random.default_rng(1))),
+}
+_WRONG_TYPES = {"int": 5, "tuple": (4, 4, 4), "NoneType": None, "ndarray": np.full(12, 0.25)}
+
+
+@pytest.mark.parametrize(
+    "entry, wrong",
+    # p0=None pilots with the plan's own probabilities.
+    [(e, w) for e in _TYPED_ARGS for w in _WRONG_TYPES if (_TYPED_ARGS[e][0], w) != ("p0", "NoneType")],
+)
+def test_a_partition_or_probabilities_of_the_wrong_type_is_named(entry, wrong):
+    """A ValueError that names the argument and the type it must have, not
+    an AttributeError, nor the false "different partition" an ndarray's
+    ``partition`` method gave."""
+    name, call = _TYPED_ARGS[entry]
+    kind = "BlockPartition" if name in ("part", "partition") else "BlockProbabilities"
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {wrong}$"):
+        call(_WRONG_TYPES[wrong])
 
 
 def test_non_real_factors_rejected_naming_the_factor():

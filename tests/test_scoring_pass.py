@@ -15,6 +15,7 @@ import math
 import warnings
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,9 +78,11 @@ WIDE_UNEQUAL = BlockPartition((3, 17, 5, 11, 8, 16) * 8)  # n = 480, 48 blocks
 
 
 def _takes_the_pass(plan):
-    """Whether ``estimate_product`` draws ``plan`` on a PCG64 caller in one
-    vectorized pass."""
-    return isinstance(estimators._block_streams(_rng(), plan.budgets), np.ndarray)
+    """Whether ``estimate_product`` draws ``plan``'s uniforms on a PCG64
+    caller in one vectorized pass."""
+    with mock.patch.object(estimators, "_pcg64_uniforms", wraps=estimators._pcg64_uniforms) as vectorized:
+        estimators._block_streams(_rng(), plan.budgets)
+    return vectorized.called
 
 
 def _rng(seed=5):
@@ -258,46 +261,70 @@ class _Given:
         return self.u
 
 
+def _reference_draw(probs, block, u):
+    """Each draw's global index by the frozen rule, ``inverse_cdf_draw``
+    on its block's probabilities, fed that block's uniforms in order."""
+    off, out = probs.partition.offsets, np.empty(block.size, np.int64)
+    for k in np.unique(block).tolist():
+        at = block == k
+        out[at] = off[k] + inverse_cdf_draw(probs[k], int(at.sum()), _Given(u[at]))
+    return out
+
+
+def _running_sums(probs, counts):
+    """``counts[k]`` uniforms per block, block k's running sums in turn."""
+    cum, off = estimators._block_cumsums(probs), probs.partition.offsets
+    return np.concatenate([np.resize(cum[off[k] : off[k + 1]], c) for k, c in enumerate(counts)])
+
+
 def test_draws_past_a_blocks_last_sum_are_clamped_onto_its_support():
     M, N, _ = _instance("normal")
     M, N, plan = M[:, :15], N[:15], _trailing_zeros_plan()
     pair, product, log = estimate_product(M, N, plan, _NearOne())
     np.testing.assert_array_equal(log.column, [2] * 7 + [9] * 3)
     _assert_same_estimate(pair, product, log, _sketch_estimate(M, N, plan, _NearOne()))
-    # The vectorized pass's one search clamps as the per-block search does,
-    # on uniforms at the largest double below 1, and finds the same column
-    # for a uniform equal to a running sum.
+    # The one search clamps as the reference does, on uniforms at the largest
+    # double below 1, and finds the same column for a uniform equal to a
+    # running sum: on 48 blocks (a bisection) and on one block of each kind.
     plan = _trailing_zeros_plan(16)
-    counts, off, cum = plan.budgets, plan.partition.offsets, estimators._block_cumsums(plan.probs)
-    block = np.repeat(np.arange(counts.size), counts)
-    sums = np.concatenate([np.resize(cum[off[k] : off[k + 1]], c) for k, c in enumerate(counts)])
-    near_one = np.full(block.size, np.nextafter(1.0, 0.0))
-    for u, first in ((near_one, [2] * 7 + [9] * 3), (sums, [1, 2, 2, 2, 2, 1, 2, 9, 9, 9])):
-        want = estimators._draw(plan.probs, counts, [_Given(u[block == k]) for k in range(counts.size)], block)
-        got = estimators._search(plan.probs, block, u)
-        assert got.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(got[:10], first)
+    cases = [(plan.probs, plan.budgets, [2] * 7 + [9] * 3, [1, 2, 2, 2, 2, 1, 2, 9, 9, 9])]
+    for values, first, at_sums in (([0.3, 0.3, 0.4 - 4e-13, 0, 0], [2] * 7, [1, 2, 2, 2, 2, 1, 2]),
+                                   ([0] * 3 + [1.0 - 3e-13, 0, 0], [3] * 7, [3] * 7)):
+        cases.append((BlockProbabilities(values, BlockPartition((len(values),))), np.array([7]), first, at_sums))
+    for probs, counts, first, at_sums in cases:
+        block = np.repeat(np.arange(counts.size), counts)
+        near_one = np.full(block.size, np.nextafter(1.0, 0.0))
+        for u, want_first in ((near_one, first), (_running_sums(probs, counts), at_sums)):
+            got = estimators._search(probs, block, u)
+            assert got.tobytes() == _reference_draw(probs, block, u).tobytes()
+            np.testing.assert_array_equal(got[: len(want_first)], want_first)
 
 
 @settings(max_examples=40, deadline=None)
-@given(sizes=st.lists(st.integers(1, 1100), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
-def test_one_bisection_finds_what_the_per_block_searches_find(sizes, seed):
-    """The vectorized pass's search against the per-block one, on blocks
-    of 1 to 1,100 columns with runs of zero probability (a block may be
-    all zero), at random uniforms, at every running sum of each block, and
-    at the largest double below 1."""
+@given(
+    sizes=st.lists(st.integers(1, 1100), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    trailing=st.integers(0, 50),
+)
+@example(sizes=[1100], seed=3, trailing=0)  # one block: one sorted search
+@example(sizes=[1100], seed=4, trailing=50)
+@example(sizes=[1], seed=0, trailing=0)
+@example(sizes=[60], seed=5, trailing=45)
+def test_one_bisection_finds_what_the_per_block_searches_find(sizes, seed, trailing):
+    """The one search against the reference rule per block, on blocks of 1
+    to 1,100 columns with runs of zero probability (a block may be all
+    zero, and its last ``trailing`` columns are zero), at random uniforms,
+    at every running sum of each block, and at the largest double below 1."""
     rng = np.random.default_rng(seed)
     part = BlockPartition(tuple(sizes))
     values = rng.random(part.total) * (rng.random(part.total) < 0.7)
+    values[np.concatenate([np.arange(max(a, b - trailing), b) for a, b in zip(part.offsets, part.offsets[1:])])] = 0.0
     sums = np.add.reduceat(values, part.offsets[:-1])
     probs = BlockProbabilities(values / np.repeat(np.where(sums > 0, sums, 1.0), sizes), part)
     counts = np.where(sums > 0, rng.integers(1, 40, len(sizes)), 0)
     block = np.repeat(np.arange(len(sizes)), counts)
-    cum, off = estimators._block_cumsums(probs), part.offsets
-    sums = np.concatenate([np.resize(cum[off[k] : off[k + 1]], c) for k, c in enumerate(counts)])
-    for u in (rng.random(block.size), sums, np.full(block.size, np.nextafter(1.0, 0.0))):
-        want = estimators._draw(probs, counts, [_Given(u[block == k]) for k in range(len(sizes))], block)
-        assert estimators._search(probs, block, u).tobytes() == want.tobytes()
+    for u in (rng.random(block.size), _running_sums(probs, counts), np.full(block.size, np.nextafter(1.0, 0.0))):
+        assert estimators._search(probs, block, u).tobytes() == _reference_draw(probs, block, u).tobytes()
 
 
 def test_estimate_product_with_trailing_zero_probabilities_equals_per_block_sketches():
