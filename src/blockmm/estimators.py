@@ -23,7 +23,7 @@ block product norms, each taken from the block's slice of one pilot sketch.
 Randomness discipline: every estimator takes a ``numpy.random.Generator``
 (an rng without the methods a call uses is rejected by name).  The
 single-block samplers draw on it directly; the blocked ones draw block k's
-uniforms on the k-th of ``rng.spawn(K)``'s children (``_block_streams``),
+uniforms on the k-th of ``rng.spawn(K)``'s children (``_block_uniforms``),
 so results are reproducible from a single seed and invariant to the order
 blocks are processed in, and the caller is left as ``rng.spawn`` leaves it.
 For the rng ``default_rng`` makes, a Generator over PCG64 over numpy's
@@ -282,25 +282,25 @@ def _layout(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``counts[k]`` draws per block in block order: the blocks' offsets
     among the draws, and each draw's block and its index within the block."""
     offsets = np.zeros(len(counts) + 1, np.int64)
-    np.add.accumulate(counts, out=offsets[1:])  # np.cumsum's wrapper costs more than the sum here
+    np.cumsum(counts, out=offsets[1:])
     block = np.arange(len(counts)).repeat(counts)
     return offsets, block, np.arange(block.size) - offsets.take(block)
 
 
-def _block_streams(rng, counts: np.ndarray) -> np.ndarray:
+def _block_uniforms(rng, counts: np.ndarray, layout) -> np.ndarray:
     """The uniforms of ``rng`` split into one stream per block, as
     ``rng.spawn(len(counts))`` splits it, in block order: the first
-    ``counts[k]`` of child k's ``random``.  Where ``_pcg64_words`` gives the
-    children's seeding words and at least ``_PASS_MIN_BLOCKS`` blocks have
-    draws, ``_PASS_MAX_MEAN_DRAWS`` each or fewer on average, all of them
-    in one pass; else from K generators, seeded from the words where there
-    are any."""
+    ``counts[k]`` of child k's ``random``; ``layout`` is ``_layout(counts)``.
+    Where ``_pcg64_words`` gives the children's seeding words and at least
+    ``_PASS_MIN_BLOCKS`` blocks have draws, ``_PASS_MAX_MEAN_DRAWS`` each or
+    fewer on average, all of them in one pass; else from K generators,
+    seeded from the words where there are any."""
     K = len(counts)
     _check_spawn(rng, K)
     words = _pcg64_words(rng, K)
     live = int(np.count_nonzero(counts))
     if words is not None and live >= _PASS_MIN_BLOCKS and counts.sum() <= _PASS_MAX_MEAN_DRAWS * live:
-        return _pcg64_uniforms(words, *_layout(counts)[1:])
+        return _pcg64_uniforms(words, *layout[1:])
     if words is None:
         streams = rng.spawn(K)
     else:
@@ -359,16 +359,12 @@ class SampleLog:
 
 
 def _sketch(
-    M: np.ndarray,
-    N: np.ndarray,
-    probs: BlockProbabilities,
-    counts: np.ndarray,
-    u: np.ndarray,
+    M: np.ndarray, N: np.ndarray, probs: BlockProbabilities, counts: np.ndarray, layout, u: np.ndarray
 ) -> tuple[SketchPair, SampleLog]:
-    """The blocked sampler: ``counts[k]`` draws in every block k, one per
-    uniform of ``u`` in block order, looked up at once; then one gather and
-    scale of all draws."""
-    offsets, block, draw = _layout(counts)
+    """The blocked sampler: ``counts[k]`` draws in every block k, laid out
+    by ``layout`` (``_layout(counts)``), one per uniform of ``u`` in block
+    order, looked up at once; then one gather and scale of all draws."""
+    offsets, block, draw = layout
     idx = _search(probs, block, u)
     p = probs.values[idx]
     C, D, scales = _gather(M, N, idx, counts[block], p)
@@ -392,7 +388,8 @@ def sketch_columns(
     count = as_int("count", count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    pair, log = _sketch(Mb, Nb, _one_block(probs, BlockPartition((n,))), np.array([count]), rng.random(count))
+    counts = np.array([count])
+    pair, log = _sketch(Mb, Nb, _one_block(probs, BlockPartition((n,))), counts, _layout(counts), rng.random(count))
     # Column-major, like each pilot block: BLAS rounds small products
     # differently by operand layout, and the pilot replays multiply this C.
     return np.asfortranarray(pair.C), pair.D, log
@@ -413,11 +410,12 @@ def estimate_product(
     """
     check_rng(rng, "spawn", "random")
     plan.partition.check_length(check_factors(M, N), "inner dimension")
-    return _estimate(M, N, plan, _block_streams(rng, plan.budgets))
+    return _estimate(M, N, plan, rng)
 
 
-def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, u) -> tuple[SketchPair, np.ndarray, SampleLog]:
-    pair, log = _sketch(M, N, plan.probs, plan.budgets, u)
+def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, rng) -> tuple[SketchPair, np.ndarray, SampleLog]:
+    layout = _layout(plan.budgets)
+    pair, log = _sketch(M, N, plan.probs, plan.budgets, layout, _block_uniforms(rng, plan.budgets, layout))
     return pair, pair.C @ pair.D, log
 
 
@@ -448,7 +446,8 @@ def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbab
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    pair, _ = _sketch(prof.M, prof.N, p0, counts, _block_streams(pilot_rng, counts))
+    layout = _layout(counts)
+    pair, _ = _sketch(prof.M, prof.N, p0, counts, layout, _block_uniforms(pilot_rng, counts, layout))
     # Every live block has pilot_count draws: batched matmuls of column-major
     # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
     # and norms with the bits of np.linalg.norm.  A batch holds about
@@ -523,7 +522,7 @@ def estimate_product_two_step(
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
     _two_step_counts(part, c, c0, None)
     plan, main_rng = _two_step_plan(_profile(M, N, part), c, c0, rng, pilot)
-    return TwoStepResult(*_estimate(M, N, plan, _block_streams(main_rng, plan.budgets)), plan)
+    return TwoStepResult(*_estimate(M, N, plan, main_rng), plan)
 
 
 def estimate_product_block_sampling(

@@ -180,7 +180,7 @@ def block_view(M: np.ndarray, part: BlockPartition, k: int, axis: str = "columns
     axis="columns" slices columns (left factor); axis="rows" slices rows
     (right factor).  Concatenating all K views reconstructs M.
     """
-    sl = part.block_slice(k)
+    sl = check_type("part", part, BlockPartition).block_slice(k)
     if axis == "columns":
         part.check_length(M.shape[1], "column axis")
         return M[:, sl]

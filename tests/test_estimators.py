@@ -9,6 +9,7 @@ import re
 import types
 from collections import Counter
 from typing import NamedTuple, Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -344,7 +345,8 @@ PER_BLOCK = estimators._PASS_MAX_MEAN_DRAWS + 1  # one draw per block past the v
 def _uniforms(rng, K):
     """``rng``'s uniforms for K blocks of ``PER_BLOCK`` draws, where each
     block draws on a generator of its own."""
-    return estimators._block_streams(rng, np.full(K, PER_BLOCK))
+    counts = np.full(K, PER_BLOCK)
+    return estimators._block_uniforms(rng, counts, estimators._layout(counts))
 
 
 def _drawn_on(children, counts):
@@ -493,7 +495,7 @@ def test_a_callers_streams_build_no_child_seed_sequence(sketch_calls):
         else:
             assert draw.path == "pass" and draw.at_pass == before
         assert rng.bit_generator.seed_seq.n_children_spawned == 60
-        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, _drawn_on(twin.spawn(60), plan.budgets))
+        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, estimators._layout(plan.budgets), _drawn_on(twin.spawn(60), plan.budgets))
         assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
         _same_caller(rng, twin)
 
@@ -519,11 +521,26 @@ class _NoSpawn(np.random.SeedSequence):
         raise AssertionError("spawned")
 
 
+def _split(rng, counts):
+    """``rng``'s uniforms for ``counts`` draws per block, and the path that
+    split them: "pass" (the vectorized PCG64 pass), "seeded" (generators
+    seeded from the hashed words) or "spawned" (``rng.spawn``'s children)."""
+    with (
+        mock.patch.object(estimators, "_pcg64_uniforms", wraps=estimators._pcg64_uniforms) as vectorized,
+        mock.patch.object(estimators, "_row_seed", wraps=estimators._row_seed) as seeded,
+    ):
+        got = estimators._block_uniforms(rng, counts, estimators._layout(counts))
+    return got, "pass" if vectorized.called else "seeded" if seeded.called else "spawned"
+
+
 def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
     """A list or array entropy, one changed after the pool was mixed, a
-    list in the spawn key, and a SeedSequence subclass: the block streams
-    draw what rng.spawn draws, with the subclass's children, and leave the
-    caller as spawn leaves it."""
+    list in the spawn key, and a SeedSequence subclass, on every bit
+    generator: the block uniforms are split by rng.spawn, not by the hashed
+    words, on the pass's shape (60 blocks of 2 draws) and past its bound
+    (7 blocks of 17).  They are what rng.spawn's children draw, with the
+    subclass's children, and the caller is left as spawn leaves it.  An int
+    entropy on PCG64 takes the hashed words, so the spies see either path."""
     changed_list, changed_array, key_word = [5, 6], np.array([5, 6], np.uint32), [3]
     seeds = [
         np.random.SeedSequence([5, 2**40]),
@@ -532,18 +549,20 @@ def test_a_callers_mutable_or_other_seed_sequence_is_spawned():
         np.random.SeedSequence(changed_array),
         np.random.SeedSequence(5, spawn_key=(key_word,)),
         _SubclassSeed(5, spawn_key=(2,)),
+        np.random.SeedSequence(5, spawn_key=(1, 2)),
     ]
     changed_list.append(7)
     changed_array[0] = 9
     key_word[0] = 4
     for seed in seeds:
         for bits in BIT_GENERATORS:
-            rng = np.random.Generator(bits(copy.deepcopy(seed)))
-            twin = copy.deepcopy(rng)
-            children = twin.spawn(7)
-            assert all(type(g.bit_generator.seed_seq) is type(seed) for g in children)
-            _same_uniforms(_uniforms(rng, 7), children)
-            _same_caller(rng, twin)
+            for counts, hashed in ((np.full(7, PER_BLOCK), "seeded"), (np.full(60, 2), "pass")):
+                rng = np.random.Generator(bits(copy.deepcopy(seed)))
+                twin = copy.deepcopy(rng)
+                got, path = _split(rng, counts)
+                assert path == (hashed if seed is seeds[-1] and bits is np.random.PCG64 else "spawned")
+                assert got.tobytes() == _drawn_on(twin.spawn(len(counts)), counts).tobytes()
+                _same_caller(rng, twin)
 
 
 def test_own_streams_of_other_seed_sequences_do_what_spawn_does():
@@ -717,7 +736,7 @@ def test_a_generator_subclass_draws_what_its_spawned_children_draw():
         got = estimate_product(M, N, plan, rng)
         children = twin.spawn(K)
         assert all(type(g) is _SqrtRandom for g in children)
-        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, _drawn_on(children, plan.budgets))
+        pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, estimators._layout(plan.budgets), _drawn_on(children, plan.budgets))
         assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
         _same_caller(rng, twin)
 
@@ -747,7 +766,7 @@ def test_other_bit_generators_draw_on_rng_spawns_own_children(sketch_calls):
             seeds = [pickle.dumps(g.bit_generator.seed_seq) for g in rng.children]
             assert seeds == [pickle.dumps(g.bit_generator.seed_seq) for g in children]
             assert draw.u.tobytes() == _drawn_on(children, plan.budgets).tobytes()
-            pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, draw.u)
+            pair, _ = estimators._sketch(M, N, plan.probs, plan.budgets, estimators._layout(plan.budgets), draw.u)
             assert got[1].tobytes() == (pair.C @ pair.D).tobytes()
             _same_caller(rng, twin)
 
@@ -759,13 +778,13 @@ def test_the_two_step_pilot_and_main_streams_are_rng_spawns_children(monkeypatch
     Generator over its own child SeedSequence, on the pass shape (K = 60)
     and the desk shape (K = 10), with either pilot."""
     split = []
-    block_streams = estimators._block_streams
+    block_uniforms = estimators._block_uniforms
 
-    def recorded(rng, counts):
+    def recorded(rng, counts, layout):
         split.append((type(rng), type(rng.bit_generator), pickle.dumps(rng.bit_generator.seed_seq)))
-        return block_streams(rng, counts)
+        return block_uniforms(rng, counts, layout)
 
-    monkeypatch.setattr(estimators, "_block_streams", recorded)
+    monkeypatch.setattr(estimators, "_block_uniforms", recorded)
     for n, K, c, c0 in ((600, 60, 240, 120), (2000, 10, 2000, 200)):
         M, N = tiny_instance(32, m=3, n=n, p=3)
         for pilot in ("uniform", "norm"):

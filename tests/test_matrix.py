@@ -98,6 +98,7 @@ _TYPED_ARGS = {
     "SamplingPlan": ("partition", lambda x: SamplingPlan(x, uniform_probabilities(_PART), np.full(3, 2))),
     "SamplingPlan-probs": ("probs", lambda x: SamplingPlan(_PART, x, np.full(3, 2))),
     "allocate_two_step-p0": ("p0", lambda x: allocate_two_step(_M, _N, _PART, 6, 6, x, np.random.default_rng(1))),
+    "block_view": ("part", lambda x: block_view(_M, x, 0)),
 }
 _WRONG_TYPES = {"int": 5, "tuple": (4, 4, 4), "NoneType": None, "ndarray": np.full(12, 0.25)}
 

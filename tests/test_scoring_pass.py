@@ -71,7 +71,7 @@ def _instance(kind, n=120, K=6):
 KINDS = ("normal", "heavy", "zero-blocks")
 C, C0 = 40, 24
 # Enough blocks with draws, and few enough draws each, for the vectorized
-# PCG64 pass (``estimators._block_streams``): 36 of 48 blocks live on
+# PCG64 pass (``estimators._block_uniforms``): 36 of 48 blocks live on
 # "zero-blocks", 3-4 draws per live block.
 WIDE_N, WIDE_K, WIDE_C = 480, 48, 160
 WIDE_UNEQUAL = BlockPartition((3, 17, 5, 11, 8, 16) * 8)  # n = 480, 48 blocks
@@ -81,7 +81,7 @@ def _takes_the_pass(plan):
     """Whether ``estimate_product`` draws ``plan``'s uniforms on a PCG64
     caller in one vectorized pass."""
     with mock.patch.object(estimators, "_pcg64_uniforms", wraps=estimators._pcg64_uniforms) as vectorized:
-        estimators._block_streams(_rng(), plan.budgets)
+        estimators._block_uniforms(_rng(), plan.budgets, estimators._layout(plan.budgets))
     return vectorized.called
 
 
