@@ -31,14 +31,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, as_nonneg, check_real, frobenius_norm
+from .matrix import BlockPartition, as_int, as_nonneg, check_real, check_type, frobenius_norm
 from .plan import (
     SamplingPlan,
     _block_products,
     _floor_ratio,
     _ldexp,
-    _optimal_probabilities,
-    _optimal_weights,
     _profile,
     _Profile,
 )
@@ -83,7 +81,7 @@ def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budge
     values (the pre-integerization optimum).  Entries are exact up to
     rounding and may dip to -1e-12 * scale below zero.
     """
-    prof = _profile(M, N, plan.partition)
+    prof = _profile(M, N, check_type("plan", plan, SamplingPlan).partition)
     G = _block_products(prof)
     G *= G
     b, _ = _checked_budgets(prof, plan, budgets, G.sum(axis=(1, 2)))
@@ -101,7 +99,7 @@ def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=
     """E || exact product - estimate ||_F^2 under ``plan`` (the estimator is
     unbiased, so this is the summed entry variance), in closed form: the sum
     over blocks of (sum_i s_i^2 / p_i - g_k^2) / c_k, s_i the index scores."""
-    prof = _profile(M, N, plan.partition)
+    prof = _profile(M, N, check_type("plan", plan, SamplingPlan).partition)
     b, numerator = _checked_budgets(prof, plan, budgets, prof.product_norms**2)
     if not b.all():
         numerator, b = numerator[b > 0], b[b > 0]
@@ -113,8 +111,7 @@ def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition
     real-valued sizes at total budget c: (sum_k sqrt(s_k^2 - g_k^2))^2 / c."""
     check_real("budget c", c, positive=True)
     prof = _profile(M, N, part)
-    w = _optimal_weights(prof.sums, prof.product_norms)
-    return _ldexp(float(w.sum() ** 2 / c), -2 * prof.scale)
+    return _ldexp(float(prof.optimal_weights.sum() ** 2 / c), -2 * prof.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,13 +255,13 @@ def _cancellation_bounds(inp: BoundInputs, hi_exact: float) -> BoundPair:
 
 def bounds_optimal_allocation(inp: BoundInputs) -> BoundPair:
     """Bound pair for the variance-minimizing allocation."""
-    return _cancellation_bounds(inp, inp.cancel_hi)
+    return _cancellation_bounds(check_type("inp", inp, BoundInputs), inp.cancel_hi)
 
 
 def bounds_score_allocation(inp: BoundInputs) -> BoundPair:
     """Bound pair for the score-sum allocation; needs only the exact high
     cancellation statistic."""
-    hi, floor = inp.cancel_hi, inp.prob_floor
+    hi, floor = check_type("inp", inp, BoundInputs).cancel_hi, inp.prob_floor
     if not 0.0 <= hi <= 1.0 + 1e-12:
         raise ValueError("score-allocation bound needs an exact high statistic in [0, 1]")
     if floor <= 0.0:
@@ -275,7 +272,7 @@ def bounds_score_allocation(inp: BoundInputs) -> BoundPair:
 def bounds_pilot_allocation(inp: BoundInputs) -> BoundPair:
     """Bound pair for the pilot-estimated allocation: pilot low/high
     statistics, with the exact high statistic entering the numerator."""
-    if inp.cancel_hi_exact is None:
+    if check_type("inp", inp, BoundInputs).cancel_hi_exact is None:
         raise ValueError("pilot bound needs cancel_hi_exact")
     return _cancellation_bounds(inp, inp.cancel_hi_exact)
 
@@ -289,7 +286,7 @@ def bound_inputs_for_plan(
     """Assemble ``BoundInputs`` for a plan: probability floor against the
     variance-minimizing probabilities plus cancellation statistics (pilot
     statistics when the plan carries pilot norms)."""
-    prof = _profile(M, N, plan.partition)
+    prof = _profile(M, N, check_type("plan", plan, SamplingPlan).partition)
     ratios, _, _, lo, hi = _cancellation(prof.sums, prof.product_norms, exact=True)
     hi_exact = None
     if plan._pilot is not None:
@@ -299,7 +296,7 @@ def bound_inputs_for_plan(
     return BoundInputs(
         c=plan.total,
         fail_prob=fail_prob,
-        prob_floor=_floor_ratio(plan.probs.values, _optimal_probabilities(prof)),
+        prob_floor=_floor_ratio(plan.probs.values, prof.probs.values),
         cancel_lo=lo,
         cancel_hi=hi,
         frob_m=prof.frob_m,
@@ -311,7 +308,7 @@ def bound_inputs_for_plan(
 
 def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     """Frobenius-relative error ||exact - approx||_F / ||exact||_F."""
-    if approx.shape != exact.shape:
+    if check_type("approx", approx, np.ndarray).shape != check_type("exact", exact, np.ndarray).shape:
         raise ValueError(f"shapes differ: {approx.shape} vs {exact.shape}")
     denom = frobenius_norm(exact)
     if denom == 0.0:

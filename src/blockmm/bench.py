@@ -10,7 +10,7 @@ cost argument) and a sample phase (drawing + combining).
 
 The instance is fixed, so every replication on one partition shares its
 passes, each made and timed once: the scoring pass with its probabilities,
-OPL's block products, SSM's block norms and the uniform probabilities of UU
+OPL's block products and size weights, SSM's block norms and the uniform probabilities of UU
 and ONU's pilot.  A pass's time is added to the plan time of every
 replication that reads it, so a plan time still says what that
 replication's plan costs from scratch.
@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
 from .estimators import _two_step_plan, estimate_product, estimate_product_block_sampling
-from .matrix import BlockPartition, as_int, multiply_exact, write_csv
+from .matrix import BlockPartition, as_int, check_type, multiply_exact, write_csv
 from .plan import (
     METHOD_TAGS,
     _allocate,
@@ -46,7 +46,7 @@ from .plan import (
 
 SWEEPABLE = ("K", "c", "c0")
 
-IntOrSweep = Union[int, tuple]
+IntOrSweep = int | tuple
 
 
 class ResourceCapError(RuntimeError):
@@ -141,9 +141,9 @@ class ExperimentConfig:
         return knobs["K"], knobs["c"], knobs["c0"]
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
+def config_from_dict(doc: Mapping) -> ExperimentConfig:
     known = {f.name for f in fields(ExperimentConfig) if f.init}
-    unknown = set(doc) - known
+    unknown = set(check_type("doc", doc, Mapping)) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**doc)
@@ -152,7 +152,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def estimate_bytes(config: ExperimentConfig) -> int:
     """Rough peak footprint: instance + exact product + largest sketch, plus
     OPL's stack of block products and the two-step pilot sketch."""
-    m, n, p = config.m, config.n, config.p
+    m, n, p = check_type("config", config, ExperimentConfig).m, config.n, config.p
     K, c, c0 = (max(v) for v in zip(*map(config.resolved, config.sweep_values)))
     floats = (
         m * n
@@ -216,7 +216,7 @@ _SCORED = ("OPL", "ONC", "ONU", "ONMCNR")
 _PASSES = {
     "prof": (lambda s: _profile(s.M, s.N, s.part), _SCORED),
     "probs": (lambda s: s.prof.probs, _SCORED),
-    "g": (lambda s: s.prof.product_norms, ("OPL",)),
+    "weights": (lambda s: s.prof.optimal_weights, ("OPL",)),
     "q": (lambda s: block_norm_probabilities(s.M, s.N, s.part), ("SSM",)),
     "uniform": (lambda s: uniform_probabilities(s.part), ("ONU", "UU")),
 }

@@ -390,9 +390,7 @@ def sketch_columns(
         raise ValueError("count must be >= 1")
     counts = np.array([count])
     pair, log = _sketch(Mb, Nb, _one_block(probs, BlockPartition((n,))), counts, _layout(counts), rng.random(count))
-    # Column-major, like each pilot block: BLAS rounds small products
-    # differently by operand layout, and the pilot replays multiply this C.
-    return np.asfortranarray(pair.C), pair.D, log
+    return pair.C, pair.D, log
 
 
 def estimate_product(
@@ -409,13 +407,19 @@ def estimate_product(
     exactly zero to the true product as well.
     """
     check_rng(rng, "spawn", "random")
-    plan.partition.check_length(check_factors(M, N), "inner dimension")
+    check_type("plan", plan, SamplingPlan).partition.check_length(check_factors(M, N), "inner dimension")
     return _estimate(M, N, plan, rng)
 
 
+def _sample_blocks(M, N, probs: BlockProbabilities, counts: np.ndarray, rng) -> tuple[SketchPair, SampleLog]:
+    """The blocked draw step of the estimate and the two-step pilot:
+    ``counts[k]`` draws in block k on the k-th of rng's block streams."""
+    layout = _layout(counts)
+    return _sketch(M, N, probs, counts, layout, _block_uniforms(rng, counts, layout))
+
+
 def _estimate(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, rng) -> tuple[SketchPair, np.ndarray, SampleLog]:
-    layout = _layout(plan.budgets)
-    pair, log = _sketch(M, N, plan.probs, plan.budgets, layout, _block_uniforms(rng, plan.budgets, layout))
+    pair, log = _sample_blocks(M, N, plan.probs, plan.budgets, rng)
     return pair, pair.C @ pair.D, log
 
 
@@ -446,18 +450,16 @@ def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbab
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
-    layout = _layout(counts)
-    pair, _ = _sketch(prof.M, prof.N, p0, counts, layout, _block_uniforms(pilot_rng, counts, layout))
-    # Every live block has pilot_count draws: batched matmuls of column-major
-    # (blocks, m, pilot_count) views, with the strides of sketch_columns' C,
-    # and norms with the bits of np.linalg.norm.  A batch holds about
-    # BLOCK_CHUNK product entries, or one block's.
+    pair, _ = _sample_blocks(prof.M, prof.N, p0, counts, pilot_rng)
+    # Every live block has pilot_count draws: batched matmuls of (blocks, m,
+    # pilot_count) views of the row-major sketch, norms with the bits of
+    # np.linalg.norm, about BLOCK_CHUNK product entries (or one block's) a batch.
     m, p, pc = prof.M.shape[0], prof.N.shape[1], pilot_count
     sq = np.zeros(int((counts > 0).sum()))
     per = max(1, BLOCK_CHUNK // max(1, m * p))
     for k in range(0, sq.size, per):
         cols, n = slice(k * pc, (k + per) * pc), min(per, sq.size - k)
-        C = np.asfortranarray(pair.C[:, cols]).T.reshape(n, pc, m).transpose(0, 2, 1)
+        C = pair.C[:, cols].reshape(m, n, pc).transpose(1, 0, 2)
         sq[k : k + n] = _block_sq_sums(np.matmul(C, pair.D[cols].reshape(n, pc, p)))
     pilot_norms = np.zeros(K)
     pilot_norms[counts > 0] = np.sqrt(sq)
@@ -546,10 +548,8 @@ def estimate_product_block_sampling(
         raise ValueError("draws must be >= 1")
     drawn = _search(q, np.zeros(draws, np.int64), rng.random(draws))
     start = part.offsets[drawn]
-    widths = part.offsets[drawn + 1] - start
-    offsets = np.concatenate(([0], widths.cumsum()))
-    draw = np.arange(draws).repeat(widths)
-    idx = np.arange(offsets[-1]) + (start - offsets[:-1]).repeat(widths)
+    offsets, draw, within = _layout(part.offsets[drawn + 1] - start)  # the drawn blocks' columns
+    idx = start[draw] + within
     block, p = drawn[draw], q.values[drawn][draw]
     C, D, scales = _gather(M, N, idx, draws, p)
     return SketchPair(C, D, offsets), C @ D, SampleLog(block, draw, idx, p, scales)

@@ -222,13 +222,27 @@ class _Profile(_Fields):
     """One validated scoring pass: the factors scaled by powers of two whose
     exponents sum to ``scale``, and in their units the per-index scores
     ||M column i|| * ||N row i|| and block sums s_k; ``frob_*`` are unscaled.
-    g_k and the optimal probabilities are built on first use and kept for
-    every plan on the profile.  Tuple fields keep it frozen and cheap to build."""
+    g_k, the optimal size weights and probabilities are built on first use and
+    kept for every plan on the profile.  Tuple fields keep it frozen and cheap
+    to build."""
 
     @cached_property
     def product_norms(self) -> np.ndarray:
         G = _block_products(self)
         return np.sqrt(np.einsum("kij,kij->k", G, G))
+
+    @cached_property
+    def optimal_weights(self) -> np.ndarray:
+        """sqrt(s_k^2 - g_k^2) for the exact g_k, read-only.  The radicand is
+        nonnegative by Cauchy-Schwarz; tiny negatives from rounding are
+        clamped, anything beyond the slack is a corrupted input."""
+        rad = self.sums**2 - self.product_norms**2
+        bad = rad < -RADICAND_SLACK * self.sums**2
+        if bad.any():
+            raise ValueError(f"radicand negative beyond rounding slack in blocks {np.where(bad)[0]}")
+        w = np.sqrt(np.maximum(rad, 0.0))
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def probs(self) -> BlockProbabilities:
@@ -470,28 +484,16 @@ def _largest_remainder(r: np.ndarray, budget: int, hi: np.ndarray) -> np.ndarray
     return base
 
 
-def _optimal_weights(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sqrt(s_k^2 - g_k^2) for exact g_k.  The radicand is nonnegative by
-    Cauchy-Schwarz; tiny negatives from rounding are clamped, anything beyond
-    the slack is a corrupted input."""
-    rad = s**2 - g**2
-    bad = rad < -RADICAND_SLACK * s**2
-    if bad.any():
-        raise ValueError(f"radicand negative beyond rounding slack in blocks {np.where(bad)[0]}")
-    return np.sqrt(np.maximum(rad, 0.0))
-
-
 def optimal_size_weights(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Real-valued optimal-size weights sqrt(s_k^2 - g_k^2) with exact g_k."""
     prof = _profile(M, N, part)
-    return _ldexp(_optimal_weights(prof.sums, prof.product_norms), -prof.scale)
+    return _ldexp(prof.optimal_weights, -prof.scale)
 
 
 def real_optimal_budgets(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> np.ndarray:
     """Pre-integerization optimal sizes c * w_k / sum(w)."""
     check_real("budget c", c, positive=True)
-    prof = _profile(M, N, part)
-    w = _optimal_weights(prof.sums, prof.product_norms)
+    w = _profile(M, N, part).optimal_weights
     if w.sum() == 0.0:
         raise ValueError("all optimal size weights are zero")
     return c * w / w.sum()
@@ -509,7 +511,7 @@ def _allocate(prof: _Profile, c: int, method: str, pilot_norms=None) -> Sampling
     if s.sum() == 0.0:
         raise ValueError("all blocks have zero score: nothing to sample")
     if method == "OPL":
-        w, rule = _optimal_weights(s, prof.product_norms), "optimal"
+        w, rule = prof.optimal_weights, "optimal"
     elif pilot_norms is not None:
         w, rule = np.sqrt(np.abs(s**2 - pilot_norms**2)), "pilot"
     else:

@@ -65,6 +65,7 @@ def test_sketch_one_hot_prob_is_exact():
     for count in (1, 3, 8):
         C, D, rec = sketch_columns(Mb, Nb, count, probs, np.random.default_rng(count))
         assert C.shape == (3, count) and D.shape == (count, 2)
+        assert C.flags.c_contiguous and D.flags.c_contiguous  # row-major, like every sketch
         assert (rec.column == 1).all()
         np.testing.assert_allclose(C @ D, exact, rtol=0, atol=1e-12)
 

@@ -23,6 +23,15 @@ from blockmm import (
     sketch_columns,
     uniform_probabilities,
 )
+from blockmm.analysis import (
+    bound_inputs_for_plan,
+    bounds_optimal_allocation,
+    bounds_pilot_allocation,
+    bounds_score_allocation,
+    elementwise_variance,
+    relative_error,
+)
+from blockmm.bench import config_from_dict, estimate_bytes
 from blockmm.matrix import (
     BlockPartition,
     block_view,
@@ -116,6 +125,38 @@ def test_a_partition_or_probabilities_of_the_wrong_type_is_named(entry, wrong):
     kind = "BlockPartition" if name in ("part", "partition") else "BlockProbabilities"
     with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {wrong}$"):
         call(_WRONG_TYPES[wrong])
+
+
+# Each entry point with the argument it takes a plan, bound inputs, a config
+# or arrays in, and the type that argument must have.
+_OBJECT_ARGS = {
+    "estimate_product": ("plan", "SamplingPlan", lambda x: estimate_product(_M, _N, x, np.random.default_rng(1))),
+    "expected_sq_error": ("plan", "SamplingPlan", lambda x: expected_sq_error(_M, _N, x)),
+    "elementwise_variance": ("plan", "SamplingPlan", lambda x: elementwise_variance(_M, _N, x)),
+    "bound_inputs_for_plan": ("plan", "SamplingPlan", lambda x: bound_inputs_for_plan(_M, _N, x, 0.05)),
+    "bounds_optimal_allocation": ("inp", "BoundInputs", bounds_optimal_allocation),
+    "bounds_score_allocation": ("inp", "BoundInputs", bounds_score_allocation),
+    "bounds_pilot_allocation": ("inp", "BoundInputs", bounds_pilot_allocation),
+    "estimate_bytes": ("config", "ExperimentConfig", estimate_bytes),
+    "config_from_dict": ("doc", "Mapping", config_from_dict),
+    "relative_error-approx": ("approx", "ndarray", lambda x: relative_error(x, np.ones(1))),
+    "relative_error-exact": ("exact", "ndarray", lambda x: relative_error(np.ones(1), x)),
+}
+# A str has a ``partition`` method, as an ndarray has.
+_WRONG_OBJECTS = {"int": 5, "str": "plan", "NoneType": None, "list": ["case"], "ndarray": np.ones(1)}
+
+
+@pytest.mark.parametrize(
+    "entry, wrong",
+    [(e, w) for e in _OBJECT_ARGS for w in _WRONG_OBJECTS if (_OBJECT_ARGS[e][1], w) != ("ndarray", "ndarray")],
+)
+def test_a_plan_bound_input_config_or_array_of_the_wrong_type_is_named(entry, wrong):
+    """A ValueError that names the argument and the type it must have, not
+    an AttributeError or TypeError, nor the false "part must be a
+    BlockPartition" a str's ``partition`` method gave."""
+    name, kind, call = _OBJECT_ARGS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {wrong}$"):
+        call(_WRONG_OBJECTS[wrong])
 
 
 def test_non_real_factors_rejected_naming_the_factor():

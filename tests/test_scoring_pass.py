@@ -568,6 +568,16 @@ def test_one_probability_build_per_plan(name, probability_builds):
     assert probability_builds == {"built": 1}
 
 
+def test_the_profile_keeps_one_read_only_copy_of_its_optimal_weights():
+    """OPL's sizes, ``optimal_size_weights``, ``real_optimal_budgets`` and
+    the error minimum all read it, so no caller may write into it."""
+    prof = plan_module._profile(*_instance("heavy"))
+    w = prof.optimal_weights
+    assert w is prof.optimal_weights and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # no constructor check on what the allocators build from checked inputs
 
@@ -859,7 +869,7 @@ def test_extreme_scales_leave_the_scoring_units_without_a_warning(factor):
     prof = plan_module._profile(Ms, Ns, part)
     s = _ignoring_warnings(np.ldexp, prof.sums, -prof.scale)
     g = _ignoring_warnings(np.ldexp, prof.product_norms, -prof.scale)
-    w = _ignoring_warnings(np.ldexp, plan_module._optimal_weights(prof.sums, prof.product_norms), -prof.scale)
+    w = _ignoring_warnings(np.ldexp, prof.optimal_weights, -prof.scale)
     assert score_sums(Ms, Ns, part).tobytes() == s.tobytes()
     assert [x.tobytes() for x in block_scores(Ms, Ns, part)] == [s.tobytes(), g.tobytes()]
     assert optimal_size_weights(Ms, Ns, part).tobytes() == w.tobytes()
