@@ -296,7 +296,7 @@ def bound_inputs_for_plan(
     return BoundInputs(
         c=plan.total,
         fail_prob=fail_prob,
-        prob_floor=_floor_ratio(plan.probs.values, prof.probs.values),
+        prob_floor=_floor_ratio(plan.probs.values, prof.optimal_values),
         cancel_lo=lo,
         cancel_hi=hi,
         frob_m=prof.frob_m,

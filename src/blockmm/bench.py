@@ -253,12 +253,13 @@ def _whole_blocks(s, c, c0, rng):
 # returns the zero-argument sampling step.  In METHOD_TAGS order, which keys
 # the streams.  The uniform pilot reads the vector the shared pass cached on
 # the partition.  A column sampler splits the replication's rng, or a
-# two-step plan's main stream, into its block streams.
+# two-step plan's main stream, into its block streams.  The config has
+# checked c and c0, so a two-step plan takes floor(c0/K) pilot draws per block.
 METHODS: dict[str, Callable] = {
     "OPL": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "OPL"), rng),
     "ONC": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "ONC"), rng),
-    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "uniform")),
-    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0, rng, "norm")),
+    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0 // s.part.num_blocks, rng, "uniform")),
+    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0 // s.part.num_blocks, rng, "norm")),
     "UU": lambda s, c, c0, rng: _sample(s, allocate_uniform(s.part, c), rng),
     "SSM": _whole_blocks,
 }

@@ -67,10 +67,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on a bad flag; 2 means the resource cap here
         return 1 if e.code else 0
-    doc: dict = {}
     try:
-        if args.config is not None:
-            doc.update(json.loads(args.config.read_text()))
+        doc = {} if args.config is None else json.loads(args.config.read_text())
+        if not isinstance(doc, dict):  # dict.update would take a list of pairs as keys and values
+            raise ValueError(f"the config file must hold a JSON object, not a {type(doc).__name__}")
         for key in ("case", "m", "n", "p", "K", "c", "c0", "reps", "seed", "out", "max_bytes"):
             value = getattr(args, key)
             if value is not None:

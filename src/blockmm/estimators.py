@@ -48,14 +48,13 @@ import numpy as np
 
 from .matrix import BlockPartition, as_int, check_factors, check_rng, check_type
 from .plan import (
-    BLOCK_CHUNK,
     BlockProbabilities,
     SamplingPlan,
     _allocate,
     _block_cumsums,
-    _block_sq_sums,
     _profile,
     _Profile,
+    _sketch_product_norms,
     block_norm_probabilities,
     uniform_probabilities,
 )
@@ -438,31 +437,20 @@ def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockPr
     return c, pilot_count
 
 
-def _allocate_two_step(prof: _Profile, c: int, c0: int, p0: Optional[BlockProbabilities], pilot_rng) -> SamplingPlan:
-    """``allocate_two_step`` on a scoring profile, its pilot drawn on the K
-    streams of ``pilot_rng``; c, c0 and the block floors are checked before
-    the pilot."""
-    part, K = prof.part, prof.part.num_blocks
-    c, pilot_count = _two_step_counts(part, c, c0, p0)
+def _allocate_two_step(prof: _Profile, c: int, pilot_count: int, p0, pilot_rng) -> SamplingPlan:
+    """``allocate_two_step`` on a scoring profile, with c and the pilot draws
+    per block as ``_two_step_counts`` checked them, its pilot drawn on the K
+    streams of ``pilot_rng``; the block floors are checked before the pilot."""
     live = prof.sums > 0
-    floors, caps = int(live.sum()), int(part.size_array[live].sum())
+    floors, caps = int(live.sum()), int(prof.part.size_array[live].sum())
     if floors and not floors <= c <= caps:
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
     pair, _ = _sample_blocks(prof.M, prof.N, p0, counts, pilot_rng)
-    # Every live block has pilot_count draws: batched matmuls of (blocks, m,
-    # pilot_count) views of the row-major sketch, norms with the bits of
-    # np.linalg.norm, about BLOCK_CHUNK product entries (or one block's) a batch.
-    m, p, pc = prof.M.shape[0], prof.N.shape[1], pilot_count
-    sq = np.zeros(int((counts > 0).sum()))
-    per = max(1, BLOCK_CHUNK // max(1, m * p))
-    for k in range(0, sq.size, per):
-        cols, n = slice(k * pc, (k + per) * pc), min(per, sq.size - k)
-        C = pair.C[:, cols].reshape(m, n, pc).transpose(1, 0, 2)
-        sq[k : k + n] = _block_sq_sums(np.matmul(C, pair.D[cols].reshape(n, pc, p)))
-    pilot_norms = np.zeros(K)
-    pilot_norms[counts > 0] = np.sqrt(sq)
+    # Every pilot block with draws has pilot_count of them: the sketch's blocks are equal.
+    pilot_norms = np.zeros(prof.part.num_blocks)
+    pilot_norms[counts > 0] = _sketch_product_norms(pair.C, pair.D, (pilot_count,) * int((counts > 0).sum()))
     method = {"uniform": "ONU", "optimal": "ONMCNR"}.get(p0.rule, "")
     return _allocate(prof, c, method, pilot_norms=pilot_norms)
 
@@ -483,18 +471,18 @@ def allocate_two_step(
     none for any other pilot.  c and c0 are checked before any scoring.
     """
     check_rng(rng, "spawn", "random")
-    _two_step_counts(part, c, c0, p0)
-    return _allocate_two_step(_profile(M, N, part), c, c0, p0, rng)
+    c, pilot_count = _two_step_counts(part, c, c0, p0)
+    return _allocate_two_step(_profile(M, N, part), c, pilot_count, p0, rng)
 
 
-def _two_step_plan(prof: _Profile, c: int, c0: int, rng, pilot: str) -> tuple[SamplingPlan, np.random.Generator]:
-    """The two-step recipe on a scoring profile: the plan piloted under the
-    ``pilot`` rule on the first of ``rng.spawn(2)``'s children, and the
-    second child, which the main pass splits into its block streams."""
+def _two_step_plan(prof: _Profile, c: int, pilot_count: int, rng, pilot) -> tuple[SamplingPlan, np.random.Generator]:
+    """The two-step recipe on a scoring profile and a checked budget: the
+    plan piloted under the ``pilot`` rule on the first of ``rng.spawn(2)``'s
+    children, and the second, which the main pass splits into block streams."""
     _check_spawn(rng, 2)
     pilot_rng, main_rng = rng.spawn(2)
     p0 = uniform_probabilities(prof.part) if pilot == "uniform" else None
-    return _allocate_two_step(prof, c, c0, p0, pilot_rng), main_rng
+    return _allocate_two_step(prof, c, pilot_count, p0, pilot_rng), main_rng
 
 
 class TwoStepResult(NamedTuple):
@@ -522,8 +510,8 @@ def estimate_product_two_step(
     check_rng(rng, "spawn", "random")
     if pilot not in ("uniform", "norm"):
         raise ValueError(f"unknown pilot rule {pilot!r} (use 'uniform' or 'norm')")
-    _two_step_counts(part, c, c0, None)
-    plan, main_rng = _two_step_plan(_profile(M, N, part), c, c0, rng, pilot)
+    c, pilot_count = _two_step_counts(part, c, c0, None)
+    plan, main_rng = _two_step_plan(_profile(M, N, part), c, pilot_count, rng, pilot)
     return TwoStepResult(*_estimate(M, N, plan, main_rng), plan)
 
 

@@ -91,6 +91,12 @@ def check_type(name: str, value, kind: type):
     return value
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """x, made read-only in place: for arrays that callers share."""
+    x.flags.writeable = False
+    return x
+
+
 def check_factors(M: np.ndarray, N: np.ndarray) -> int:
     """The factors of a product: numpy arrays of a bool, integer or floating
     dtype, 2-D, whose inner dimensions chain; returns the inner dimension."""
@@ -143,17 +149,13 @@ class BlockPartition:
     def size_array(self) -> np.ndarray:
         """``sizes`` as an int64 array, for the callers that compute with it.
         Computed once and read-only, like ``offsets``."""
-        sizes = np.array(self.sizes, dtype=np.int64)
-        sizes.flags.writeable = False
-        return sizes
+        return _read_only(np.array(self.sizes, dtype=np.int64))
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """Prefix sums: offsets[k] is where block k starts, offsets[K] == n.
         Computed once and read-only, since every caller shares the array."""
-        off = np.cumsum((0, *self.sizes))
-        off.flags.writeable = False
-        return off
+        return _read_only(np.cumsum((0, *self.sizes)))
 
     @cached_property
     def _as_one_block(self) -> "BlockPartition":

@@ -16,6 +16,7 @@ rules implemented here (the two-step plans, tags ONU / ONMCNR, are built in
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,6 +26,7 @@ import numpy as np
 
 from .matrix import (
     BlockPartition,
+    _read_only,
     as_int,
     as_ints,
     as_nonneg,
@@ -73,8 +75,7 @@ class BlockProbabilities:
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"block {k}: probabilities sum to {sums[k]!r}, not 1")
-        p.flags.writeable = False
-        object.__setattr__(self, "values", p)
+        object.__setattr__(self, "values", _read_only(p))
         object.__setattr__(self, "_zero", sums == 0.0)
 
     def __getitem__(self, k: int) -> np.ndarray:
@@ -116,10 +117,7 @@ def _ldexp(x, e: int):
 def _pilot_fields(values: np.ndarray, e: int) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
     """A plan's (pilot_norms, _pilot) from its own copy of the pilot norms
     in units 2**e: both arrays made read-only."""
-    values.flags.writeable = False
-    norms = _ldexp(values, -e)
-    norms.flags.writeable = False
-    return norms, (values, e)
+    return _read_only(_ldexp(_read_only(values), -e)), (values, e)
 
 
 def _unchecked(cls, **fields):
@@ -169,8 +167,7 @@ class SamplingPlan:
         if mismatch.any():
             k = int(np.argmax(mismatch))
             raise ValueError(f"block {k}: zero budget and zero-probability flag must coincide")
-        b.flags.writeable = False
-        object.__setattr__(self, "budgets", b)
+        object.__setattr__(self, "budgets", _read_only(b))
         pilot = self._pilot
         if self.pilot_norms is not None:
             given = np.asarray(self.pilot_norms, dtype=np.float64)
@@ -222,9 +219,9 @@ class _Profile(_Fields):
     """One validated scoring pass: the factors scaled by powers of two whose
     exponents sum to ``scale``, and in their units the per-index scores
     ||M column i|| * ||N row i|| and block sums s_k; ``frob_*`` are unscaled.
-    g_k, the optimal size weights and probabilities are built on first use and
-    kept for every plan on the profile.  Tuple fields keep it frozen and cheap
-    to build."""
+    g_k, the optimal size weights and probabilities (``optimal_values``, and
+    ``probs``, which wraps it) are built on first use and kept for every plan
+    on the profile.  Tuple fields keep it frozen and cheap to build."""
 
     @cached_property
     def product_norms(self) -> np.ndarray:
@@ -240,16 +237,18 @@ class _Profile(_Fields):
         bad = rad < -RADICAND_SLACK * self.sums**2
         if bad.any():
             raise ValueError(f"radicand negative beyond rounding slack in blocks {np.where(bad)[0]}")
-        w = np.sqrt(np.maximum(rad, 0.0))
-        w.flags.writeable = False
-        return w
+        return _read_only(np.sqrt(np.maximum(rad, 0.0)))
+
+    @cached_property
+    def optimal_values(self) -> np.ndarray:
+        """The optimal probabilities as one read-only vector."""
+        return _read_only(_optimal_probabilities(self))
 
     @cached_property
     def probs(self) -> BlockProbabilities:
-        values = _optimal_probabilities(self)
-        values.flags.writeable = False
         return _unchecked(
-            BlockProbabilities, values=values, partition=self.part, rule="optimal", _zero=self.sums == 0.0, _cum=None
+            BlockProbabilities, values=self.optimal_values, partition=self.part, rule="optimal",
+            _zero=self.sums == 0.0, _cum=None,
         )
 
 
@@ -268,45 +267,55 @@ def _profile(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> _Profile:
 
 def _block_products(prof: _Profile) -> np.ndarray:
     """The (K, m, p) stack of exact block products M_k N_k in the profile's
-    units, the one place a block product is formed: one batched matmul over
-    (K, m, n/K) and (K, n/K, p) views for an equal partition, else K matmuls."""
-    M, N, part = prof.M, prof.N, prof.part
-    K, b = part.num_blocks, part.sizes[0]
-    if part.sizes == (b,) * K:
-        return np.matmul(M.reshape(M.shape[0], K, b).transpose(1, 0, 2), N.reshape(K, b, N.shape[1]))
-    off = part.offsets.tolist()
-    return np.stack([M[:, a:z] @ N[a:z] for a, z in zip(off, off[1:])])
+    units, the one place a block product is formed: the block walk with all
+    K blocks a batch, so one batched matmul over (K, m, n/K) and (K, n/K, p)
+    views for an equal partition, else K matmuls."""
+    sizes, K = prof.part.sizes, prof.part.num_blocks
+    return _joined(list(map(np.matmul, _blocks(prof.M, sizes, "columns", K), _blocks(prof.N, sizes, "rows", K))))
 
 
-BLOCK_CHUNK = 2**15  # entries per copy of M's column blocks, small enough to stay in cache
+def _blocks(X: np.ndarray, sizes: tuple[int, ...], axis: str, per: int) -> list[np.ndarray]:
+    """The block walk, the one place a partition's blocks are batched: X's
+    column blocks (axis="columns") as (k, rows, b) views, or its row blocks
+    (axis="rows") as (k, b, cols) views, for blocks of ``sizes`` along that
+    axis, in block order.  Equal sizes reshape X (no copy of a C-ordered X)
+    and take ``per`` blocks a batch; unequal sizes take one block a batch."""
+    K = len(sizes)
+    if K and sizes.count(sizes[0]) == K:
+        b = sizes[0]
+        X = X.reshape(X.shape[0], K, b).transpose(1, 0, 2) if axis == "columns" else X.reshape(K, b, X.shape[1])
+        return [X] if per >= K else [X[k : k + per] for k in range(0, K, per)]
+    off = [0, *itertools.accumulate(sizes)]
+    return [(X[:, a:z] if axis == "columns" else X[a:z])[None] for a, z in zip(off, off[1:])]
 
 
-def _block_sq_sums(x: np.ndarray) -> np.ndarray:
-    """Each block x[i]'s sum of squares, summed in row-major order by one
-    ``ddot``, the sum ``np.linalg.norm`` makes of a C-ordered block.  The
-    C-ordered copy made here, if any, is freed on return: a second live
-    copy would cost fresh pages, more than the sums themselves."""
-    x = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
-    return np.matmul(x[:, None, :], x[:, :, None]).ravel()
+def _joined(results: list) -> np.ndarray:
+    """A block walk's per-batch results in block order: a lone batch's own array, else their concatenation."""
+    return results[0] if len(results) == 1 else np.concatenate(results or [np.empty(0)])
 
 
-def _block_norms(X: np.ndarray, part: BlockPartition, axis: str) -> np.ndarray:
-    """Frobenius norm of each column block (axis="columns") or row block
-    (axis="rows") of the float64 X, with the bits of ``np.linalg.norm`` on
-    a C-ordered block.  For an equal partition N's row blocks are one
-    (K, n/K, p) view, and M's column blocks are copied a chunk of blocks at
-    a time.  Else one block at a time."""
-    K, b = part.num_blocks, part.sizes[0]
-    if part.sizes != (b,) * K:
-        off = part.offsets.tolist()
-        blocks = ((X[:, a:z] if axis == "columns" else X[a:z])[None] for a, z in zip(off, off[1:]))
-    elif axis == "rows":
-        blocks = (X.reshape(K, b, X.shape[1]),)
-    else:
-        per = max(1, BLOCK_CHUNK // max(1, X.shape[0] * b))
-        Xb = X.reshape(X.shape[0], K, b).transpose(1, 0, 2)
-        blocks = (Xb[k : k + per] for k in range(0, K, per))
-    return np.sqrt(np.concatenate([_block_sq_sums(x) for x in blocks]))
+BLOCK_CHUNK = 2**15  # entries per batch of copied blocks or block products, small enough to stay in cache
+
+
+def _block_norms(batches) -> np.ndarray:
+    """The Frobenius norm of every block of a block walk's batches, with the
+    bits of ``np.linalg.norm`` on a C-ordered block: one ``ddot`` of its
+    squares in row-major order.  ``map`` drops each batch and its C-ordered
+    copy before making the next: a second live copy would cost fresh pages."""
+
+    def sq_sums(x):
+        x = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
+        return np.matmul(x[:, None, :], x[:, :, None]).ravel()
+
+    return np.sqrt(_joined(list(map(sq_sums, batches))))
+
+
+def _sketch_product_norms(C: np.ndarray, D: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """||C_k D_k||_F for the column blocks C_k of the sketch C and the row
+    blocks D_k of D, of ``sizes``: batched matmuls of the block walk's views,
+    about BLOCK_CHUNK product entries (or one block's) a batch."""
+    per = max(1, BLOCK_CHUNK // max(1, C.shape[0] * D.shape[1]))
+    return _block_norms(map(np.matmul, _blocks(C, sizes, "columns", per), _blocks(D, sizes, "rows", per)))
 
 
 def score_sums(M: np.ndarray, N: np.ndarray, part: BlockPartition) -> np.ndarray:
@@ -338,18 +347,15 @@ def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) ->
 
 
 def _block_cumsums(probs: BlockProbabilities) -> np.ndarray:
-    """Every block's running probability sums, as one n-vector: one row-wise
-    cumsum for an equal partition (it adds in sequence, the same bits as one
-    cumsum per block), else one cumsum per block.  Only a partition's uniform
-    vector carries its table; any other is built per call: in a prototype,
-    tables kept on every vector raised desk-heavy peak RSS 66.0 -> 74.5 MB."""
+    """Every block's running probability sums, as one n-vector, by the block
+    walk with all K blocks a batch: one row-wise cumsum for an equal partition
+    (it adds in sequence: each row has the bits of one cumsum per block), else
+    one cumsum per block.  Only a partition's uniform vector carries its
+    table: kept on every vector, tables raised desk-heavy peak RSS 66 -> 74.5 MB."""
     if probs._cum is not None:
         return probs._cum
-    part = probs.partition
-    K, b = part.num_blocks, part.sizes[0]
-    if part.sizes == (b,) * K:
-        return probs.values.reshape(K, b).cumsum(axis=1).ravel()
-    return np.concatenate([np.cumsum(v) for v in probs.per_block])
+    sizes = probs.partition.sizes
+    return _joined([x.cumsum(axis=1).ravel() for x in _blocks(probs.values[:, None], sizes, "rows", len(sizes))])
 
 
 def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
@@ -362,9 +368,7 @@ def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
     if u is None:
         sizes = part.size_array
         u = BlockProbabilities(np.repeat(1.0 / sizes, sizes), BlockPartition(part.sizes), rule="uniform")
-        cum = _block_cumsums(u)
-        cum.flags.writeable = False
-        object.__setattr__(u, "_cum", cum)
+        object.__setattr__(u, "_cum", _read_only(_block_cumsums(u)))
         object.__setattr__(part, "_uniform", u)
     return u
 
@@ -550,9 +554,8 @@ def allocate_uniform(part: BlockPartition, c: int) -> SamplingPlan:
 def _plan(part, probs, budgets, method, notes=(), pilot_norms=None, pilot=None) -> SamplingPlan:
     """An allocator's plan on the int64 budgets ``_integerize`` has just
     made, without the constructor's check (see ``SamplingPlan``)."""
-    budgets.flags.writeable = False
     return _unchecked(
-        SamplingPlan, partition=part, probs=probs, budgets=budgets, method=method, notes=notes,
+        SamplingPlan, partition=part, probs=probs, budgets=_read_only(budgets), method=method, notes=notes,
         pilot_norms=pilot_norms, _pilot=pilot,
     )
 
@@ -565,9 +568,11 @@ def block_norm_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition)
     NORM_RANGE, which changes no bit of the result."""
     check_type("part", part, BlockPartition).check_length(check_factors(M, N), "inner dimension")
     M, N = M.astype(np.float64, copy=False), N.astype(np.float64, copy=False)
+    # M's column blocks are copied, about BLOCK_CHUNK entries a batch; N's row blocks are views, all K a batch.
+    sizes, per = part.sizes, max(1, BLOCK_CHUNK // max(1, M.shape[0] * part.sizes[0]))
     with np.errstate(over="ignore"):  # a sum that overflows reads inf, which _scaled_norms rescales
-        f = _scaled_norms(M, lambda X: _block_norms(X, part, "columns"), "M")[1]
-        f = f * _scaled_norms(N, lambda X: _block_norms(X, part, "rows"), "N")[1]
+        f = _scaled_norms(M, lambda X: _block_norms(_blocks(X, sizes, "columns", per)), "M")[1]
+        f = f * _scaled_norms(N, lambda X: _block_norms(_blocks(X, sizes, "rows", part.num_blocks)), "N")[1]
     total = f.sum()
     if total == 0.0:
         raise ValueError("all blocks have zero norm: nothing to sample")

@@ -428,6 +428,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+    # a config file that is not a JSON object: a whole config as key-value pairs, or one key
+    pairs = [["case", "II"], ["m", 6], ["n", 24], ["p", 3], ["K", 3], ["c", [6, 12]], ["reps", 2], ["out", str(tmp_path / "out")]]
+    for doc in (pairs, ["case"]):
+        bad.write_text(json.dumps(doc))
+        assert main(["--config", str(bad)]) == 1
+        assert "config error: the config file must hold a JSON object, not a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     # unknown method tag
     assert main(cli_args(tmp_path, "--method", "XXX")) == 1
     capsys.readouterr()

@@ -195,11 +195,15 @@ def test_two_step_equals_its_public_steps(kind, pilot):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("chunk", [1, 80])  # m * p = 20: one block per batch; four, then a short batch
 def test_two_step_pilot_norms_keep_their_bits_in_small_batches(kind, chunk, monkeypatch):
-    monkeypatch.setattr(estimators, "BLOCK_CHUNK", chunk)
+    """Also with an all-zero pilot vector: no pilot block has draws, and
+    every pilot norm is 0."""
+    monkeypatch.setattr(plan_module, "BLOCK_CHUNK", chunk)
     M, N, part = _instance(kind)
-    for p0 in (uniform_probabilities(part), optimal_probabilities(M, N, part)):
+    no_live_block = BlockProbabilities(np.zeros(part.total), part)
+    for p0 in (uniform_probabilities(part), optimal_probabilities(M, N, part), no_live_block):
         plan = allocate_two_step(M, N, part, C, C0, p0, _rng())
         assert plan.pilot_norms.tobytes() == _pilot_norms(M, N, part, p0, _rng()).tobytes()
+    assert not plan.pilot_norms.any()
 
 
 def _onc_and_uu(M, N, part, c):
@@ -217,6 +221,8 @@ def test_estimate_product_equals_per_block_sketches(kind):
 
 
 UNEQUAL = BlockPartition((30, 10, 25, 15, 40))  # n = 120: the table's per-block cumsum loop
+# n = 120 again; on "zero-blocks", block 1 (columns 20-39) has zero score and block 2 is one column.
+UNEQUAL_ONE_COLUMN = BlockPartition((20, 20, 1, 29, 10, 40))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -367,7 +373,7 @@ def _fresh_uniform(part):
     return BlockProbabilities(np.repeat(1 / sizes, sizes), part, rule="uniform")
 
 
-@pytest.mark.parametrize("part", [BlockPartition.equal(120, 6), UNEQUAL])
+@pytest.mark.parametrize("part", [BlockPartition.equal(120, 6), UNEQUAL, UNEQUAL_ONE_COLUMN])
 def test_block_cumsums_equal_one_cumsum_per_block(part):
     """Per-call tables, and the table the partition's uniform constant carries."""
     M, N, _ = _instance("zero-blocks")
@@ -612,6 +618,23 @@ def test_allocators_run_no_constructor_check(name, constructor_checks):
     assert not constructor_checks
 
 
+@pytest.mark.parametrize("name", [name for name in _scored_calls() if name not in PLAN_CALLS or name.startswith("bound_")])
+def test_analytics_build_no_probability_object(name, constructor_checks, monkeypatch):
+    """The analytics read the plan's probabilities and the profile's
+    optimal vector: they build no ``BlockProbabilities``, checked or not."""
+    call = _scored_calls()[name]  # the plans it reads are built before counting starts
+    unchecked, built = plan_module._unchecked, Counter()
+
+    def counted(cls, **fields):
+        built[cls.__name__] += 1
+        return unchecked(cls, **fields)
+
+    monkeypatch.setattr(plan_module, "_unchecked", counted)
+    constructor_checks.clear()
+    call()
+    assert built["BlockProbabilities"] == constructor_checks["BlockProbabilities"] == 0
+
+
 # ---------------------------------------------------------------------------
 # two-step budgets are checked before the scoring pass and the pilot
 
@@ -767,6 +790,7 @@ BLOCK_NORM_CASES = {
     "zero-block": (7, 3, (1171,) * 7, 4),
     "unequal": (5, 4, (30, 10, 25, 15, 40), None),
     "unequal-long": (3, 2, (1, 7001, 77, 300), 2),
+    "unequal-one-column": (5, 4, (30, 10, 1, 15, 40), 3),
 }
 
 
