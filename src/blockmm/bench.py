@@ -38,6 +38,7 @@ from .matrix import BlockPartition, as_int, check_type, multiply_exact, write_cs
 from .plan import (
     METHOD_TAGS,
     _allocate,
+    _guided,
     _profile,
     allocate_uniform,
     block_norm_probabilities,
@@ -215,7 +216,7 @@ _SCORED = ("OPL", "ONC", "ONU", "ONMCNR")
 # are made: each one's maker and the methods that read it.
 _PASSES = {
     "prof": (lambda s: _profile(s.M, s.N, s.part), _SCORED),
-    "probs": (lambda s: s.prof.probs, _SCORED),
+    "probs": (lambda s: _guided(s.prof.probs), _SCORED),
     "weights": (lambda s: s.prof.optimal_weights, ("OPL",)),
     "q": (lambda s: block_norm_probabilities(s.M, s.N, s.part), ("SSM",)),
     "uniform": (lambda s: uniform_probabilities(s.part), ("ONU", "UU")),

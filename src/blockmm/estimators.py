@@ -3,9 +3,10 @@
 Every sampler draws by one rule, inverse-CDF importance sampling: a draw's
 uniform u becomes the first column of its block whose running probability
 sum exceeds u, clamped onto the block's support.  ``_search`` is the one
-lookup that does it, for all of a call's draws at once, in one table of
-per-block running sums built per call (a partition's uniform vector, shared
-and read-only, carries its own).  A sampler only supplies the uniforms, in
+lookup that does it, for all of a call's draws at once, in the vector's
+table of per-block running sums, built on its first draw and kept on it.
+Each draw bisects its block, or only its guide cell on a vector shared by
+construction.  A sampler only supplies the uniforms, in [0, 1) and in
 block order.  The probabilities are a read-only ``BlockProbabilities``,
 checked when a caller constructs them or built from a checked scoring pass,
 so a negative or non-finite entry, or a block that sums to neither 1 nor 0,
@@ -75,22 +76,34 @@ def _clamp(probs: BlockProbabilities, block: np.ndarray, idx: np.ndarray) -> np.
 def _search(probs: BlockProbabilities, block: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The draw rule: each draw's global index, the first column of its
     block ``block[j]`` whose running sum exceeds its uniform ``u[j]``,
-    clamped.  One sorted search on a one-block partition; else a bisection
-    of each draw's block in the one table, log2 of the largest block's size
-    steps on draw-length arrays, whatever n is: ``last`` is the last column
-    known to have a running sum <= u, and a step moves it to a candidate no
-    further than the block's last column.  ``probs`` is checked already."""
+    clamped.  One sorted search on a one-block partition.  Else each draw
+    reads its guide cell t = floor(u * g_k) (``plan._guided``; a vector
+    without a guide is its one-cell guide) and bisects that cell's sums:
+    ``last`` is the last column known to have a running sum <= u, and a step
+    moves it no further than the cell's last sum.  Exact for u in [0, 1):
+    g_k is a power of two, so every sum before the cell is <= t/g_k <= u, and
+    every sum past it > (t+1)/g_k > u.  ``probs`` is checked already."""
     cum, off = _block_cumsums(probs), probs.partition.offsets
     if off.size == 2:
         return _clamp(probs, block, cum.searchsorted(u, "right"))
-    last, end = off.take(block) - 1, off[1:].take(block) - 1
-    step = 1 << (int(probs.partition.size_array.max()).bit_length() - 1)
+    # The one-cell guide skips the cell arithmetic, 5 draw-length operations.
+    ends, first, cells, width = probs._guide or (off - 1, None, None, int(probs.partition.size_array.max()))
+    cell = block if first is None else first.take(block) + (u * cells.take(block)).astype(np.int64)
+    last, end = ends.take(cell), ends.take(cell + 1)
+    step = (1 << width.bit_length()) >> 1
     while step:
         candidate = last + step
         np.minimum(candidate, end, out=candidate)
         last = np.where(cum.take(candidate) <= u, candidate, last)
         step >>= 1
     return _clamp(probs, block, last + 1)
+
+
+def _uniforms(u: np.ndarray) -> np.ndarray:
+    """An rng's uniforms, as they enter the lookup, if all lie in [0, 1)."""
+    if np.count_nonzero(np.floor(u)):  # nonzero for u < 0 or u >= 1, NaN for NaN
+        raise ValueError(f"rng must draw uniforms in [0, 1), got {float(u[np.floor(u) != 0.0][0])!r}")
+    return u
 
 
 # PCG64 (O'Neill 2014), as numpy implements it: a 128-bit LCG, state ->
@@ -364,7 +377,7 @@ def _sketch(
     by ``layout`` (``_layout(counts)``), one per uniform of ``u`` in block
     order, looked up at once; then one gather and scale of all draws."""
     offsets, block, draw = layout
-    idx = _search(probs, block, u)
+    idx = _search(probs, block, _uniforms(u))
     p = probs.values[idx]
     C, D, scales = _gather(M, N, idx, counts[block], p)
     return SketchPair(C, D, offsets), SampleLog(block, draw, idx, p, scales)
@@ -446,6 +459,9 @@ def _allocate_two_step(prof: _Profile, c: int, pilot_count: int, p0, pilot_rng) 
     if floors and not floors <= c <= caps:
         raise ValueError(f"budget c={c} must lie between the {floors} block floors and the total caps {caps}")
     p0 = prof.probs if p0 is None else p0
+    skipped = np.flatnonzero(p0._zero & live).tolist()
+    if skipped:
+        raise ValueError(f"block {skipped[0]}: pilot probabilities all zero on a block of positive score")
     counts = np.where(p0._zero, 0, pilot_count)  # zero-score block: pilot norm stays 0
     pair, _ = _sample_blocks(prof.M, prof.N, p0, counts, pilot_rng)
     # Every pilot block with draws has pilot_count of them: the sketch's blocks are equal.
@@ -534,7 +550,7 @@ def estimate_product_block_sampling(
     draws = as_int("draws", draws)
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    drawn = _search(q, np.zeros(draws, np.int64), rng.random(draws))
+    drawn = _search(q, np.zeros(draws, np.int64), _uniforms(rng.random(draws)))
     start = part.offsets[drawn]
     offsets, draw, within = _layout(part.offsets[drawn + 1] - start)  # the drawn blocks' columns
     idx = start[draw] + within

@@ -67,6 +67,7 @@ class BlockProbabilities:
     rule: str = "explicit"
     _zero: np.ndarray = field(init=False, repr=False)  # per block: flagged all zero
     _cum: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # see _block_cumsums
+    _guide: Optional[tuple] = field(default=None, init=False, repr=False)  # see _guided
 
     def __post_init__(self):
         p = as_nonneg("probabilities", self.values, (check_type("partition", self.partition, BlockPartition).total,))
@@ -248,7 +249,7 @@ class _Profile(_Fields):
     def probs(self) -> BlockProbabilities:
         return _unchecked(
             BlockProbabilities, values=self.optimal_values, partition=self.part, rule="optimal",
-            _zero=self.sums == 0.0, _cum=None,
+            _zero=self.sums == 0.0, _cum=None, _guide=None,
         )
 
 
@@ -347,28 +348,48 @@ def optimal_probabilities(M: np.ndarray, N: np.ndarray, part: BlockPartition) ->
 
 
 def _block_cumsums(probs: BlockProbabilities) -> np.ndarray:
-    """Every block's running probability sums, as one n-vector, by the block
-    walk with all K blocks a batch: one row-wise cumsum for an equal partition
-    (it adds in sequence: each row has the bits of one cumsum per block), else
-    one cumsum per block.  Only a partition's uniform vector carries its
-    table: kept on every vector, tables raised desk-heavy peak RSS 66 -> 74.5 MB."""
-    if probs._cum is not None:
-        return probs._cum
-    sizes = probs.partition.sizes
-    return _joined([x.cumsum(axis=1).ravel() for x in _blocks(probs.values[:, None], sizes, "rows", len(sizes))])
+    """Every block's running probability sums, as one read-only n-vector, by
+    the block walk with all K blocks a batch: one row-wise cumsum for an equal
+    partition (it adds in sequence: each row has the bits of one cumsum per
+    block), else one cumsum per block.  Kept on the vector from its first draw
+    on: desk-heavy peak RSS read 66.0 MB, against 65.9 with per-call tables."""
+    if probs._cum is None:
+        sizes = probs.partition.sizes
+        cum = _joined([x.cumsum(axis=1).ravel() for x in _blocks(probs.values[:, None], sizes, "rows", len(sizes))])
+        object.__setattr__(probs, "_cum", _read_only(cum))
+    return probs._cum
+
+
+def _guided(probs: BlockProbabilities) -> BlockProbabilities:
+    """``probs`` with a guide table (Chen & Asau 1974) next to its sums, for
+    vectors shared by construction: a partition's uniform vector, a sweep's
+    profile vector.  Block k of b_k columns gets g_k = 2**bit_length(b_k)
+    cells, and ``last[first[k] + t]`` is the index of its last sum with
+    ceil(cum * g_k) <= t (cum * g_k clipped at g_k), t = 0..g_k: at most
+    2n + K entries.  The guide is (last, first, g as float64, the most sums
+    in one cell).  A fresh vector is drawn from too few times to pay for one."""
+    if probs._guide is None:
+        sizes, cum = probs.partition.size_array, _block_cumsums(probs)
+        cells = np.ldexp(1.0, np.frexp(sizes)[1])
+        first = np.concatenate([[0], np.cumsum(cells[:-1] + 1)]).astype(np.int64)
+        g = cells.repeat(sizes)
+        at = np.minimum(np.ceil(cum * g), g).astype(np.int64) + first.repeat(sizes)
+        hist = np.bincount(at, minlength=int(first[-1] + cells[-1]) + 1)  # a block's first entry is no cell
+        width = int(np.delete(hist, first).max(initial=0))
+        object.__setattr__(probs, "_guide", (*map(_read_only, (hist.cumsum() - 1, first, cells)), width))
+    return probs
 
 
 def uniform_probabilities(part: BlockPartition) -> BlockProbabilities:
     """1/n_k over every block k: one read-only object per partition object,
     shared by every UU plan and uniform pilot on it, built on first use with
-    its running sums and kept on the partition, like its offsets.  Its
+    its sums and guide and kept on the partition, like its offsets.  Its
     ``partition`` is an equal copy: a reference cycle would keep a dead
     partition's arrays until a cyclic collection (+1.6 MB desk-heavy peak RSS)."""
     u = check_type("part", part, BlockPartition).__dict__.get("_uniform")
     if u is None:
         sizes = part.size_array
-        u = BlockProbabilities(np.repeat(1.0 / sizes, sizes), BlockPartition(part.sizes), rule="uniform")
-        object.__setattr__(u, "_cum", _read_only(_block_cumsums(u)))
+        u = _guided(BlockProbabilities(np.repeat(1.0 / sizes, sizes), BlockPartition(part.sizes), rule="uniform"))
         object.__setattr__(part, "_uniform", u)
     return u
 

@@ -848,6 +848,43 @@ def test_an_rng_without_the_methods_a_call_uses_is_rejected():
         assert np.isfinite(call(np.random.RandomState(0))[1]).all()
 
 
+class _Constant:
+    """A stand-in generator whose every child draws ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def spawn(self, n):
+        return [self] * n
+
+    def random(self, count):
+        return np.full(count, self.value)
+
+
+@pytest.mark.parametrize("value", [-0.5, np.nan, 1.0, 1.5])
+def test_uniforms_outside_the_unit_interval_are_rejected(value):
+    """-0.5 or NaN drew column 0 at p = 0 (a NaN estimate, with warnings),
+    1.0 or 1.5 each block's last column; the largest double below 1 and 0
+    still draw."""
+    M, N = tiny_instance(23, m=3, n=12, p=3)
+    part = BlockPartition.equal(12, 3)
+    calls = [
+        lambda r: estimate_product(M, N, allocate_uniform(part, 6), r),
+        lambda r: estimate_product(M, N, allocate_by_score_sums(M, N, part, 6), r),
+        lambda r: sketch_columns(M, N, 2, np.full(12, 1 / 12), r),
+        lambda r: estimate_product_block_sampling(M, N, part, 2, r),
+        lambda r: estimate_product_two_step(M, N, part, 6, 6, r, pilot="uniform"),
+        lambda r: estimate_product_two_step(M, N, part, 6, 6, r, pilot="norm"),
+        lambda r: allocate_two_step(M, N, part, 6, 6, uniform_probabilities(part), r),
+        lambda r: allocate_two_step(M, N, part, 6, 6, None, r),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"rng must draw uniforms in [0, 1), got {value!r}")):
+            call(_Constant(value))
+        for fine in (0.0, np.nextafter(1.0, 0.0)):
+            call(_Constant(fine))
+
+
 def test_two_step_single_block_gets_everything():
     M, N = tiny_instance(19, m=2, n=4, p=2)
     part = BlockPartition(sizes=(4,))

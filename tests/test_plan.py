@@ -582,6 +582,27 @@ def test_allocate_two_step_validation_and_tags():
             allocate_two_step(np.zeros_like(M), N, part, 6, 4, p0, rng)
 
 
+def test_allocate_two_step_rejects_a_pilot_that_skips_a_live_block():
+    """A pilot vector all zero on a block of positive score would leave that
+    block's pilot norm at 0 and size it as if it had no cancellation; one
+    zero exactly on the zero-score blocks pilots every live block."""
+    rng = np.random.default_rng(33)
+    M, N, part = _random_instance(rng, m=3, n=12, p=2, sizes=(4, 4, 4))
+    M[:, 4:8] = 0.0  # block 1 has zero score
+    for values, first in (([0.25] * 4 + [0.0] * 8, 2), ([0.0] * 8 + [0.25] * 4, 0), ([0.0] * 12, 0)):
+        with pytest.raises(ValueError, match=f"block {first}: pilot probabilities all zero on a block of positive score"):
+            allocate_two_step(M, N, part, 6, 6, BlockProbabilities(np.array(values), part), rng)
+    exact = BlockProbabilities(np.array([0.25] * 4 + [0.0] * 4 + [0.25] * 4), part)
+    plan = allocate_two_step(M, N, part, 6, 6, exact, rng)
+    assert plan.pilot_norms[1] == 0.0 and plan.budgets[1] == 0
+    assert (plan.pilot_norms[[0, 2]] > 0).all() and plan.method == ""
+    # An all-zero pilot on six live blocks used to return ONC's budgets, with no note.
+    M, N = gen_normal_instance(5, 120, 4, np.random.default_rng(np.random.SeedSequence(201, spawn_key=(0,))))
+    part = BlockPartition.equal(120, 6)
+    with pytest.raises(ValueError, match="block 0: pilot probabilities all zero"):
+        allocate_two_step(M, N, part, 40, 24, BlockProbabilities(np.zeros(120), part), rng)
+
+
 def test_allocate_two_step_tag_follows_pilot_rule():
     rng = np.random.default_rng(32)
     M, N, part = _random_instance(rng, m=3, n=8, p=2, sizes=(4, 4))

@@ -195,15 +195,16 @@ def test_two_step_equals_its_public_steps(kind, pilot):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("chunk", [1, 80])  # m * p = 20: one block per batch; four, then a short batch
 def test_two_step_pilot_norms_keep_their_bits_in_small_batches(kind, chunk, monkeypatch):
-    """Also with an all-zero pilot vector: no pilot block has draws, and
-    every pilot norm is 0."""
+    """An all-zero pilot vector would leave every block unpiloted: it is
+    rejected before the pilot."""
     monkeypatch.setattr(plan_module, "BLOCK_CHUNK", chunk)
     M, N, part = _instance(kind)
     no_live_block = BlockProbabilities(np.zeros(part.total), part)
-    for p0 in (uniform_probabilities(part), optimal_probabilities(M, N, part), no_live_block):
+    for p0 in (uniform_probabilities(part), optimal_probabilities(M, N, part)):
         plan = allocate_two_step(M, N, part, C, C0, p0, _rng())
         assert plan.pilot_norms.tobytes() == _pilot_norms(M, N, part, p0, _rng()).tobytes()
-    assert not plan.pilot_norms.any()
+    with pytest.raises(ValueError, match="pilot probabilities all zero on a block of positive score"):
+        allocate_two_step(M, N, part, C, C0, no_live_block, _rng())
 
 
 def _onc_and_uu(M, N, part, c):
@@ -333,6 +334,82 @@ def test_one_bisection_finds_what_the_per_block_searches_find(sizes, seed, trail
         assert estimators._search(probs, block, u).tobytes() == _reference_draw(probs, block, u).tobytes()
 
 
+def _per_block_sorted_search(probs, block, u):
+    """Each draw's global index by ``searchsorted(cum_k, u, "right")`` on
+    its block's own running sums, clamped."""
+    off, out = probs.partition.offsets, np.empty(block.size, np.int64)
+    for k in np.unique(block).tolist():
+        at = block == k
+        out[at] = off[k] + np.cumsum(probs[k]).searchsorted(u[at], "right")
+    return estimators._clamp(probs, block, out)
+
+
+def _guide_cells(guide):
+    """The running sums in each cell of a guide, block after block."""
+    last, first, cells, _ = guide
+    return np.concatenate([np.diff(last[a : a + int(g) + 1]) for a, g in zip(first.tolist(), cells.tolist())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.one_of(
+        st.tuples(st.integers(1, 400), st.integers(2, 8)).map(lambda bk: (bk[0],) * bk[1]),
+        st.lists(st.integers(1, 400), min_size=2, max_size=8).map(tuple),
+        st.tuples(st.integers(100, 3000), st.integers(1, 60)).map(lambda bt: (bt[0],) + (1,) * bt[1]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    zero_run=st.integers(0, 60),
+    drift=st.sampled_from([0.0, 1e-13, -1e-13]),
+)
+@example(sizes=(2000,) * 10, seed=1, zero_run=0, drift=0.0)
+@example(sizes=(1023, 1, 2047, 3), seed=2, zero_run=60, drift=1e-13)
+def test_the_guided_search_finds_what_the_whole_block_bisection_finds(sizes, seed, zero_run, drift):
+    """On equal and unequal partitions and one large block among one-column
+    blocks, with runs of zero probability and zero blocks, block sums at 1
+    and 1 +- 1e-13, at u = 0, at every running sum and at random cell edges,
+    and one ulp either side of each: the guided lookup returns the whole-block
+    bisection's indices, and the per-block sorted searches'.  The guide has
+    at most 2n + K entries, and its width is its fullest cell's sums."""
+    rng = np.random.default_rng(seed)
+    part = BlockPartition(sizes)
+    off, n = part.offsets, part.total
+    values = rng.random(n) * (rng.random(n) < 0.8)
+    for a, b in zip(off.tolist(), off[1:].tolist()):
+        start = int(rng.integers(a, b))
+        values[start : min(b, start + zero_run)] = 0.0
+    values[np.repeat(rng.random(part.num_blocks) < 0.2, sizes)] = 0.0
+    sums = np.add.reduceat(values, off[:-1])
+    values = values / np.repeat(np.where(sums > 0, sums, 1.0), sizes) * (1.0 + drift)
+    probs = BlockProbabilities(values, part)
+    guided = plan_module._guided(BlockProbabilities(values, part))
+    last, first, cells, width = guided._guide
+    assert last.size <= 2 * n + part.num_blocks and width == _guide_cells(guided._guide).max()
+    cum, live = estimators._block_cumsums(probs), np.flatnonzero(~probs._zero)
+    us = []
+    for k in live.tolist():
+        edges = rng.integers(0, cells[k], 20) / cells[k]
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum[off[k] : off[k + 1]], edges, rng.random(20)])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        us.append(u[u < 1.0])
+    block, u = np.repeat(live, [x.size for x in us]), np.concatenate([np.empty(0), *us])
+    got = estimators._search(guided, block, u)
+    assert got.tobytes() == estimators._search(probs, block, u).tobytes()
+    assert got.tobytes() == _per_block_sorted_search(probs, block, u).tobytes()
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2000,) * 10, (1023, 1, 2047, 4095, 3, 7, 64), (100_000,) + (1,) * 1000], ids=["desk-heavy", "2^k-1", "one-large"]
+)
+def test_the_uniform_guide_holds_at_most_one_sum_per_cell(sizes):
+    """So a UU or uniform-pilot draw bisects at most one step; the guide
+    has at most 2n + K entries."""
+    part = BlockPartition(sizes)
+    last, first, cells, width = uniform_probabilities(part)._guide
+    assert width == _guide_cells((last, first, cells, width)).max() == 1
+    assert last.size == int((cells + 1).sum()) <= 2 * part.total + part.num_blocks
+    assert not (last.flags.writeable or first.flags.writeable or cells.flags.writeable)
+
+
 def test_estimate_product_with_trailing_zero_probabilities_equals_per_block_sketches():
     """Three blocks (the per-block path), and 16 copies of them side by side
     (the vectorized pass)."""
@@ -394,12 +471,14 @@ def test_uniform_probabilities_are_one_read_only_constant_per_partition(part):
     for array in (u.values, estimators._block_cumsums(u)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
-    # No other vector keeps a table, not even after a draw.
+    # Any other vector keeps the read-only table its first draw builds, and no guide.
     M, N, _ = _instance("heavy")
     onc = allocate_by_score_sums(M, N, part, C)
+    assert onc.probs._cum is None and _fresh_uniform(part)._cum is None
     estimate_product(M, N, onc, _rng())
     estimate_product_block_sampling(M, N, part, 3, _rng())
-    assert onc.probs._cum is None and _fresh_uniform(part)._cum is None
+    assert onc.probs._cum is estimators._block_cumsums(onc.probs) and not onc.probs._cum.flags.writeable
+    assert onc.probs._guide is None and u._guide is not None
 
 
 def test_uniform_constant_dies_with_its_partition():
@@ -446,9 +525,8 @@ def sampler_work(monkeypatch):
     original_table, original_sketch, original_cumsum = estimators._block_cumsums, estimators._sketch, np.cumsum
 
     def table(probs):
-        out = original_table(probs)
-        calls["tables"] += out is not probs._cum  # a table the vector carries is not built
-        return out
+        calls["tables"] += probs._cum is None  # a table the vector carries is not built
+        return original_table(probs)
 
     def cumsum(*args, **kwargs):
         calls["cumsum"] += 1
@@ -477,9 +555,55 @@ def test_each_sampler_call_builds_one_table_and_no_per_block_cumsum(pilot, sampl
         res = estimate_product_two_step(M, N, part, c, c0, _rng(), pilot=pilot)
         assert _takes_the_pass(res.plan) == (K == WIDE_K)
         assert sampler_work["sketches"] == 2  # the pilot and the main pass
-        # The uniform pilot draws from the constant's table; the main pass builds its own.
-        assert sampler_work["tables"] == (1 if pilot == "uniform" else 2)
+        # The uniform pilot draws from the constant's table; the norm pilot builds the
+        # plan vector's table, which its main pass then reads.
+        assert sampler_work["tables"] == 1
         assert sampler_work["most cumsums in one sketch"] <= 1  # the offsets only, none per block
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the running-sum tables and the guides built, by the rule of
+    the vector each is built on."""
+    calls = Counter()
+    original_table, original_guided = plan_module._block_cumsums, plan_module._guided
+
+    def table(probs):
+        calls["table", probs.rule] += probs._cum is None
+        return original_table(probs)
+
+    def guided(probs):
+        calls["guide", probs.rule] += probs._guide is None
+        return original_guided(probs)
+
+    for module in (plan_module, estimators):
+        monkeypatch.setattr(module, "_block_cumsums", table)
+    for module in (plan_module, bench):
+        monkeypatch.setattr(module, "_guided", guided)
+    return calls
+
+
+def test_uu_and_the_uniform_pilot_build_no_table_and_no_guide_after_the_first_call(builds):
+    M, N, part = _instance("heavy")
+    estimate_product(M, N, allocate_uniform(part, C), _rng())
+    assert builds == {("guide", "uniform"): 1, ("table", "uniform"): 1}
+    builds.clear()
+    for _ in range(2):
+        estimate_product(M, N, allocate_uniform(part, C), _rng())
+        allocate_two_step(M, N, part, C, C0, uniform_probabilities(part), _rng())
+        estimate_product_two_step(M, N, part, C, C0, _rng())
+    # Only each two-step main pass builds a table: its call's fresh profile vector's, with no guide.
+    assert +builds == {("table", "optimal"): 2}
+
+
+def test_a_sweep_builds_one_guide_per_partition_for_the_shared_and_the_uniform_vector(builds):
+    """K over two points, every method, two replications: the shared profile
+    vector's and the uniform vector's tables and guides are built once per
+    partition; only SSM's per-call block vectors build more tables."""
+    _sweep(K=(3, 6), c=C)()
+    assert builds["guide", "optimal"] == builds["guide", "uniform"] == 2
+    assert builds["table", "optimal"] == builds["table", "uniform"] == 2
+    assert set(+builds) == {("guide", "optimal"), ("guide", "uniform"), ("table", "optimal"), ("table", "uniform"), ("table", "explicit")}
 
 
 # ---------------------------------------------------------------------------
