@@ -16,7 +16,6 @@ from .matrix import (
     row_norms,
 )
 from .plan import (
-    METHOD_TAGS,
     BlockProbabilities,
     BlockScores,
     SamplingPlan,
@@ -58,6 +57,7 @@ from .analysis import (
 )
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
 from .bench import (
+    METHOD_TAGS,
     ExperimentConfig,
     RawRecord,
     ResourceCapError,

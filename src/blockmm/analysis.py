@@ -26,6 +26,7 @@ product of the squared factors.  None has a loop over blocks of its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -45,10 +46,11 @@ DEGENERATE_TOL = 1e-12
 
 
 def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets, g2: np.ndarray):
-    """(b, numerator): the plan's budgets as floats, or the override, and per
-    block sum_i s_i^2 / p_i - g_k^2, g2 holding the g_k^2.  It is 0 exactly
-    when the block has no variance; a zero budget must fall there.  A zero
-    p_i needs s_i = 0 (checked), and divides by 1 instead."""
+    """(b, numerator, e): the plan's budgets as floats, or the override, over
+    2**e, the smallest positive one's power of two, so 1 / b stays finite;
+    and per block sum_i s_i^2 / p_i - g_k^2, g2 holding the g_k^2.  It is 0
+    exactly when the block has no variance; a zero budget must fall there.
+    A zero p_i needs s_i = 0 (checked), and divides by 1 instead."""
     part = plan.partition
     K = part.num_blocks
     b = plan.budgets.astype(np.float64) if budgets is None else as_nonneg("budget override", budgets, (K,))
@@ -64,7 +66,8 @@ def _checked_budgets(prof: _Profile, plan: SamplingPlan, budgets, g2: np.ndarray
         bad = (b == 0) & (np.abs(numerator) > 1e-12 * np.maximum(term1, 1.0))
         if bad.any():
             raise ValueError(f"block {int(np.argmax(bad))}: zero budget on a block with sampling variance")
-    return b, numerator
+    e = math.frexp(float(b[b > 0].min()))[1] if b.any() else 0
+    return _ldexp(b, -e), numerator, e
 
 
 def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> np.ndarray:
@@ -84,7 +87,7 @@ def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budge
     prof = _profile(M, N, check_type("plan", plan, SamplingPlan).partition)
     G = _block_products(prof)
     G *= G
-    b, _ = _checked_budgets(prof, plan, budgets, G.sum(axis=(1, 2)))
+    b, _, e = _checked_budgets(prof, plan, budgets, G.sum(axis=(1, 2)))
     inv_b = np.divide(1.0, b, out=np.zeros(b.size), where=b > 0)
     p = plan.probs.values
     w = np.divide(np.repeat(inv_b, plan.partition.size_array), p, out=np.zeros(p.size), where=p > 0)
@@ -92,7 +95,7 @@ def elementwise_variance(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budge
     M2 *= w
     var = M2 @ N2
     var -= np.tensordot(inv_b, G, axes=1)
-    return _ldexp(var, -2 * prof.scale)
+    return _ldexp(var, -2 * prof.scale - e)
 
 
 def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=None) -> float:
@@ -100,10 +103,10 @@ def expected_sq_error(M: np.ndarray, N: np.ndarray, plan: SamplingPlan, budgets=
     unbiased, so this is the summed entry variance), in closed form: the sum
     over blocks of (sum_i s_i^2 / p_i - g_k^2) / c_k, s_i the index scores."""
     prof = _profile(M, N, check_type("plan", plan, SamplingPlan).partition)
-    b, numerator = _checked_budgets(prof, plan, budgets, prof.product_norms**2)
+    b, numerator, e = _checked_budgets(prof, plan, budgets, prof.product_norms**2)
     if not b.all():
         numerator, b = numerator[b > 0], b[b > 0]
-    return _ldexp(float((numerator / b).sum()), -2 * prof.scale)
+    return _ldexp(float((numerator / b).sum()), -2 * prof.scale - e)
 
 
 def minimum_expected_sq_error(M: np.ndarray, N: np.ndarray, part: BlockPartition, c: int) -> float:
@@ -204,8 +207,8 @@ class BoundInputs:
     cancel_hi_exact: Optional[float] = None
 
     def __post_init__(self):
-        if as_int("c", self.c) < 1:
-            raise ValueError("c must be >= 1")
+        if not 1 <= as_int("c", self.c) <= sys.float_info.max:  # the bounds divide by c as a float64
+            raise ValueError(f"c must lie in [1, {sys.float_info.max!r}], the largest float64")
         optional = () if self.cancel_hi_exact is None else ("cancel_hi_exact",)
         for name in ("fail_prob", "prob_floor", "cancel_lo", "cancel_hi", "frob_m", "frob_n", *optional):
             value = getattr(self, name)
@@ -230,12 +233,14 @@ class BoundPair(NamedTuple):
 def _bound_pair(inp: BoundInputs, radicand: float, hi: float = 1.0, lo: float = 1.0) -> BoundPair:
     """The bound formula: phi = sqrt(radicand) / (hi * lo)^(1/4) and
     eta = phi + sqrt(hi / lo) * sqrt(8 log(1 / fail_prob) / floor), each
-    squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c).  phi, eta, the
-    norms and the floor enter as frexp mantissas, their powers of two summed
-    and applied last, so no step raises: a bound beyond float64, or on an
-    infinite norm, reads inf, one below it 0."""
+    squared and scaled by ||M||_F^2 ||N||_F^2 / (floor * c).  eta's second
+    term is a product of square roots, and phi, eta, the norms and the floor
+    enter as frexp mantissas, their powers of two summed and applied last,
+    so no step raises: a bound beyond float64, or on an infinite norm, reads
+    inf, one below it 0."""
     phi = math.sqrt(radicand) / (math.sqrt(math.sqrt(hi)) * math.sqrt(math.sqrt(lo)))
-    eta = phi + math.sqrt(hi / lo * 8.0 * math.log(1.0 / inp.fail_prob)) / math.sqrt(inp.prob_floor)
+    root = math.sqrt(-8.0 * math.log(inp.fail_prob)) / math.sqrt(inp.prob_floor)
+    eta = phi + math.sqrt(hi) / math.sqrt(lo) * root
     (fm, em), (fn, en), (d, ed) = math.frexp(inp.frob_m), math.frexp(inp.frob_n), math.frexp(inp.prob_floor)
     base, e = (fm * fm * (fn * fn) / (d * inp.c) if fm and fn else 0.0), 2 * (em + en) - ed
     (p, ep), (q, eq) = math.frexp(phi), math.frexp(eta)

@@ -8,12 +8,10 @@ time split into a plan phase (probabilities + sizes; for OPL this includes
 the exact block products, for ONC it does not — that asymmetry is the whole
 cost argument) and a sample phase (drawing + combining).
 
-The instance is fixed, so every replication on one partition shares its
-passes, each made and timed once: the scoring pass with its probabilities,
-OPL's block products and size weights, SSM's block norms and the uniform probabilities of UU
-and ONU's pilot.  A pass's time is added to the plan time of every
-replication that reads it, so a plan time still says what that
-replication's plan costs from scratch.
+The instance is fixed, so every replication on one partition shares the
+passes in ``_PASSES``, each made and timed once.  A pass's time is added to
+the plan time of every replication whose ``METHODS`` entry reads it, so a
+plan time still says what that replication's plan costs from scratch.
 
 Output is a raw CSV (one row per replication) and a summary CSV (per-method
 aggregates, plot-ready).  With ``record_timing`` off the time columns are
@@ -28,6 +26,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +34,7 @@ from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
 from .estimators import _two_step_plan, estimate_product, estimate_product_block_sampling
 from .matrix import BlockPartition, as_int, check_type, multiply_exact, write_csv
-from .plan import (
-    METHOD_TAGS,
-    _allocate,
-    _guided,
-    _profile,
-    allocate_uniform,
-    block_norm_probabilities,
-    uniform_probabilities,
-)
+from .plan import _allocate, _guided, _profile, allocate_uniform, block_norm_probabilities, uniform_probabilities
 
 SWEEPABLE = ("K", "c", "c0")
 
@@ -61,6 +52,79 @@ def _normalize_knob(name: str, value) -> IntOrSweep:
             raise ValueError(f"{name}: sweep list is empty")
         return vals
     return as_int(name, value)
+
+
+# The passes shared by every replication on one partition, in the order they
+# are made; each METHODS entry names the ones its plan reads.
+_PASSES = {
+    "prof": lambda s: _profile(s.M, s.N, s.part),
+    "probs": lambda s: _guided(s.prof.probs),
+    "weights": lambda s: s.prof.optimal_weights,  # forms the stack of block products
+    "q": lambda s: block_norm_probabilities(s.M, s.N, s.part),
+    "uniform": lambda s: uniform_probabilities(s.part),
+}
+
+
+class Method(NamedTuple):
+    """The ``_PASSES`` a method's plan reads; whether it draws in every block
+    (c >= K) and pilots (c0 >= K, holding a c0-column sketch); and
+    ``prepare(shared, c, c0, rng)``, which returns its sampling step."""
+
+    passes: tuple[str, ...]
+    per_block: bool
+    pilots: bool
+    prepare: Callable
+
+
+def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence[str]) -> SimpleNamespace:
+    """What the METHODS entries read: the caller's M and N, which estimates
+    sample, the partition, and each pass that ``methods`` read, made once
+    and timed; ``charge[tag]`` is the seconds of the passes ``tag`` reads."""
+    s = SimpleNamespace(M=M, N=N, part=part, charge=dict.fromkeys(methods, 0.0), **dict.fromkeys(_PASSES))
+    for name, make in _PASSES.items():
+        readers = [tag for tag in methods if name in METHODS[tag].passes]
+        if readers:
+            t0 = time.process_time()
+            setattr(s, name, make(s))
+            seconds = time.process_time() - t0
+            for tag in readers:
+                s.charge[tag] += seconds
+    return s
+
+
+def _sample(s, plan, rng) -> Callable:
+    return lambda: estimate_product(s.M, s.N, plan, rng)[1]
+
+
+def _allocated(label: str) -> Callable:
+    return lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, label), rng)
+
+
+def _piloted(pilot: str) -> Callable:
+    return lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0 // s.part.num_blocks, rng, pilot))
+
+
+def _whole_blocks(s, c, c0, rng):
+    # Budget parity with the column samplers: b blocks of n/K columns
+    # each cost about as much as c column draws.
+    draws = max(1, round(c * s.part.num_blocks / s.part.total))
+    return lambda: estimate_product_block_sampling(s.M, s.N, s.part, draws, rng, probs=s.q)[1]
+
+
+# The method table.  Its order keys the replication streams, so a new method
+# is appended.  The uniform pilot reads the vector the shared pass cached on
+# the partition.  A column sampler splits the replication's rng, or a
+# two-step plan's main stream, into its block streams.  The config has
+# checked c and c0, so a two-step plan takes floor(c0/K) pilot draws per block.
+METHODS: dict[str, Method] = {
+    "OPL": Method(("prof", "probs", "weights"), True, False, _allocated("OPL")),
+    "ONC": Method(("prof", "probs"), True, False, _allocated("ONC")),
+    "ONU": Method(("prof", "probs", "uniform"), True, True, _piloted("uniform")),
+    "ONMCNR": Method(("prof", "probs"), True, True, _piloted("norm")),
+    "UU": Method(("uniform",), True, False, lambda s, c, c0, rng: _sample(s, allocate_uniform(s.part, c), rng)),
+    "SSM": Method(("q",), False, False, _whole_blocks),
+}
+METHOD_TAGS = tuple(METHODS)
 
 
 @dataclass(frozen=True)
@@ -87,16 +151,16 @@ class ExperimentConfig:
         if self.case not in ("I", "II"):
             raise ValueError(f"case must be 'I' or 'II', got {self.case!r}")
         methods = self.methods
-        if isinstance(methods, str):  # "OPL, SSM", as a config file or the CLI writes it
+        if isinstance(methods, str):  # "A, B", as a config file or the CLI writes it
             methods = [t.strip() for t in methods.split(",") if t.strip()]
         if not isinstance(methods, (list, tuple)):
             raise ValueError(f"methods must be a list of tags or one comma-separated string, got {methods!r}")
         methods = tuple(methods)
         if not methods:
-            raise ValueError("methods must be a nonempty subset of " + ", ".join(METHOD_TAGS))
+            raise ValueError("methods must be a nonempty subset of " + ", ".join(METHODS))
         for tag in methods:
-            if tag not in METHOD_TAGS:
-                raise ValueError(f"unknown method {tag!r}; valid: {', '.join(METHOD_TAGS)}")
+            if tag not in METHODS:
+                raise ValueError(f"unknown method {tag!r}; valid: {', '.join(METHODS)}")
         if len(set(methods)) != len(methods):
             raise ValueError("duplicate method names")
         object.__setattr__(self, "methods", methods)
@@ -119,8 +183,8 @@ class ExperimentConfig:
         existing = next(d for d in (Path(self.out), *Path(self.out).parents) if d.exists())
         if not existing.is_dir():
             raise ValueError(f"out must be a directory path, but {existing} is a file")
-        column_samplers = [tag for tag in methods if tag != "SSM"]
-        two_step = sorted({"ONU", "ONMCNR"} & set(methods))
+        column_samplers = [tag for tag in methods if METHODS[tag].per_block]
+        two_step = sorted(tag for tag in methods if METHODS[tag].pilots)
         for K, c, c0 in map(self.resolved, self.sweep_values):
             if K < 1 or self.n % K != 0:
                 raise ValueError(f"n={self.n} must be divisible by K={K} (equal blocks)")
@@ -152,7 +216,7 @@ def config_from_dict(doc: Mapping) -> ExperimentConfig:
 
 def estimate_bytes(config: ExperimentConfig) -> int:
     """Rough peak footprint: instance + exact product + largest sketch, plus
-    OPL's stack of block products and the two-step pilot sketch."""
+    the stack of block products and the pilot sketch, if a method holds them."""
     m, n, p = check_type("config", config, ExperimentConfig).m, config.n, config.p
     K, c, c0 = (max(v) for v in zip(*map(config.resolved, config.sweep_values)))
     floats = (
@@ -162,9 +226,9 @@ def estimate_bytes(config: ExperimentConfig) -> int:
         + c * (m + p)
         + 4 * n  # norms, probabilities, cumulative sums
     )
-    if "OPL" in config.methods:
+    if any("weights" in METHODS[tag].passes for tag in config.methods):
         floats += K * m * p
-    if {"ONU", "ONMCNR"} & set(config.methods):
+    if any(METHODS[tag].pilots for tag in config.methods):
         floats += c0 * (m + p)
     return 8 * floats
 
@@ -206,64 +270,8 @@ def make_instance(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 def replication_rng(seed: int, sweep_index: int, method: str, rep: int) -> np.random.Generator:
     """Independent stream per (sweep point, method, replication); indexing by
     the full method table keeps streams stable across method subsets."""
-    key = (1, sweep_index, METHOD_TAGS.index(method), rep)
+    key = (1, sweep_index, list(METHODS).index(method), rep)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-_SCORED = ("OPL", "ONC", "ONU", "ONMCNR")
-
-# The passes shared by every replication on one partition, in the order they
-# are made: each one's maker and the methods that read it.
-_PASSES = {
-    "prof": (lambda s: _profile(s.M, s.N, s.part), _SCORED),
-    "probs": (lambda s: _guided(s.prof.probs), _SCORED),
-    "weights": (lambda s: s.prof.optimal_weights, ("OPL",)),
-    "q": (lambda s: block_norm_probabilities(s.M, s.N, s.part), ("SSM",)),
-    "uniform": (lambda s: uniform_probabilities(s.part), ("ONU", "UU")),
-}
-
-
-def _share(M: np.ndarray, N: np.ndarray, part: BlockPartition, methods: Sequence[str]) -> SimpleNamespace:
-    """What the METHODS entries read: the caller's M and N, which estimates
-    sample, the partition, and each pass that ``methods`` read, made once
-    and timed; ``charge[tag]`` is the seconds of the passes ``tag`` reads."""
-    s = SimpleNamespace(M=M, N=N, part=part, prof=None, q=None, uniform=None, charge=dict.fromkeys(methods, 0.0))
-    for name, (make, readers) in _PASSES.items():
-        readers = [tag for tag in methods if tag in readers]
-        if readers:
-            t0 = time.process_time()
-            setattr(s, name, make(s))
-            seconds = time.process_time() - t0
-            for tag in readers:
-                s.charge[tag] += seconds
-    return s
-
-
-def _sample(s, plan, rng) -> Callable:
-    return lambda: estimate_product(s.M, s.N, plan, rng)[1]
-
-
-def _whole_blocks(s, c, c0, rng):
-    # Budget parity with the column samplers: b blocks of n/K columns
-    # each cost about as much as c column draws.
-    draws = max(1, round(c * s.part.num_blocks / s.part.total))
-    return lambda: estimate_product_block_sampling(s.M, s.N, s.part, draws, rng, probs=s.q)[1]
-
-
-# Tag -> prepare(shared, c, c0, rng), which plans from the shared passes and
-# returns the zero-argument sampling step.  In METHOD_TAGS order, which keys
-# the streams.  The uniform pilot reads the vector the shared pass cached on
-# the partition.  A column sampler splits the replication's rng, or a
-# two-step plan's main stream, into its block streams.  The config has
-# checked c and c0, so a two-step plan takes floor(c0/K) pilot draws per block.
-METHODS: dict[str, Callable] = {
-    "OPL": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "OPL"), rng),
-    "ONC": lambda s, c, c0, rng: _sample(s, _allocate(s.prof, c, "ONC"), rng),
-    "ONU": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0 // s.part.num_blocks, rng, "uniform")),
-    "ONMCNR": lambda s, c, c0, rng: _sample(s, *_two_step_plan(s.prof, c, c0 // s.part.num_blocks, rng, "norm")),
-    "UU": lambda s, c, c0, rng: _sample(s, allocate_uniform(s.part, c), rng),
-    "SSM": _whole_blocks,
-}
 
 
 def run(config: ExperimentConfig) -> tuple[list[RawRecord], list[SummaryRecord]]:
@@ -283,7 +291,7 @@ def run(config: ExperimentConfig) -> tuple[list[RawRecord], list[SummaryRecord]]
             for rep in range(config.reps):
                 rng = replication_rng(config.seed, si, method, rep)
                 t0 = time.process_time()
-                sample = METHODS[method](shared, c, c0, rng)
+                sample = METHODS[method].prepare(shared, c, c0, rng)
                 t1 = time.process_time()
                 estimate = sample()
                 plan_t, sample_t = t1 - t0 + shared.charge[method], time.process_time() - t1

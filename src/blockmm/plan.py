@@ -37,8 +37,6 @@ from .matrix import (
     row_norms,
 )
 
-METHOD_TAGS = ("OPL", "ONC", "ONU", "ONMCNR", "UU", "SSM")
-
 PROB_SUM_TOL = 1e-12
 RADICAND_SLACK = 1e-9  # relative slack allowed on the Cauchy-Schwarz radicand
 

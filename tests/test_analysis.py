@@ -461,6 +461,69 @@ def test_bounds_beyond_float64_read_inf_and_never_raise():
         assert math.isinf(bound) == beyond
 
 
+def log_bounds(kind, inp):
+    """The bound pair's logarithms, re-coded from scratch: every factor enters
+    as its logarithm, so no intermediate leaves float64."""
+    delta, beta, lo, hi = inp.fail_prob, inp.prob_floor, inp.cancel_lo, inp.cancel_hi
+    if kind == "score":
+        top, lo, hi = 1.0 - beta * (1.0 - hi), 1.0, 1.0
+    else:
+        top = hi - lo * beta + (hi if kind == "optimal" else inp.cancel_hi_exact) * lo * beta
+    log_phi = 0.5 * math.log(top) - 0.25 * (math.log(hi) + math.log(lo))
+    log_tail = 0.5 * (math.log(hi) - math.log(lo) + math.log(8.0) + math.log(-math.log(delta)) - math.log(beta))
+    log_base = 2.0 * (math.log(inp.frob_m) + math.log(inp.frob_n)) - math.log(beta) - math.log(inp.c)
+    return 2.0 * log_phi + log_base, 2.0 * float(np.logaddexp(log_phi, log_tail)) + log_base
+
+
+@pytest.mark.parametrize(
+    "kw, optimal_sq_error",
+    [
+        (dict(fail_prob=1e-320, cancel_lo=0.1, frob_m=1.0, frob_n=1.0), 29962.19),  # 1 / fail_prob overflows
+        (dict(fail_prob=0.1, cancel_lo=5e-324, frob_m=1e-100, frob_n=1e-100), 1.864e-76),  # so does hi / lo * 8
+    ],
+)
+def test_bounds_match_a_log_space_reference_where_an_intermediate_overflows(kw, optimal_sq_error):
+    inp = BoundInputs(c=1, prob_floor=1.0, cancel_hi=0.5, cancel_hi_exact=0.4, **kw)
+    for kind, bounds in (
+        ("optimal", bounds_optimal_allocation),
+        ("score", bounds_score_allocation),
+        ("pilot", bounds_pilot_allocation),
+    ):
+        assert bounds(inp) == pytest.approx([math.exp(x) for x in log_bounds(kind, inp)], rel=1e-12), kind
+    assert bounds_optimal_allocation(inp).sq_error_bound == pytest.approx(optimal_sq_error, rel=1e-4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_analytics_on_a_subnormal_budget_never_warn():
+    """A budget of 1e-320 puts the variance beyond float64: it reads inf, with
+    no overflow warning.  Where the variance itself is representable, it is
+    read: factors at 2**-300 with 2**-1070 on block 0 scale that block's term
+    by 2**(1070 - 1200), and a budget of 2**1000 on block 1 drops its term
+    in both."""
+    M, N = random_instance(1, m=3, n=12, p=2)
+    part = BlockPartition.equal(12, 2)
+    plan = allocate_by_score_sums(M, N, part, c=6)
+    assert expected_sq_error(M, N, plan, budgets=[1e-320, 1.0]) == math.inf
+    assert np.isposinf(elementwise_variance(M, N, plan, budgets=[1e-320, 1.0])).all()
+    small, tiny, ref = 2.0**-300, [2.0**-1070, 1.0], [1.0, 2.0**1000]
+    want = expected_sq_error(M, N, plan, budgets=ref) * 2.0**-130
+    assert want > 0.0
+    assert expected_sq_error(M * small, N * small, plan, budgets=tiny) == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(
+        elementwise_variance(M * small, N * small, plan, budgets=tiny),
+        elementwise_variance(M, N, plan, budgets=ref) * 2.0**-130,
+        rtol=1e-12,
+    )
+
+
+def test_bound_inputs_take_any_c_that_float64_holds():
+    ok = dict(fail_prob=0.1, prob_floor=1.0, cancel_lo=0.2, cancel_hi=0.8, frob_m=1.0, frob_n=1.0)
+    one = bounds_score_allocation(BoundInputs(c=1, **ok))
+    assert bounds_score_allocation(BoundInputs(c=2**1023, **ok)) == pytest.approx([b / 2.0**1023 for b in one])
+    with pytest.raises(ValueError, match="^c must lie in \\[1, 1.7976931348623157e\\+308\\], the largest float64$"):
+        BoundInputs(c=2**1024, **ok)
+
+
 def test_pilot_bound_clamps_a_radicand_below_zero():
     """``BoundInputs`` lets cancel_hi lie up to 1e-15 below cancel_lo; the
     radicand hi - lo * floor + hi_exact * lo * floor then falls below 0 and

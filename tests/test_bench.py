@@ -171,8 +171,58 @@ def test_resource_cap():
 
 
 def test_method_table_follows_method_tags():
-    # replication streams are keyed on the METHOD_TAGS index
+    # replication streams are keyed on the table's order, so it is pinned
+    assert METHOD_TAGS == ("OPL", "ONC", "ONU", "ONMCNR", "UU", "SSM")
     assert tuple(METHODS) == METHOD_TAGS
+
+
+def test_one_entry_adds_a_method(monkeypatch, tmp_path):
+    """A throwaway tag, an ONC copy that also reads the uniform pass and
+    pilots, registered by one METHODS entry and nothing else: the config,
+    its checks, the footprint, the shared passes, the CLI and a sweep all
+    read it from the entry."""
+    onc = METHODS["ONC"]
+    monkeypatch.setitem(METHODS, "XTRA", onc._replace(passes=(*onc.passes, "uniform"), pilots=True))
+    cfg = small_config(methods=("XTRA",))
+    with pytest.raises(ValueError, match=r"^c=2 below K=3: \['XTRA'\] draw at least once per block$"):
+        small_config(methods=("XTRA",), c=(2, 6))
+    with pytest.raises(ValueError, match=r"^c0=2 below K=3: no pilot draws for \['XTRA'\]$"):
+        small_config(methods=("XTRA",), c0=2)
+    # its pilot sketch: c0 columns of M and rows of N
+    assert estimate_bytes(cfg) - estimate_bytes(small_config(methods=("ONC",))) == 8 * 6 * (4 + 3)
+
+    clock, made = [0.0], []
+    monkeypatch.setattr(bench.time, "process_time", lambda: clock[0])
+
+    def timed(name, make, seconds):
+        def call(s):
+            clock[0] += seconds
+            made.append(name)
+            return make(s)
+
+        return call
+
+    for i, (name, make) in enumerate(list(bench._PASSES.items())):
+        monkeypatch.setitem(bench._PASSES, name, timed(name, make, 10.0**i))
+    M, N = make_instance(cfg)
+    shared = bench._share(M, N, BlockPartition.equal(cfg.n, 3), ("XTRA", "SSM"))
+    assert made == ["prof", "probs", "q", "uniform"]
+    assert shared.charge == {"XTRA": 10011.0, "SSM": 1000.0}
+
+    assert "comma-separated): OPL, ONC, ONU, ONMCNR, UU, SSM, XTRA" in " ".join(cli.build_parser().format_help().split())
+    argv = ["--case", "II", "--m", "4", "--n", "24", "--p", "3", "--K", "3", "--c", "6,12", "--c0", "6",
+            "--reps", "2", "--seed", "99", "--method", "ONC,XTRA", "--no-timing", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    with open(tmp_path / "raw.csv", newline="") as f:
+        rows = [r for r in csv.DictReader(f) if r["method"] == "XTRA"]
+    assert len(rows) == 2 * 2
+    # its streams are keyed by its place in the table, after the six
+    exact = multiply_exact(M, N)
+    for r in rows:
+        si, rep, c = cfg.sweep_values.index(int(r["sweep_value"])), int(r["rep"]), int(r["sweep_value"])
+        rng = replication_rng(cfg.seed, si, "XTRA", rep)
+        plan = allocate_by_score_sums(M, N, BlockPartition.equal(cfg.n, 3), c)
+        assert float(r["rel_error"]) == relative_error(estimate_product(M, N, plan, rng)[1], exact)
 
 
 def _public_estimate(tag, pilot, M, N, part, c, c0, rng):
@@ -242,7 +292,7 @@ def test_plan_time_charges_the_shared_passes(monkeypatch):
 
 
 def test_cli_method_help_lists_the_table(monkeypatch):
-    monkeypatch.setattr(cli, "METHOD_TAGS", ("AAA", "BBB"))
+    monkeypatch.setattr(cli, "METHODS", dict.fromkeys(("AAA", "BBB")))
     text = " ".join(cli.build_parser().format_help().split())
     assert "comma-separated): AAA, BBB" in text
 

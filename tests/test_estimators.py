@@ -819,7 +819,7 @@ def test_callers_spawn_counter_moves_as_before():
     shared = _share(M, N, part, tuple(METHODS))
     for tag in METHODS:
         want = {"ONU": 2, "ONMCNR": 2, "SSM": 0}.get(tag, 3)
-        assert moved(lambda r: METHODS[tag](shared, 6, 6, r)()) == want
+        assert moved(lambda r: METHODS[tag].prepare(shared, 6, 6, r)()) == want
 
 
 def test_an_rng_without_the_methods_a_call_uses_is_rejected():

@@ -628,7 +628,7 @@ def norm_calls(monkeypatch):
     return calls
 
 
-def _sweep(methods=plan_module.METHOD_TAGS, **knobs):
+def _sweep(methods=bench.METHOD_TAGS, **knobs):
     """A ``bench.run`` sweep, by default c over three points, every method
     and two replications, on a 5 x 120 x 4 instance with K = 6."""
     config = dict(case="II", m=5, n=120, p=4, K=6, c=(C, 60, 120), c0=C0, reps=2, seed=201, record_timing=False)
