@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import relative_error
 from .datagen import gen_heavy_tail_instance, gen_normal_instance
 from .estimators import _two_step_plan, estimate_product, estimate_product_block_sampling
-from .matrix import BlockPartition, as_int, check_type, multiply_exact, write_csv
+from .matrix import _INT64_MAX, BlockPartition, as_int, check_type, multiply_exact, write_csv
 from .plan import _allocate, _guided, _profile, allocate_uniform, block_norm_probabilities, uniform_probabilities
 
 SWEEPABLE = ("K", "c", "c0")
@@ -47,11 +47,11 @@ class ResourceCapError(RuntimeError):
 
 def _normalize_knob(name: str, value) -> IntOrSweep:
     if isinstance(value, (list, tuple, np.ndarray)):
-        vals = tuple(as_int(name, v) for v in value)
+        vals = tuple(as_int(name, v, high=_INT64_MAX) for v in value)
         if len(vals) == 0:
             raise ValueError(f"{name}: sweep list is empty")
         return vals
-    return as_int(name, value)
+    return as_int(name, value, high=_INT64_MAX)
 
 
 # The passes shared by every replication on one partition, in the order they
@@ -156,19 +156,12 @@ class ExperimentConfig:
         if not isinstance(methods, (list, tuple)):
             raise ValueError(f"methods must be a list of tags or one comma-separated string, got {methods!r}")
         methods = tuple(methods)
-        if not methods:
-            raise ValueError("methods must be a nonempty subset of " + ", ".join(METHODS))
-        for tag in methods:
-            if tag not in METHODS:
-                raise ValueError(f"unknown method {tag!r}; valid: {', '.join(METHODS)}")
-        if len(set(methods)) != len(methods):
-            raise ValueError("duplicate method names")
+        known = all(isinstance(t, str) and t in METHODS for t in methods)  # a list is never looked up
+        if not (methods and known and len(set(methods)) == len(methods)):
+            raise ValueError(f"methods must be distinct tags among {', '.join(METHODS)}, got {methods}")
         object.__setattr__(self, "methods", methods)
         for name, low in (("m", 1), ("n", 1), ("p", 1), ("reps", 1), ("seed", 0), ("max_bytes", 1)):
-            value = as_int(name, getattr(self, name))
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_int(name, getattr(self, name), low))
         for name in SWEEPABLE:
             object.__setattr__(self, name, _normalize_knob(name, getattr(self, name)))
         swept = [name for name in SWEEPABLE if isinstance(getattr(self, name), tuple)]
@@ -177,10 +170,13 @@ class ExperimentConfig:
         object.__setattr__(self, "sweep_var", swept[0])
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
-        if not isinstance(self.out, (str, os.PathLike)):
+        if not isinstance(self.out, (str, os.PathLike)) or "\0" in str(self.out):
             raise ValueError(f"out must be a directory path, got {self.out!r}")
         # write_results makes it after the whole sweep, and a file in the way fails there.
-        existing = next(d for d in (Path(self.out), *Path(self.out).parents) if d.exists())
+        try:
+            existing = next(d for d in (Path(self.out), *Path(self.out).parents) if d.exists())
+        except OSError as e:  # a name too long, a directory that cannot be read
+            raise ValueError(f"out must be a directory path the system accepts: {e.strerror}") from None
         if not existing.is_dir():
             raise ValueError(f"out must be a directory path, but {existing} is a file")
         column_samplers = [tag for tag in methods if METHODS[tag].per_block]

@@ -33,6 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockmm-bench",
         description="Benchmark randomized block matrix multiplication methods.",
+        argument_default=argparse.SUPPRESS,  # a flag not given is no key, so the given ones merge by name
     )
     parser.add_argument("--config", type=Path, help="JSON config file (flags override it)")
     parser.add_argument("--case", choices=["I", "II"], help="instance family: I normal, II heavy-tailed")
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory for raw.csv and summary.csv")
     parser.add_argument(
         "--no-timing",
-        action="store_true",
+        action="store_false",
+        dest="record_timing",
         help="write 0.0 in the time columns (byte-reproducible output)",
     )
     parser.add_argument("--max-bytes", type=int, dest="max_bytes", help="memory cap in bytes")
@@ -63,31 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        flags = vars(build_parser().parse_args(argv))
     except SystemExit as e:  # argparse exits 2 on a bad flag; 2 means the resource cap here
         return 1 if e.code else 0
     try:
-        doc = {} if args.config is None else json.loads(args.config.read_text())
-        if not isinstance(doc, dict):  # dict.update would take a list of pairs as keys and values
+        path = flags.pop("config", None)
+        doc = {} if path is None else json.loads(path.read_text())
+        if not isinstance(doc, dict):
             raise ValueError(f"the config file must hold a JSON object, not a {type(doc).__name__}")
-        for key in ("case", "m", "n", "p", "K", "c", "c0", "reps", "seed", "out", "max_bytes"):
-            value = getattr(args, key)
-            if value is not None:
-                doc[key] = value
-        if args.methods:
-            doc["methods"] = ",".join(args.methods)
-        if args.no_timing:
-            doc["record_timing"] = False
-        config = config_from_dict(doc)
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    try:
+        if "methods" in flags:
+            flags["methods"] = ",".join(flags["methods"])
+        config = config_from_dict({**doc, **flags})
         raw, summary = run(config)
     except ResourceCapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # a JSON syntax error is a ValueError; OSError: reading the file
         print(f"config error: {e}", file=sys.stderr)
         return 1
     raw_path, summary_path = write_results(config.out, raw, summary)

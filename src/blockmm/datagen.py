@@ -27,9 +27,7 @@ def _covariance(dim: int, scale: float) -> np.ndarray:
 def _setup(m, n, p):
     """The checked dimensions and the Cholesky factors of the covariances:
     scale 1 on the left (m x m), scale 2 on the right (p x p)."""
-    m, n, p = as_int("m", m), as_int("n", n), as_int("p", p)
-    if min(m, n, p) < 1:
-        raise ValueError("dimensions must be >= 1")
+    m, n, p = as_int("m", m, 1), as_int("n", n, 1), as_int("p", p, 1)
     return m, n, p, np.linalg.cholesky(_covariance(m, 1.0)), np.linalg.cholesky(_covariance(p, 2.0))
 
 

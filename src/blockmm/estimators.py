@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import BlockPartition, as_int, check_factors, check_rng, check_type
+from .matrix import _INT64_MAX, BlockPartition, as_int, check_factors, check_rng, check_type
 from .plan import (
     BlockProbabilities,
     SamplingPlan,
@@ -397,9 +397,7 @@ def sketch_columns(
     """
     check_rng(rng, "random")
     n = check_factors(Mb, Nb)
-    count = as_int("count", count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = as_int("count", count, 1, _INT64_MAX)
     counts = np.array([count])
     pair, log = _sketch(Mb, Nb, _one_block(probs, BlockPartition((n,))), counts, _layout(counts), rng.random(count))
     return pair.C, pair.D, log
@@ -442,7 +440,7 @@ def _two_step_counts(part: BlockPartition, c: int, c0: int, p0: Optional[BlockPr
     if not 1 <= c <= part.total:
         raise ValueError(f"budget c={c} must lie in [1, {part.total}]")
     K = part.num_blocks
-    pilot_count = as_int("c0", c0) // K
+    pilot_count = as_int("c0", c0, high=_INT64_MAX) // K
     if pilot_count < 1:
         raise ValueError(f"c0={c0} gives no pilot draws for K={K} blocks")
     if p0 is not None and check_type("p0", p0, BlockProbabilities).partition != part:
@@ -547,9 +545,7 @@ def estimate_product_block_sampling(
     check_type("part", part, BlockPartition).check_length(check_factors(M, N), "inner dimension")
     q = block_norm_probabilities(M, N, part) if probs is None else probs
     q = _one_block(q, part._as_one_block)
-    draws = as_int("draws", draws)
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    draws = as_int("draws", draws, 1, _INT64_MAX)
     drawn = _search(q, np.zeros(draws, np.int64), _uniforms(rng.random(draws)))
     start = part.offsets[drawn]
     offsets, draw, within = _layout(part.offsets[drawn + 1] - start)  # the drawn blocks' columns

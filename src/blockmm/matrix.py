@@ -17,21 +17,30 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+_INT64_MAX = 2**63 - 1  # the bound on a count that sizes an array, or on a sum of them
 
-def as_int(name: str, value) -> int:
-    """An integer count, budget or config value; a bool, 2.9 or "26" is
-    rejected, not coerced, and NumPy integers are accepted."""
+
+def as_int(name: str, value, low=None, high=None) -> int:
+    """An integer count, budget or config value, >= ``low`` and <= ``high``
+    where given; a bool, 2.9 or "26" is rejected, not coerced, and NumPy
+    integers are accepted."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
 
 
 def check_real(name: str, value, positive: bool = False) -> None:
@@ -48,9 +57,15 @@ def check_real(name: str, value, positive: bool = False) -> None:
 
 def as_nonneg(name: str, values, shape=None) -> np.ndarray:
     """A new float64 array of ``values`` (of ``shape``, if given) whose every
-    entry is finite and >= 0: probabilities, weights, budget overrides,
+    entry is real, finite and >= 0: probabilities, weights, budget overrides,
     pilot norms.  A NaN entry is rejected, not dropped by a comparison."""
-    v = np.array(values, dtype=np.float64)
+    try:
+        v = np.asarray(values)
+        if v.dtype.kind == "c":  # astype would cut it to its real part
+            raise TypeError
+        v = v.astype(np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be real numbers, got {reprlib.repr(values)}") from None
     if shape is not None and v.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
     if not np.isfinite(v).all() or (v < 0).any():
@@ -58,11 +73,11 @@ def as_nonneg(name: str, values, shape=None) -> np.ndarray:
     return v
 
 
-def as_ints(name: str, values, shape=None) -> np.ndarray:
-    """A new int64 array of ``values`` (of ``shape``, if given): budgets and
-    caps.  A signed integer array passes on its dtype; unsigned or float
-    entries must be finite, integral and within int64, and bool or any
-    other dtype is rejected."""
+def as_ints(name: str, values, shape=None, low=None) -> np.ndarray:
+    """A new int64 array of ``values`` (of ``shape``, if given), every entry
+    >= ``low`` if given: budgets and caps.  A signed integer array passes on
+    its dtype; unsigned or float entries must be finite, integral and within
+    int64, and bool or any other dtype is rejected."""
     v = np.array(values)
     if v.dtype.kind != "i" and not (
         v.dtype.kind in "uf" and np.isfinite(v).all() and (v == np.round(v)).all() and (abs(v) < 2.0**63).all()
@@ -71,6 +86,8 @@ def as_ints(name: str, values, shape=None) -> np.ndarray:
     v = v.astype(np.int64, copy=False)
     if shape is not None and v.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
+    if low is not None and (v < low).any():
+        raise ValueError(f"{name} must be >= {low}, got {np.array2string(v, threshold=8)}")
     return v
 
 
@@ -120,13 +137,12 @@ class BlockPartition:
 
     def __post_init__(self):
         try:
-            sizes = tuple(as_int("block size", s) for s in self.sizes)
+            sizes = tuple(as_int("block size", s, 1) for s in self.sizes)
         except TypeError:
             raise ValueError(f"block sizes must be a sequence of integers, got {self.sizes!r}") from None
         if not sizes:
             raise ValueError("partition needs at least one block")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"every block size must be >= 1, got {sizes}")
+        as_int("partition total", sum(sizes), high=_INT64_MAX)
         object.__setattr__(self, "sizes", sizes)
 
     @classmethod
@@ -164,7 +180,7 @@ class BlockPartition:
         return BlockPartition((self.num_blocks,))
 
     def block_slice(self, k: int) -> slice:
-        if not 0 <= k < self.num_blocks:
+        if not 0 <= as_int("k", k) < self.num_blocks:
             raise IndexError(f"block index {k} out of range for K={self.num_blocks}")
         off = self.offsets
         return slice(int(off[k]), int(off[k + 1]))

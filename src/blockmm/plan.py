@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .matrix import (
+    _INT64_MAX,
     BlockPartition,
     _read_only,
     as_int,
@@ -157,9 +158,9 @@ class SamplingPlan:
     _pilot: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        b = as_ints("budgets", self.budgets, (check_type("partition", self.partition, BlockPartition).num_blocks,))
-        if (b < 0).any():
-            raise ValueError("budgets must be >= 0")
+        K = check_type("partition", self.partition, BlockPartition).num_blocks
+        b = as_ints("budgets", self.budgets, (K,), low=0)
+        as_int("total budget", sum(b.tolist()), high=_INT64_MAX)
         if check_type("probs", self.probs, BlockProbabilities).partition != self.partition:
             raise ValueError("probabilities are built on a different partition")
         mismatch = (b == 0) != self.probs._zero
@@ -169,11 +170,11 @@ class SamplingPlan:
         object.__setattr__(self, "budgets", _read_only(b))
         pilot = self._pilot
         if self.pilot_norms is not None:
-            given = np.asarray(self.pilot_norms, dtype=np.float64)
-            if pilot is None or not np.array_equal(given, _ldexp(pilot[0], -pilot[1])):
-                pilot = (given, 0)
+            # Checked below if it wins; beside its _pilot it may read inf, a norm past float64.
+            if pilot is None or not np.array_equal(self.pilot_norms, _ldexp(pilot[0], -pilot[1])):
+                pilot = (self.pilot_norms, 0)
         if pilot is not None:
-            norms, pilot = _pilot_fields(as_nonneg("pilot_norms", pilot[0], (self.partition.num_blocks,)), pilot[1])
+            norms, pilot = _pilot_fields(as_nonneg("pilot_norms", pilot[0], (K,)), pilot[1])
             object.__setattr__(self, "pilot_norms", norms)
             object.__setattr__(self, "_pilot", pilot)
 
@@ -445,9 +446,7 @@ def integerize(
     if floor.shape != (K,):
         raise ValueError("floor mask must have one entry per block")
     if caps is not None:
-        caps = as_ints("caps", caps, (K,))
-        if (caps < 0).any():
-            raise ValueError(f"caps must be >= 0, got {np.array2string(caps, threshold=8)}")
+        caps = as_ints("caps", caps, (K,), low=0)
     return _integerize(_ldexp(w, -math.frexp(w.max())[1]), c, floor.astype(np.int64), caps)
 
 

@@ -5,12 +5,14 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmm import (
     METHOD_TAGS,
@@ -124,6 +126,18 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         small_config(reps=True)
     assert small_config(c=[np.int64(6), 12], seed=np.int64(7)).c == (6, 12)
+    # a tag that is a list is named, not looked up (a TypeError: unhashable)
+    with pytest.raises(ValueError, match=r"^methods must be distinct tags among .*, got \(\['OPL'\],\)$"):
+        small_config(methods=[["OPL"]])
+    # an out the system rejects fails here, not in write_results after the whole sweep
+    nul = "o\x00x"
+    with pytest.raises(ValueError, match=f"^out must be a directory path, got {re.escape(repr(nul))}$"):
+        small_config(out=nul)
+    with pytest.raises(ValueError, match="^out must be a directory path the system accepts: File name too long$"):
+        small_config(out="o" * 300)
+    # c0 sizes the pilot's arrays, so it stops at int64
+    with pytest.raises(ValueError, match="^c0 must be <= 9223372036854775807, got 9223372036854775808$"):
+        small_config(c0=2**63)
 
 
 def test_config_from_dict():
@@ -139,6 +153,26 @@ def test_config_from_dict():
     # the config finds its sweep itself; a file cannot name it
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_dict({**doc, "sweep_var": "c"})
+
+
+# Any JSON value: what a config file can hold under a key.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig) if f.init]), value=_JSON)
+def test_config_from_dict_builds_or_names_the_key(key, value):
+    """Whatever a config file holds under a key, the config builds or raises
+    a ValueError that names the key, never a TypeError or KeyError: the CLI
+    catches only ValueError, and OSError from reading the file."""
+    try:
+        config_from_dict({key: value})
+    except ValueError as e:
+        assert re.search(rf"\b{key}\b", str(e)), (key, value, str(e))
 
 
 def test_estimate_bytes_counts_the_block_products_and_the_pilot_sketch():
@@ -514,10 +548,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"out": "cfg.json/out"}, ()),
         ({"methods": None}, ()),  # tuple(None) raised a TypeError
         ({"methods": 5}, ()),
+        ({"methods": [["OPL"]]}, ()),  # a list tag raised a TypeError ("unhashable type") that named no key
+        ({"out": "o\u0000x"}, ()),  # write_results raised "embedded null byte" after the whole sweep
+        ({"out": "o" * 300}, ()),  # the config raised an OSError (file name too long)
     ],
     ids=[
         "max_bytes-string", "max_bytes-zero", "record_timing-string", "c-below-K", "max_bytes-float", "seed-negative",
-        "out-int", "out-null", "out-is-a-file", "out-under-a-file", "methods-null", "methods-int",
+        "out-int", "out-null", "out-is-a-file", "out-under-a-file", "methods-null", "methods-int", "methods-list-tag",
+        "out-nul-byte", "out-name-too-long",
     ],
 )
 def test_cli_rejects_bad_config_values(tmp_path, capsys, monkeypatch, doc, flags):

@@ -1040,6 +1040,42 @@ def test_integer_arguments_are_not_truncated(name):
             call(bad)
 
 
+_INT64_PAST = "must be <= 9223372036854775807, got "
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("allocate_two_step-c0", 2**63),
+        ("allocate_two_step-c0", 3 * 2**62),  # c0 // K = 2**62 per block: the pilot's draws sum past int64
+        ("estimate_product_two_step-c0", 2**63),
+        ("estimate_product_two_step-c0", 10**30),
+        ("estimate_product_block_sampling-draws", 2**63),
+        ("sketch_columns-count", 2**63),
+    ],
+)
+def test_counts_past_int64_are_rejected_by_name(name, value):
+    """A count that sizes an array is bounded by int64 in the validator, not
+    wrapped into a negative dimension or an OverflowError on the way."""
+    arg = name.split("-")[1]
+    with pytest.raises(ValueError, match=f"^{arg} {re.escape(_INT64_PAST)}{value}$"):
+        _integer_arguments()[name](value)
+
+
+def test_sizes_or_budgets_summing_past_int64_are_rejected_by_name():
+    """A partition's offsets and a plan's total are int64 sums; a sum past
+    int64 wrapped to a negative offset or total."""
+    with pytest.raises(ValueError, match=f"^partition total {re.escape(_INT64_PAST)}{2**63}$"):
+        BlockPartition((2**62, 2**62))
+    with pytest.raises(ValueError, match=f"^partition total {re.escape(_INT64_PAST)}{2**63}$"):
+        BlockPartition((2**63,))
+    part = BlockPartition.equal(6, 3)
+    with pytest.raises(ValueError, match=f"^total budget {re.escape(_INT64_PAST)}{3 * 2**62}$"):
+        SamplingPlan(part, uniform_probabilities(part), [2**62] * 3)
+    assert BlockPartition((2**62, 2**62 - 1)).offsets[-1] == 2**63 - 1
+    assert SamplingPlan(part, uniform_probabilities(part), [2**62, 2**62 - 2, 1]).total == 2**63 - 1
+
+
 _BAD_BUDGETS = (-1, 2, 7, 10**18)  # negative, below the 3 floors, above the 6 caps, beyond the float64 split
 _SPLIT_MESSAGES = (
     "budget must be >= 0",

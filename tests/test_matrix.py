@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from blockmm import (
     estimate_product_block_sampling,
     estimate_product_two_step,
     expected_sq_error,
+    integerize,
     minimum_expected_sq_error,
     optimal_probabilities,
     optimal_size_weights,
@@ -159,6 +162,33 @@ def test_a_plan_bound_input_config_or_array_of_the_wrong_type_is_named(entry, wr
         call(_WRONG_OBJECTS[wrong])
 
 
+_PLAN = allocate_by_score_sums(_M, _N, _PART, 6)
+# Each entry point that takes real nonnegative numbers, with the name it gives them.
+_REAL_ARGS = {
+    "BlockProbabilities": ("probabilities", lambda x: BlockProbabilities(x, _PART)),
+    "sketch_columns": ("probabilities", lambda x: sketch_columns(_M, _N, 2, x, np.random.default_rng(1))),
+    "estimate_product_block_sampling": (
+        "probabilities", lambda x: estimate_product_block_sampling(_M, _N, _PART, 2, np.random.default_rng(1), probs=x)
+    ),
+    "expected_sq_error": ("budget override", lambda x: expected_sq_error(_M, _N, _PLAN, budgets=x)),
+    "elementwise_variance": ("budget override", lambda x: elementwise_variance(_M, _N, _PLAN, budgets=x)),
+    "cancellation_stats": ("pilot_norms", lambda x: cancellation_stats(_M, _N, _PART, pilot_norms=x)),
+    "integerize": ("weights", lambda x: integerize(x, 3)),
+    "SamplingPlan": ("pilot_norms", lambda x: SamplingPlan(_PART, _PLAN.probs, _PLAN.budgets, pilot_norms=x)),
+}
+# A complex entry, in a list or an array, is no real number: its imaginary part is not dropped.
+_NOT_REAL = {"object": object(), "dict": {}, "complex": [0.5, 0.5j, 0.0], "complex-array": np.array([0.5, 0.5j, 0.0])}
+
+
+@pytest.mark.parametrize("entry, wrong", [(e, w) for e in _REAL_ARGS for w in _NOT_REAL])
+def test_values_that_are_not_real_numbers_are_named(entry, wrong):
+    """A ValueError that names the argument, not numpy's TypeError from the
+    float conversion, nor a silent cut of a complex array to its real part."""
+    name, call = _REAL_ARGS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be real numbers, got "):
+        call(_NOT_REAL[wrong])
+
+
 def test_non_real_factors_rejected_naming_the_factor():
     rng = np.random.default_rng(4)
     M, N = rng.standard_normal((3, 6)), rng.standard_normal((6, 2))
@@ -228,6 +258,12 @@ def test_block_view_is_a_view():
     assert np.shares_memory(w, N)
     with pytest.raises(ValueError):
         block_view(M, part, 0, axis="diagonal")
+    for k in (1.5, "1", True, None):  # named, not numpy's IndexError about valid indices
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            block_view(M, part, k)
+    assert block_view(M, part, np.int64(1)).shape == (3, 4)
+    with pytest.raises(IndexError, match="^block index 2 out of range for K=2$"):
+        block_view(M, part, 2)
 
 
 def test_multiply_exact_matches_loop_oracle():
